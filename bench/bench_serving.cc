@@ -12,7 +12,10 @@
 //     flight — SUBMIT, read the decision, DONE the backend(s), repeat.
 //   open loop (--open-qps Q): clients fire on a fixed schedule totalling
 //     Q submits/second regardless of response times, the paper-style
-//     arrival process; latency then includes any server-side queueing.
+//     arrival process. Latency is timed from each request's scheduled
+//     time, so it includes any server-side queueing and any time the
+//     generator fell behind (no coordinated omission); how late the
+//     generator ran is printed beside it.
 //
 // In in-process mode a final serial phase replays a fixed class sequence
 // against a fresh server AND a directly-built Scheduler with mirrored
@@ -62,6 +65,8 @@ struct LoadResult {
   uint64_t errors = 0;
   double wall_seconds = 0.0;
   ResponseAccumulator latency;
+  /// Open loop only: how long after its scheduled time each SUBMIT was sent.
+  ResponseAccumulator lateness;
 };
 
 int Fail(const char* message) {
@@ -82,13 +87,13 @@ std::string ClassToken(size_t step, size_t reads, size_t updates) {
   return "R" + std::to_string(step % reads);
 }
 
-/// Sends SUBMIT, records latency, and DONEs every routed backend so the
-/// closed loop leaves no pending depth behind. Returns false on transport
-/// failure.
+/// Sends SUBMIT, records its latency from \p start (the send time in the
+/// closed loop, the scheduled time in the open loop), and DONEs every routed
+/// backend so the closed loop leaves no pending depth behind. Returns false
+/// on transport failure.
 bool SubmitOnce(net::Client* client, const std::string& token,
-                std::vector<double>* latencies, uint64_t* completed,
-                uint64_t* errors) {
-  const auto start = Clock::now();
+                Clock::time_point start, std::vector<double>* latencies,
+                uint64_t* completed, uint64_t* errors) {
   auto reply = client->Call("SUBMIT " + token);
   const auto stop = Clock::now();
   if (!reply.ok()) return false;
@@ -117,6 +122,7 @@ bool SubmitOnce(net::Client* client, const std::string& token,
 LoadResult RunLoad(const BenchConfig& config, uint16_t port, size_t reads,
                    size_t updates) {
   std::vector<std::vector<double>> latencies(config.clients);
+  std::vector<std::vector<double>> lateness(config.clients);
   std::vector<uint64_t> completed(config.clients, 0);
   std::vector<uint64_t> errors(config.clients, 0);
   std::vector<std::thread> workers;
@@ -139,18 +145,21 @@ LoadResult RunLoad(const BenchConfig& config, uint16_t port, size_t reads,
         for (size_t i = 0;; ++i) {
           const double at = static_cast<double>(i) * interval;
           if (at >= config.open_duration_seconds) break;
-          std::this_thread::sleep_until(
-              t0 + std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double>(at)));
+          const auto due = t0 + std::chrono::duration_cast<Clock::duration>(
+                                    std::chrono::duration<double>(at));
+          std::this_thread::sleep_until(due);
+          lateness[c].push_back(
+              std::chrono::duration<double>(Clock::now() - due).count());
           if (!SubmitOnce(&*client, ClassToken(c + i * 7, reads, updates),
-                          &latencies[c], &completed[c], &errors[c])) {
+                          due, &latencies[c], &completed[c], &errors[c])) {
             return;
           }
         }
       } else {
         for (size_t i = 0; i < config.requests_per_client; ++i) {
           if (!SubmitOnce(&*client, ClassToken(c + i * 7, reads, updates),
-                          &latencies[c], &completed[c], &errors[c])) {
+                          Clock::now(), &latencies[c], &completed[c],
+                          &errors[c])) {
             return;
           }
         }
@@ -167,6 +176,7 @@ LoadResult RunLoad(const BenchConfig& config, uint16_t port, size_t reads,
     result.completed += completed[c];
     result.errors += errors[c];
     for (double s : latencies[c]) result.latency.Add(s);
+    for (double s : lateness[c]) result.lateness.Add(s);
   }
   return result;
 }
@@ -349,6 +359,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(load.errors), qps, p50 * 1e3, p95 * 1e3,
       p99 * 1e3, load.latency.max() * 1e3,
       server ? (verified ? "  [routing parity OK]" : "") : "");
+  if (config.open_qps > 0.0) {
+    // Lateness means the generator itself fell behind its schedule, so the
+    // run did not offer the load asked for; the latencies above include it.
+    std::printf("generator lateness ms p99 %.3f  max %.3f\n",
+                load.lateness.Percentile(0.99) * 1e3,
+                load.lateness.max() * 1e3);
+  }
 
   if (!config.out_path.empty()) {
     std::FILE* out = std::fopen(config.out_path.c_str(), "w");

@@ -1,6 +1,8 @@
 // Allocator interface and helpers shared by all allocation strategies.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,6 +60,20 @@ void PlaceOrphanFragments(const Classification& cls, Allocation* alloc);
 /// Backend index with minimal stored bytes.
 size_t LeastLoadedBackendByBytes(const Classification& cls,
                                  const Allocation& alloc);
+
+/// Ordered requeue for the greedy allocators' pending queue. The live queue
+/// is (*queue)[head, end), sorted so that no element is \p before an
+/// earlier one; callers pop by advancing head. \p item goes in at the upper
+/// bound of its key, after every element whose key is not lower, so equal
+/// keys keep FIFO order. That is where std::stable_sort would put \p item
+/// appended to the sorted queue, so a loop in which only re-pushed items
+/// change key gets the paper's re-sort order without re-sorting.
+template <typename T, typename Before>
+void RequeueOrdered(std::vector<T>* queue, size_t head, const T& item,
+                    Before before) {
+  const auto first = queue->begin() + static_cast<std::ptrdiff_t>(head);
+  queue->insert(std::upper_bound(first, queue->end(), item, before), item);
+}
 
 }  // namespace alloc_internal
 }  // namespace qcap

@@ -96,13 +96,28 @@ Result<Allocation> GreedyAllocator::Allocate(
   }
   size_t iters = 0;
 
+  // Line 33 re-sorts the pending classes after every placement, descending
+  // remaining weight (including co-allocated updates) x size. Before any
+  // split this is Line 2's key bit for bit (rest_weight is the weight), and
+  // a placement changes only the popped class's key, so the rest of the
+  // queue stays sorted: a re-pushed class is requeued at its place
+  // (alloc_internal::RequeueOrdered), which is the re-sort's order.
+  const auto heavier = [&](const Pending& a, const Pending& b) {
+    const double wa = a.is_update ? bundle_weight(a)
+                                  : rest_weight[a.index] + overlap_weight(a);
+    const double wb = b.is_update ? bundle_weight(b)
+                                  : rest_weight[b.index] + overlap_weight(b);
+    return wa * bundle_size(a) > wb * bundle_size(b);
+  };
+  std::vector<double> difference(n);
+  size_t head = 0;  // queue[0, head) has been popped
+
   // Line 6: main loop.
-  while (!queue.empty()) {
+  while (head < queue.size()) {
     if (++iters > max_iters) {
       return Status::Internal("greedy allocation did not converge");
     }
-    const Pending p = queue.front();
-    queue.erase(queue.begin());
+    const Pending p = queue[head++];
     const QueryClass& c = class_of(p);
 
     // Lines 7-9: if all backends are full, scale every backend so it can
@@ -141,7 +156,6 @@ Result<Allocation> GreedyAllocator::Allocate(
         }
       }
     }
-    std::vector<double> difference(n);
     for (size_t b = 0; b < n; ++b) {
       if (current_load[b] >= scaled_load[b] - eps) {
         difference[b] = kInf;
@@ -245,28 +259,14 @@ Result<Allocation> GreedyAllocator::Allocate(
         alloc.add_read_assign(target, r, room);
         rest_weight[r] -= room;
         current_load[target] = scaled_load[target];
-        queue.push_back(p);  // Still pending.
+        // Still pending (Line 33).
+        alloc_internal::RequeueOrdered(&queue, head, p, heavier);
       } else {
         alloc.add_read_assign(target, r, rest_weight[r]);
         current_load[target] += rest_weight[r];
         rest_weight[r] = 0.0;
       }
     }
-
-    // Line 33: re-sort pending classes, descending remaining weight
-    // (including co-allocated updates) x size.
-    std::stable_sort(queue.begin(), queue.end(),
-                     [&](const Pending& a, const Pending& b) {
-                       const double wa =
-                           a.is_update
-                               ? bundle_weight(a)
-                               : rest_weight[a.index] + overlap_weight(a);
-                       const double wb =
-                           b.is_update
-                               ? bundle_weight(b)
-                               : rest_weight[b.index] + overlap_weight(b);
-                       return wa * bundle_size(a) > wb * bundle_size(b);
-                     });
   }
 
   alloc_internal::PlaceOrphanFragments(cls, &alloc);

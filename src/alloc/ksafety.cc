@@ -97,28 +97,28 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
   }
   size_t iters = 0;
 
-  auto resort = [&]() {
-    std::stable_sort(queue.begin(), queue.end(),
-                     [&](const Pending& a, const Pending& b) {
-                       const double wa = (!a.is_update && !a.is_replica)
-                                             ? rest_weight[a.index] +
-                                                   overlap_weight(a)
-                                             : bundle_weight(a);
-                       const double wb = (!b.is_update && !b.is_replica)
-                                             ? rest_weight[b.index] +
-                                                   overlap_weight(b)
-                                             : bundle_weight(b);
-                       return wa * bundle_size(a) > wb * bundle_size(b);
-                     });
+  // Descending remaining weight x size. Only the popped class's key can
+  // change, so the queue is sorted once and re-pushed classes (a split read
+  // class, or the replicas of a finished one) are requeued in push order at
+  // their place, which is the order a re-sort after every step would give.
+  const auto heavier = [&](const Pending& a, const Pending& b) {
+    const double wa = (!a.is_update && !a.is_replica)
+                          ? rest_weight[a.index] + overlap_weight(a)
+                          : bundle_weight(a);
+    const double wb = (!b.is_update && !b.is_replica)
+                          ? rest_weight[b.index] + overlap_weight(b)
+                          : bundle_weight(b);
+    return wa * bundle_size(a) > wb * bundle_size(b);
   };
-  resort();
+  std::stable_sort(queue.begin(), queue.end(), heavier);
+  std::vector<double> difference(n);
+  size_t head = 0;  // queue[0, head) has been popped
 
-  while (!queue.empty()) {
+  while (head < queue.size()) {
     if (++iters > max_iters) {
       return Status::Internal("k-safe greedy allocation did not converge");
     }
-    const Pending p = queue.front();
-    queue.erase(queue.begin());
+    const Pending p = queue[head++];
     const QueryClass& c = class_of(p);
 
     // Scale every backend if all are full (Lines 8-10).
@@ -139,7 +139,6 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
     // Differences (Lines 11-17); replicas must not land on a backend that
     // already holds the class (Line 12).
     const ConstBitSpan bundle = bundle_bits(p);
-    std::vector<double> difference(n);
     for (size_t b = 0; b < n; ++b) {
       const bool full = current_load[b] >= scaled_load[b] - eps;
       const bool already_holds =
@@ -207,7 +206,7 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
         alloc.add_read_assign(target, r, room);
         rest_weight[r] -= room;
         current_load[target] = scaled_load[target];
-        queue.push_back(p);
+        alloc_internal::RequeueOrdered(&queue, head, p, heavier);
       } else {
         alloc.add_read_assign(target, r, rest_weight[r]);
         current_load[target] += rest_weight[r];
@@ -222,12 +221,12 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
           }
           for (size_t copy = holders; copy < static_cast<size_t>(k) + 1;
                ++copy) {
-            queue.push_back(Pending{r, false, true});
+            alloc_internal::RequeueOrdered(&queue, head,
+                                           Pending{r, false, true}, heavier);
           }
         }
       }
     }
-    resort();
   }
 
   // Eq. 46 for everything not covered by class replication (unreferenced

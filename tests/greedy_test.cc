@@ -170,6 +170,59 @@ TEST(GreedyTest, SpeedupRespectsTheoreticalBound) {
   }
 }
 
+TEST(GreedyTest, EqualRemainingKeysKeepFifoOrder) {
+  // X and Y are both split on their first placement and requeued with the
+  // same remaining key (0.125 x 1). X was requeued first, so X is placed
+  // next, on B3, and Y goes to the still-empty B4; Z then splits over both.
+  // Popping Y first would swap A and B between B3 and B4.
+  Classification cls;
+  ASSERT_TRUE(cls.catalog.Add("A", "A", FragmentKind::kTable, 1.0).ok());
+  ASSERT_TRUE(cls.catalog.Add("B", "B", FragmentKind::kTable, 1.0).ok());
+  ASSERT_TRUE(cls.catalog.Add("C", "C", FragmentKind::kTable, 0.1).ok());
+  cls.reads = {
+      QueryClass{{0}, 0.375, 1.0, false, "X", {}},
+      QueryClass{{1}, 0.375, 1.0, false, "Y", {}},
+      QueryClass{{2}, 0.25, 1.0, false, "Z", {}},
+  };
+  const auto backends = HomogeneousBackends(4);
+  auto result = GreedyAllocator().Allocate(cls, backends);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Allocation& a = result.value();
+  EXPECT_TRUE(ValidateAllocation(cls, a, backends).ok());
+  EXPECT_EQ(a.BackendFragments(0), (FragmentSet{0}));
+  EXPECT_EQ(a.BackendFragments(1), (FragmentSet{1}));
+  EXPECT_EQ(a.BackendFragments(2), (FragmentSet{0, 2}));
+  EXPECT_EQ(a.BackendFragments(3), (FragmentSet{1, 2}));
+  EXPECT_EQ(a.read_assign(2, 0), 0.125);
+  EXPECT_EQ(a.read_assign(3, 1), 0.125);
+}
+
+/// Allocations of seeded synthetic instances, pinned bit for bit: any
+/// change to the placement order or the float arithmetic shows up here.
+TEST(GreedyTest, GoldenDigests) {
+  const testutil::GoldenCase cases[] = {
+      {120, 8, 0.6, 1, 0x733b551a268c8f64ULL},
+      {120, 8, 0.6, 2, 0x7f4d2ac1889b7e6aULL},
+      {120, 8, 1.1, 1, 0xf7e2f7e9ad2f2a55ULL},
+      {120, 8, 1.1, 2, 0x999ad81495a8b3b7ULL},
+      {700, 16, 0.6, 1, 0x2d29762ee91b13a3ULL},
+      {700, 16, 0.6, 2, 0x945b60ded25048baULL},
+      {700, 16, 1.1, 1, 0x905a2d9f3e6afbd0ULL},
+      {700, 16, 1.1, 2, 0xbe74f8aa4ebbd0f2ULL},
+  };
+  for (const testutil::GoldenCase& g : cases) {
+    const Classification cls = testutil::GoldenInstance(g);
+    const auto backends = HomogeneousBackends(g.backends);
+    auto result = GreedyAllocator().Allocate(cls, backends);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(ValidateAllocation(cls, result.value(), backends).ok());
+    EXPECT_EQ(testutil::AllocationDigest(result.value()), g.digest)
+        << std::hex << "0x" << testutil::AllocationDigest(result.value())
+        << std::dec << " for " << g.fragments << " fragments, zipf " << g.zipf
+        << ", seed " << g.seed;
+  }
+}
+
 /// Property sweep: random workloads at several cluster sizes always yield
 /// valid allocations.
 class GreedyPropertySweep

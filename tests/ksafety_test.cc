@@ -109,5 +109,45 @@ INSTANTIATE_TEST_SUITE_P(Random, KSafetyPropertySweep,
                          ::testing::Combine(::testing::Range<uint64_t>(1, 7),
                                             ::testing::Values(1, 2)));
 
+/// K-safe allocations of seeded synthetic instances, pinned bit for bit.
+TEST(KSafetyTest, GoldenDigests) {
+  struct KCase {
+    testutil::GoldenCase g;
+    int k;
+  };
+  const KCase cases[] = {
+      {{120, 8, 0.6, 1, 0x9304fd2534d0c836ULL}, 1},
+      {{120, 8, 0.6, 1, 0x54ad8166be21b02cULL}, 2},
+      {{120, 8, 0.6, 2, 0x5739991290c32832ULL}, 1},
+      {{120, 8, 0.6, 2, 0x3aa59f386c8d476cULL}, 2},
+      {{120, 8, 1.1, 1, 0x281841a3e115fd91ULL}, 1},
+      {{120, 8, 1.1, 1, 0xe494a5a44dae0627ULL}, 2},
+      {{120, 8, 1.1, 2, 0x75d3debe96163104ULL}, 1},
+      {{120, 8, 1.1, 2, 0x289c6f880f3904e3ULL}, 2},
+      {{700, 16, 0.6, 1, 0xafca68ee25468de9ULL}, 1},
+      {{700, 16, 0.6, 1, 0x6ba41eee37a68494ULL}, 2},
+      {{700, 16, 0.6, 2, 0x7ffeb07c0435c558ULL}, 1},
+      {{700, 16, 0.6, 2, 0x8484c36fa40cc3cbULL}, 2},
+      {{700, 16, 1.1, 1, 0xeea94e525ab5a6a3ULL}, 1},
+      {{700, 16, 1.1, 1, 0x612d6d7864dba0a2ULL}, 2},
+      {{700, 16, 1.1, 2, 0x10ab3cbbe3422cc6ULL}, 1},
+      {{700, 16, 1.1, 2, 0x06f49acc9cdc24c5ULL}, 2},
+  };
+  for (const KCase& c : cases) {
+    const Classification cls = testutil::GoldenInstance(c.g);
+    const auto backends = HomogeneousBackends(c.g.backends);
+    auto result =
+        KSafeGreedyAllocator({c.k, 1e-12, 0}).Allocate(cls, backends);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ValidationOptions opts;
+    opts.k_safety = c.k;
+    EXPECT_TRUE(ValidateAllocation(cls, result.value(), backends, opts).ok());
+    EXPECT_EQ(testutil::AllocationDigest(result.value()), c.g.digest)
+        << std::hex << "0x" << testutil::AllocationDigest(result.value())
+        << std::dec << " for " << c.g.fragments << " fragments, zipf "
+        << c.g.zipf << ", seed " << c.g.seed << ", k " << c.k;
+  }
+}
+
 }  // namespace
 }  // namespace qcap
