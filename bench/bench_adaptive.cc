@@ -15,6 +15,9 @@
 //                SLO-violation scale-out path, and the post-spike trough
 //                lets the scale-in path reclaim the node.
 //
+// The scenario (demand, faults, controller tuning) is the harness's
+// adaptive-day workload, qcap_bench/adaptive_scenario.h.
+//
 // Reported per transition: p99 before / during / after the migration,
 // worst-case availability while the ETL overlapped foreground queries,
 // bytes moved, and the decision-to-swap latency. Whole-day aggregates:
@@ -37,13 +40,13 @@
 #include <string>
 #include <vector>
 
+#include "adaptive_scenario.h"
 #include "alloc/ksafety.h"
 #include "autonomic/control_loop.h"
 #include "cluster/scheduler.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "net/dispatcher.h"
-#include "workload/classifier.h"
-#include "workloads/trace.h"
 
 using namespace qcap;
 
@@ -51,8 +54,6 @@ namespace {
 
 struct BenchConfig {
   uint64_t seed = 7;
-  size_t buckets = 144;     // full day at 600 s per control interval
-  double multiplier = 40.0; // trace requests/10min -> offered qps scale
   size_t threads = 4;       // sweep pool size
   size_t replications = 2;  // independent replays in the thread sweep
   std::string out_path;     // empty = stdout only
@@ -62,144 +63,15 @@ struct BenchConfig {
 int Fail(const char* message) {
   std::fprintf(stderr, "bench_adaptive: %s\n", message);
   std::fprintf(stderr,
-               "usage: bench_adaptive [--seed N] [--buckets N] "
-               "[--multiplier X] [--threads N] [--reps N] [--out FILE] "
-               "[--smoke]\n");
+               "usage: bench_adaptive [--seed N] [--threads N] [--reps N] "
+               "[--out FILE] [--smoke]\n");
   return 2;
-}
-
-/// Everything one replay needs. The catalog and journal own storage the
-/// classification references, so they ride along.
-struct Scenario {
-  engine::Catalog catalog;
-  QueryJournal journal;
-  Classification cls;
-  /// Per classification class (reads then updates): the trace class
-  /// (A..E) its member queries instantiate.
-  std::vector<size_t> trace_class_of;
-  std::vector<BucketDemand> day;
-  FaultPlan faults;
-  AdaptiveOptions options;
-  size_t start_nodes = 4;
-};
-
-AdaptiveOptions LoopOptions(const BenchConfig& config) {
-  AdaptiveOptions options;
-  // The heaviest trace class costs ~40 ms on an idle server, so the SLO
-  // sits a queueing allowance above that floor: met in steady state,
-  // violated when the spike stacks queues.
-  options.slo_p99_ms = 48.0;
-  options.scale_up_utilization = 0.3;
-  options.scale_down_utilization = 0.12;
-  options.scale_down_headroom = 0.9;
-  options.min_nodes = 3;
-  options.max_nodes = 8;
-  options.window_buckets = 2;
-  options.drift_threshold = 0.35;
-  options.resegment_after = 2;
-  options.cooldown_buckets = 1;
-  options.k_safety = 1;
-  options.slice_seconds = config.smoke ? 6.0 : 10.0;
-  options.sim.seed = config.seed;
-  options.sim.servers_per_backend = 2;
-  options.sim.cost_params.memory_bytes = 1e12;
-  // Fast ETL rates keep decision-to-swap latency within a bucket or two
-  // while still moving real bytes through the Hungarian transition plan.
-  options.etl = EtlCostModel{2e10, 2e10, 2e10, 1.0};
-  options.migration.min_catchup_seconds = 60.0;
-  return options;
-}
-
-bool BuildScenario(const BenchConfig& config, Scenario* scenario) {
-  scenario->catalog = workloads::TraceCatalog();
-  scenario->journal = workloads::TraceJournal(20000, 3);
-  Classifier classifier(scenario->catalog, {Granularity::kTable, 4, true});
-  auto classified = classifier.Classify(scenario->journal);
-  if (!classified.ok()) {
-    std::fprintf(stderr, "classify: %s\n",
-                 classified.status().ToString().c_str());
-    return false;
-  }
-  scenario->cls = std::move(classified).value();
-
-  const std::vector<Query> templates = workloads::TraceQueries();
-  auto trace_index = [&](const QueryClass& qc, size_t* out) {
-    if (qc.members.empty()) return false;
-    const std::string& text =
-        scenario->journal.queries()[qc.members.front()].text;
-    for (size_t t = 0; t < templates.size(); ++t) {
-      if (templates[t].text == text) {
-        *out = t;
-        return true;
-      }
-    }
-    return false;
-  };
-  for (const QueryClass& qc : scenario->cls.reads) {
-    size_t t = 0;
-    if (!trace_index(qc, &t)) return false;
-    scenario->trace_class_of.push_back(t);
-  }
-  for (const QueryClass& qc : scenario->cls.updates) {
-    size_t t = 0;
-    if (!trace_index(qc, &t)) return false;
-    scenario->trace_class_of.push_back(t);
-  }
-
-  // The sampled day: per-bucket arrival rate and trace-class shares. The
-  // classification's base weights already reflect the whole-day average,
-  // so each bucket's multipliers are its share relative to that average.
-  const std::vector<workloads::TracePoint> points =
-      workloads::SampleDay(config.seed, 600.0);
-  std::vector<double> day_share(workloads::kTraceClasses, 0.0);
-  double day_total = 0.0;
-  for (const workloads::TracePoint& p : points) {
-    for (size_t t = 0; t < day_share.size(); ++t) {
-      day_share[t] += p.class_requests[t];
-      day_total += p.class_requests[t];
-    }
-  }
-  for (double& share : day_share) share /= day_total;
-
-  const size_t buckets = std::min(config.buckets, points.size());
-  const double spike_begin = 68400.0, spike_end = 72000.0;  // 19:00-20:00
-  for (size_t i = 0; i < buckets; ++i) {
-    const workloads::TracePoint& p = points[i];
-    BucketDemand demand;
-    demand.tod_seconds = p.tod_seconds;
-    demand.offered_qps = p.requests_per_10min * config.multiplier / 600.0;
-    if (!config.smoke && p.tod_seconds >= spike_begin &&
-        p.tod_seconds < spike_end) {
-      demand.offered_qps *= 3.0;  // the evening surge
-    }
-    double bucket_total = 0.0;
-    for (double r : p.class_requests) bucket_total += r;
-    demand.class_weight_scale.assign(scenario->cls.NumClasses(), 1.0);
-    for (size_t c = 0; c < demand.class_weight_scale.size(); ++c) {
-      const size_t t = scenario->trace_class_of[c];
-      const double share = p.class_requests[t] / bucket_total;
-      demand.class_weight_scale[c] = share / day_share[t];
-    }
-    scenario->day.push_back(std::move(demand));
-  }
-
-  if (config.smoke) {
-    // Short horizon: one crash early enough that the self-heal completes.
-    scenario->faults.Crash(2100.0, 1);
-  } else {
-    // 10:05 crash (self-heal), 14:00-15:00 straggler on backend 2.
-    scenario->faults.Crash(36300.0, 1)
-        .Degrade(50400.0, 2, 1.8)
-        .Degrade(54000.0, 2, 1.0);
-  }
-  scenario->options = LoopOptions(config);
-  return true;
 }
 
 /// One full replay with a fresh controller; \p seed overrides the
 /// simulator seed (replications perturb it, the demand stays fixed).
-Result<AdaptiveReport> RunDay(const Scenario& scenario, uint64_t seed,
-                              Allocation* initial = nullptr,
+Result<AdaptiveReport> RunDay(const bench::AdaptiveScenario& scenario,
+                              uint64_t seed, Allocation* initial = nullptr,
                               Allocation* final_alloc = nullptr) {
   KSafeGreedyAllocator allocator(KSafetyOptions{1, 1e-12, 0});
   AdaptiveOptions options = scenario.options;
@@ -211,42 +83,6 @@ Result<AdaptiveReport> RunDay(const Scenario& scenario, uint64_t seed,
                         controller.ReplayDay(scenario.day, scenario.faults));
   if (final_alloc != nullptr) *final_alloc = controller.allocation();
   return report;
-}
-
-/// Bit-exact serialization of everything a replay decides and observes;
-/// string equality == report equality.
-std::string Serialize(const AdaptiveReport& report) {
-  std::string out;
-  char line[320];
-  for (const AdaptiveStep& s : report.steps) {
-    std::snprintf(
-        line, sizeof(line),
-        "S %.17g %zu %.17g %.17g %.17g %.17g %.17g %.17g %d %d %d %llu "
-        "%llu %llu %zu\n",
-        s.tod_seconds, s.nodes, s.offered_qps, s.p99_ms, s.avg_ms,
-        s.availability, s.utilization, s.drift, static_cast<int>(s.decision),
-        static_cast<int>(s.phase), s.swapped ? 1 : 0,
-        static_cast<unsigned long long>(s.completed),
-        static_cast<unsigned long long>(s.failed),
-        static_cast<unsigned long long>(s.rejected), s.dead_backends);
-    out += line;
-  }
-  for (const TransitionRecord& t : report.transitions) {
-    std::snprintf(line, sizeof(line),
-                  "T %d %.17g %.17g %.17g %.17g %zu %zu %.17g %.17g %.17g "
-                  "%.17g %d %d\n",
-                  static_cast<int>(t.action), t.decided_seconds,
-                  t.swap_seconds, t.moved_bytes, t.etl_seconds,
-                  t.nodes_before, t.nodes_after, t.p99_before_ms,
-                  t.p99_during_ms, t.p99_after_ms, t.availability_during,
-                  t.aborted ? 1 : 0, t.completed ? 1 : 0);
-    out += line;
-  }
-  std::snprintf(line, sizeof(line), "R %.17g %.17g %.17g %.17g\n",
-                report.slo_attainment, report.availability,
-                report.worst_p99_ms, report.node_seconds);
-  out += line;
-  return out;
 }
 
 /// Replays a fixed read stream through a live Dispatcher that hot-swaps
@@ -289,16 +125,6 @@ bool VerifyRoutingParity(const Classification& cls, const Allocation& before,
   return true;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -313,10 +139,6 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(argv[i], "--seed") == 0) {
       config.seed = std::strtoull(next("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--buckets") == 0) {
-      config.buckets = std::strtoull(next("--buckets"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--multiplier") == 0) {
-      config.multiplier = std::strtod(next("--multiplier"), nullptr);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       config.threads = std::strtoull(next("--threads"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--reps") == 0) {
@@ -330,18 +152,18 @@ int main(int argc, char** argv) {
     }
   }
   if (config.smoke) {
-    config.buckets = 12;
-    config.multiplier = 10.0;
     config.threads = 2;
     config.replications = 2;
   }
-  if (config.buckets == 0 || config.multiplier <= 0.0 ||
-      config.threads == 0 || config.replications == 0) {
+  if (config.threads == 0 || config.replications == 0) {
     return Fail("all numeric flags must be positive");
   }
 
-  Scenario scenario;
-  if (!BuildScenario(config, &scenario)) {
+  bench::AdaptiveScenario scenario;
+  const Status built =
+      bench::BuildAdaptiveScenario(config.seed, config.smoke, &scenario);
+  if (!built.ok()) {
+    std::fprintf(stderr, "scenario: %s\n", built.ToString().c_str());
     return Fail("could not build the trace scenario");
   }
   std::printf("bench_adaptive: %zu buckets x %.0f s, seed %llu%s\n",
@@ -381,10 +203,10 @@ int main(int argc, char** argv) {
       report.scale_ins, report.self_heals);
 
   // --- Self-check 1: same-seed determinism -------------------------------
-  const std::string fingerprint = Serialize(report);
+  const std::string fingerprint = bench::SerializeReport(report);
   auto second = RunDay(scenario, config.seed);
   const bool deterministic =
-      second.ok() && Serialize(*second) == fingerprint;
+      second.ok() && bench::SerializeReport(*second) == fingerprint;
   std::printf("determinism: %s\n", deterministic ? "OK" : "FAILED");
 
   // --- Self-check 2: replications identical at any thread count ----------
@@ -393,7 +215,7 @@ int main(int argc, char** argv) {
   auto replicate = [&](std::vector<std::string>* out, ThreadPool* pool) {
     ParallelFor(pool, out->size(), [&](size_t r) {
       auto rep = RunDay(scenario, config.seed + r);
-      (*out)[r] = rep.ok() ? Serialize(*rep) : "error";
+      (*out)[r] = rep.ok() ? bench::SerializeReport(*rep) : "error";
     });
   };
   {

@@ -17,10 +17,11 @@
 //     generator fell behind (no coordinated omission); how late the
 //     generator ran is printed beside it.
 //
-// In in-process mode a final serial phase replays a fixed class sequence
-// against a fresh server AND a directly-built Scheduler with mirrored
-// pending bookkeeping, asserting the routing decisions are bit-identical
-// (the serving layer adds transport, not policy).
+// The in-process server routes the harness's serving table (TPC-App on 4
+// backends, qcap_bench/serving_load.h). A final serial phase replays a fixed
+// class sequence against a fresh server AND a directly-built Scheduler with
+// mirrored pending bookkeeping, asserting the routing decisions are
+// bit-identical (the serving layer adds transport, not policy).
 //
 // Results go to stdout and, with --out FILE (or via the bench_serving_json
 // target), to a small JSON file committed as the serving baseline.
@@ -28,21 +29,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "alloc/greedy.h"
-#include "cluster/pending_index.h"
-#include "cluster/scheduler.h"
 #include "cluster/stats.h"
 #include "common/stats.h"
-#include "model/validation.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "workload/classifier.h"
-#include "workloads/tpcapp.h"
+#include "serving_load.h"
 
 using namespace qcap;
 using Clock = std::chrono::steady_clock;
@@ -54,7 +49,6 @@ struct BenchConfig {
   size_t requests_per_client = 5000;  // closed loop
   double open_qps = 0.0;              // > 0 switches to open loop
   double open_duration_seconds = 5.0;
-  size_t backends = 4;
   uint16_t external_port = 0;  // 0 = spawn an in-process server
   std::string out_path;        // empty = stdout only
   bool smoke = false;
@@ -73,7 +67,7 @@ int Fail(const char* message) {
   std::fprintf(stderr, "bench_serving: %s\n", message);
   std::fprintf(stderr,
                "usage: bench_serving [--clients N] [--requests N] "
-               "[--open-qps Q] [--duration S] [--backends N] [--port P] "
+               "[--open-qps Q] [--duration S] [--port P] "
                "[--out FILE] [--smoke]\n");
   return 2;
 }
@@ -103,17 +97,10 @@ bool SubmitOnce(net::Client* client, const std::string& token,
     return true;
   }
   ++*completed;
-  // "OK BACKEND 2" or "OK BACKENDS 0 1 3": ack each backend id.
-  const size_t ids_at = reply->find_first_of("0123456789");
-  if (ids_at == std::string::npos) return true;
-  size_t pos = ids_at;
-  while (pos < reply->size()) {
-    size_t end = reply->find(' ', pos);
-    if (end == std::string::npos) end = reply->size();
-    if (!client->Call("DONE " + reply->substr(pos, end - pos)).ok()) {
-      return false;
-    }
-    pos = end + 1;
+  std::vector<size_t> backends;
+  bench::RoutedBackends(*reply, &backends);
+  for (size_t b : backends) {
+    if (!client->Call("DONE " + std::to_string(b)).ok()) return false;
   }
   return true;
 }
@@ -181,45 +168,6 @@ LoadResult RunLoad(const BenchConfig& config, uint16_t port, size_t reads,
   return result;
 }
 
-/// Replays a fixed 400-step class sequence through a fresh server session
-/// and a directly built Scheduler with identical pending bookkeeping; any
-/// divergence is a routing-parity bug.
-bool VerifyRoutingParity(const Classification& cls, const Allocation& alloc) {
-  auto server = net::QueryRoutingServer::Create(cls, alloc, {});
-  if (!server.ok() || !(*server)->Start().ok()) return false;
-  auto client = net::Client::Connect("127.0.0.1", (*server)->port());
-  auto direct = Scheduler::Build(cls, alloc);
-  if (!client.ok() || !direct.ok()) return false;
-  std::vector<size_t> pending(alloc.num_backends(), 0);
-  std::deque<size_t> outstanding;
-  const size_t reads = cls.reads.size();
-  for (size_t step = 0; step < 400; ++step) {
-    const size_t r = (step * 7) % reads;
-    const size_t expected = direct->PickReadBackend(r, pending);
-    auto reply = client->Call("SUBMIT R" + std::to_string(r));
-    if (!reply.ok()) return false;
-    if (expected == PendingIndex::kNone) {
-      if (reply->rfind("ERR UNSERVABLE", 0) != 0) return false;
-      continue;
-    }
-    if (*reply != "OK BACKEND " + std::to_string(expected)) {
-      std::fprintf(stderr, "parity diverged at step %zu: got '%s' want %zu\n",
-                   step, reply->c_str(), expected);
-      return false;
-    }
-    ++pending[expected];
-    outstanding.push_back(expected);
-    if (step % 3 == 2) {
-      const size_t done = outstanding.front();
-      outstanding.pop_front();
-      --pending[done];
-      if (!client->Call("DONE " + std::to_string(done)).ok()) return false;
-    }
-  }
-  (*server)->Stop();
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -245,10 +193,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (!v || std::atof(v) <= 0.0) return Fail("--duration needs seconds");
       config.open_duration_seconds = std::atof(v);
-    } else if (arg == "--backends") {
-      const char* v = value();
-      if (!v || std::atoi(v) <= 0) return Fail("--backends needs a count");
-      config.backends = static_cast<size_t>(std::atoi(v));
     } else if (arg == "--port") {
       const char* v = value();
       if (!v || std::atoi(v) <= 0) return Fail("--port needs a port");
@@ -266,33 +210,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Build the workload the in-process server routes (and that parity
+  // Build the table the in-process server routes (and that parity
   // verification replays). External mode discovers the class universe via
   // HEALTH instead.
-  const engine::Catalog catalog = workloads::TpcAppCatalog(300.0);
-  const QueryJournal journal = workloads::TpcAppJournal(200000);
-  Classifier classifier(catalog,
-                        ClassifierOptions{Granularity::kTable, 4, true});
-  auto cls = classifier.Classify(journal);
-  if (!cls.ok()) {
-    std::fprintf(stderr, "classify: %s\n", cls.status().ToString().c_str());
-    return 1;
-  }
-  const std::vector<BackendSpec> backends =
-      HomogeneousBackends(config.backends);
-  GreedyAllocator greedy;
-  auto alloc = greedy.Allocate(*cls, backends);
-  if (!alloc.ok() || !ValidateAllocation(*cls, *alloc, backends).ok()) {
-    std::fprintf(stderr, "allocation failed\n");
+  net::RoutingTable table;
+  const Status built = bench::BuildTpcAppRoutingTable(&table);
+  if (!built.ok()) {
+    std::fprintf(stderr, "routing table: %s\n", built.ToString().c_str());
     return 1;
   }
 
   uint16_t port = config.external_port;
-  size_t reads = cls->reads.size();
-  size_t updates = cls->updates.size();
+  size_t reads = table.cls.reads.size();
+  size_t updates = table.cls.updates.size();
   std::unique_ptr<net::QueryRoutingServer> server;
   if (port == 0) {
-    auto created = net::QueryRoutingServer::Create(*cls, *alloc, {});
+    auto created = net::QueryRoutingServer::Create(table.cls, table.alloc, {});
     if (!created.ok()) {
       std::fprintf(stderr, "server: %s\n",
                    created.status().ToString().c_str());
@@ -336,7 +269,7 @@ int main(int argc, char** argv) {
   bool verified = false;
   if (server) {
     server->Stop();
-    verified = VerifyRoutingParity(*cls, *alloc);
+    verified = bench::VerifyRoutingParity(table.cls, table.alloc);
     if (!verified) {
       std::fprintf(stderr, "routing parity verification FAILED\n");
       return 1;
@@ -388,7 +321,7 @@ int main(int argc, char** argv) {
                  "  \"max_ms\": %.4f,\n"
                  "  \"routing_parity_verified\": %s\n"
                  "}\n",
-                 mode, config.clients, config.backends,
+                 mode, config.clients, table.alloc.num_backends(),
                  static_cast<unsigned long long>(load.completed),
                  static_cast<unsigned long long>(load.errors), qps, p50 * 1e3,
                  p95 * 1e3, p99 * 1e3, load.latency.max() * 1e3,

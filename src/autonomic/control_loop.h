@@ -244,9 +244,9 @@ class AdaptiveController {
   Status BeginResegmentation(double decided_seconds, double p99_before_ms);
 
   // The controller is single-threaded by contract: every entry point runs
-  // on the operator's control thread (docs/ADAPTIVE.md), and cross-thread
-  // work happens through the Dispatcher's own routing lock, never by
-  // sharing this state. Confined, not guarded.
+  // on the operator's control thread (docs/ARCHITECTURE.md, "Adaptive
+  // control loop"), and cross-thread work happens through the Dispatcher's
+  // own routing lock, never by sharing this state. Confined, not guarded.
   QCAP_THREAD_CONFINED("operator control thread")
   Classification base_;
   Allocator* allocator_;

@@ -31,4 +31,8 @@ std::string PadLeft(const std::string& s, size_t width);
 /// Right-pads \p s with spaces to at least \p width characters.
 std::string PadRight(const std::string& s, size_t width);
 
+/// Escapes \p s for embedding in a JSON string literal: quote, backslash,
+/// and every control character (U+0000..U+001F) per RFC 8259.
+std::string JsonEscape(const std::string& s);
+
 }  // namespace qcap

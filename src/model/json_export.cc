@@ -2,40 +2,12 @@
 
 #include <cstdio>
 
+#include "common/strings.h"
 #include "model/metrics.h"
 
 namespace qcap {
 
-namespace json_internal {
-
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace json_internal
-
 namespace {
-
-using json_internal::Escape;
 
 std::string Num(double v) {
   char buf[64];
@@ -45,7 +17,7 @@ std::string Num(double v) {
 
 std::string ClassJson(const Classification& cls, const QueryClass& c) {
   std::string out = "{";
-  out += "\"label\":\"" + Escape(c.label) + "\",";
+  out += "\"label\":\"" + JsonEscape(c.label) + "\",";
   out += std::string("\"kind\":\"") + (c.is_update ? "update" : "read") + "\",";
   out += "\"weight\":" + Num(c.weight) + ",";
   out += "\"mean_cost\":" + Num(c.mean_cost) + ",";
@@ -67,8 +39,9 @@ std::string ClassificationToJson(const Classification& cls) {
     const Fragment& fragment = cls.catalog.Get(static_cast<FragmentId>(f));
     if (f > 0) out += ",";
     out += "{\"id\":" + std::to_string(fragment.id) + ",\"name\":\"" +
-           Escape(fragment.name) + "\",\"table\":\"" + Escape(fragment.table) +
-           "\",\"bytes\":" + Num(fragment.size_bytes) + "}";
+           JsonEscape(fragment.name) + "\",\"table\":\"" +
+           JsonEscape(fragment.table) + "\",\"bytes\":" +
+           Num(fragment.size_bytes) + "}";
   }
   out += "],\"reads\":[";
   for (size_t r = 0; r < cls.reads.size(); ++r) {
@@ -96,7 +69,7 @@ std::string AllocationToJson(const Classification& cls,
   out += "},\"backends\":[";
   for (size_t b = 0; b < alloc.num_backends(); ++b) {
     if (b > 0) out += ",";
-    out += "{\"name\":\"" + Escape(backends[b].name) + "\",";
+    out += "{\"name\":\"" + JsonEscape(backends[b].name) + "\",";
     out += "\"relative_load\":" + Num(backends[b].relative_load) + ",";
     out += "\"assigned_load\":" + Num(alloc.AssignedLoad(b)) + ",";
     out += "\"stored_bytes\":" + Num(alloc.BackendBytes(b, cls.catalog)) + ",";
@@ -112,7 +85,7 @@ std::string AllocationToJson(const Classification& cls,
       if (alloc.read_assign(b, r) <= 0.0) continue;
       if (!first) out += ",";
       first = false;
-      out += "\"" + Escape(cls.reads[r].label) +
+      out += "\"" + JsonEscape(cls.reads[r].label) +
              "\":" + Num(alloc.read_assign(b, r));
     }
     out += "},\"update_assign\":{";
@@ -121,7 +94,7 @@ std::string AllocationToJson(const Classification& cls,
       if (alloc.update_assign(b, u) <= 0.0) continue;
       if (!first) out += ",";
       first = false;
-      out += "\"" + Escape(cls.updates[u].label) +
+      out += "\"" + JsonEscape(cls.updates[u].label) +
              "\":" + Num(alloc.update_assign(b, u));
     }
     out += "}}";

@@ -22,10 +22,4 @@ std::string AllocationToJson(const Classification& cls,
                              const Allocation& alloc,
                              const std::vector<BackendSpec>& backends);
 
-namespace json_internal {
-/// Escapes a string for embedding in JSON (quotes, backslashes, control
-/// characters).
-std::string Escape(const std::string& s);
-}  // namespace json_internal
-
 }  // namespace qcap

@@ -22,9 +22,7 @@
 #include "common/thread_pool.h"
 
 #include "engine/catalog.h"
-#include "engine/datagen.h"
 #include "engine/schema_io.h"
-#include "engine/table.h"
 #include "engine/types.h"
 
 #include "workload/classifier.h"
@@ -62,7 +60,6 @@
 
 #include "exec/cost_estimator.h"
 #include "exec/cost_model.h"
-#include "exec/executor.h"
 
 #include "cluster/backend_node.h"
 #include "cluster/controller.h"

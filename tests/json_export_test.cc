@@ -40,15 +40,6 @@ bool LooksLikeValidJson(const std::string& s) {
   return !in_string && nesting.empty();
 }
 
-TEST(JsonExportTest, EscapeHandlesSpecials) {
-  using json_internal::Escape;
-  EXPECT_EQ(Escape("plain"), "plain");
-  EXPECT_EQ(Escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(Escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(Escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(Escape(std::string("a\x01") + "b"), "a\\u0001b");
-}
-
 TEST(JsonExportTest, ClassificationJsonIsWellFormed) {
   const Classification cls = testutil::AppendixAClassification();
   const std::string json = ClassificationToJson(cls);

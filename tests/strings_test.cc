@@ -87,5 +87,26 @@ TEST(StringsTest, PadRight) {
   EXPECT_EQ(PadRight("abcdef", 3), "abcdef");
 }
 
+TEST(StringsTest, JsonEscapeQuotesBackslashesAndControlChars) {
+  const struct {
+    std::string in;
+    std::string want;
+  } cases[] = {
+      {"plain", "plain"},
+      {"a\"b", "a\\\"b"},
+      {"a\\b", "a\\\\b"},
+      {"a\nb\tc", "a\\nb\\tc"},
+      {"a\nb\tc\rd", "a\\nb\\tc\\rd"},
+      {"a\bb\fc", "a\\bb\\fc"},
+      {"a\x01" "b", "a\\u0001b"},
+      {"a\x01" "z", "a\\u0001z"},
+      {"\x1f", "\\u001f"},
+      {std::string("\0", 1), "\\u0000"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(JsonEscape(c.in), c.want) << c.in;
+  }
+}
+
 }  // namespace
 }  // namespace qcap

@@ -665,30 +665,4 @@ FileResult ApplySuppressions(const std::string& path,
   return Filter(ParseDirectives(path, tokens), std::move(raw));
 }
 
-std::string JsonEscape(const std::string& s) {
-  static const char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace qcap_lint

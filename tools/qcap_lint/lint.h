@@ -55,8 +55,4 @@ FileResult ApplySuppressions(const std::string& path,
                              const std::string& content,
                              std::vector<Finding> raw);
 
-/// Escapes a string for embedding in a JSON string literal: quote,
-/// backslash, and every control character (U+0000..U+001F) per RFC 8259.
-std::string JsonEscape(const std::string& s);
-
 }  // namespace qcap_lint

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "lint.h"
 #include "project.h"
 
@@ -150,9 +151,10 @@ int Run(int argc, char** argv) {
     for (size_t i = 0; i < findings.size(); ++i) {
       const Finding& f = findings[i];
       std::cout << (i == 0 ? "\n" : ",\n")
-                << "    {\"file\": \"" << JsonEscape(f.file)
+                << "    {\"file\": \"" << qcap::JsonEscape(f.file)
                 << "\", \"line\": " << f.line << ", \"rule\": \"" << f.rule
-                << "\", \"message\": \"" << JsonEscape(f.message) << "\"}";
+                << "\", \"message\": \"" << qcap::JsonEscape(f.message)
+                << "\"}";
     }
     std::cout << (findings.empty() ? "" : "\n  ") << "],\n"
               << "  \"count\": " << findings.size() << ",\n"

@@ -285,16 +285,6 @@ TEST(QcapLintRandomModule, RngWrapperIsExempt) {
   EXPECT_FALSE(LintContent("src/common/strings.cc", code).findings.empty());
 }
 
-TEST(QcapLintJson, EscapesQuotesBackslashesAndControlChars) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
-  EXPECT_EQ(JsonEscape("a\bb\fc"), "a\\bb\\fc");
-  EXPECT_EQ(JsonEscape(std::string("a\x01z", 3)), "a\\u0001z");
-  EXPECT_EQ(JsonEscape(std::string("\x1f", 1)), "\\u001f");
-}
-
 // The committed .qcap-layers, loaded the same way the CLI loads it.
 LayerConfig RepoLayers() {
   const fs::path repo_root =

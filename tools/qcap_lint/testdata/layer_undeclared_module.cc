@@ -4,4 +4,4 @@
 // Known-bad: the including file's module ('exec') was never added to the
 // layering DAG; every cross-module include it makes is flagged until the
 // module is declared (docs/LINT.md has the add-a-module recipe).
-#include "engine/table.h"  // expect: layer-violation
+#include "engine/catalog.h"  // expect: layer-violation
