@@ -4,19 +4,21 @@
 // TPC-App on 5 backends, open loop. A 0-safe greedy allocation loses
 // exclusively-held classes when their backend dies (rejections until the
 // horizon); a k=1-safe allocation serves the whole offered load through the
-// crash (only retries/redispatches), and the self-healing controller
-// detects the k-safety violation, re-allocates with a virtual replacement
-// backend, and reports a finite recovery time. The timeline section shows
-// the throughput dip and recovery around the fault. Every run is
-// bit-deterministic for the fixed seed; the bench re-runs the self-healing
-// scenario and fails loudly if any counter differs.
+// crash (only retries/redispatches), and the AdaptiveController's self-heal
+// detects the k-safety violation at the next control interval, re-allocates
+// onto the survivors plus a replacement, migrates live, and reports a finite
+// recovery time. The timeline section shows the throughput dip and recovery
+// around the fault. Every run is bit-deterministic for the fixed seed; the
+// bench re-runs the self-healing scenario and fails loudly if its report
+// differs.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
+#include "adaptive_scenario.h"
 #include "alloc/greedy.h"
 #include "alloc/ksafety.h"
 #include "bench_util.h"
-#include "cluster/controller.h"
 #include "workloads/tpcapp.h"
 
 namespace qcap::bench {
@@ -26,6 +28,8 @@ constexpr double kDuration = 60.0;
 constexpr double kRate = 4000.0;
 constexpr double kCrashTime = 20.0;
 constexpr uint64_t kSeed = 9;
+constexpr size_t kNodes = 5;
+constexpr double kBinSeconds = 5.0;
 // Crash scenarios run as replication sweeps (seeds 9..11) fanned over the
 // thread pool; the table shows the base seed and the acceptance guards
 // check every replication.
@@ -53,7 +57,7 @@ SimulationConfig BaseConfig() {
   config.cost_params = TpcAppCostParams();
   config.seed = kSeed;
   config.servers_per_backend = 4;
-  config.timeline_bin_seconds = 5.0;
+  config.timeline_bin_seconds = kBinSeconds;
   return config;
 }
 
@@ -78,17 +82,26 @@ void PrintTimeline(const char* label, const SimStats& stats) {
   std::printf("\n");
 }
 
-bool SameRun(const SimStats& a, const SimStats& b) {
-  return a.completed_reads == b.completed_reads &&
-         a.completed_updates == b.completed_updates &&
-         a.failed_requests == b.failed_requests &&
-         a.rejected_requests == b.rejected_requests &&
-         a.retried_requests == b.retried_requests &&
-         a.redispatched_requests == b.redispatched_requests &&
-         a.lag_tasks_drained == b.lag_tasks_drained &&
-         a.avg_response_seconds == b.avg_response_seconds &&
-         a.p99_response_seconds == b.p99_response_seconds &&
-         a.timeline_completions == b.timeline_completions;
+/// Heal-only AdaptiveController policy over the same horizon: fixed size,
+/// no drift re-allocation, Algorithm 3 at k = 1. One 5-s control interval
+/// per timeline bin, simulated in full (sim time is real time).
+AdaptiveReport SelfHeal(const Classification& cls, Allocator* allocator,
+                        size_t victim) {
+  AdaptiveOptions options;
+  options.bucket_seconds = options.slice_seconds = kBinSeconds;
+  options.min_nodes = options.max_nodes = kNodes;
+  options.drift_threshold = std::numeric_limits<double>::infinity();
+  options.k_safety = 1;
+  options.sim = BaseConfig();
+  AdaptiveController controller(cls, allocator, options);
+  CheckOk(controller.Install(kNodes), "self-heal install");
+  std::vector<BucketDemand> buckets;
+  for (double t = 0.0; t < kDuration; t += kBinSeconds) {
+    buckets.push_back({t, kRate, {}});
+  }
+  FaultPlan faults;
+  faults.Crash(kCrashTime, victim);
+  return ValueOrDie(controller.ReplayDay(buckets, faults), "self-heal run");
 }
 
 void Run() {
@@ -98,10 +111,10 @@ void Run() {
   GreedyAllocator greedy;
   KSafeGreedyAllocator ksafe({1, 1e-12, 0});
   Pipeline unsafe = ValueOrDie(
-      BuildPipeline(catalog, journal, Granularity::kTable, &greedy, 5),
+      BuildPipeline(catalog, journal, Granularity::kTable, &greedy, kNodes),
       "greedy pipeline");
   Pipeline safe = ValueOrDie(
-      BuildPipeline(catalog, journal, Granularity::kTable, &ksafe, 5),
+      BuildPipeline(catalog, journal, Granularity::kTable, &ksafe, kNodes),
       "ksafe pipeline");
 
   const size_t victim = PickVictim(unsafe);
@@ -134,36 +147,49 @@ void Run() {
   const std::vector<SimStats> safe_crash = simulate(safe, crash_config);
   PrintStatsRow("ksafe k=1", safe_crash[0]);
 
-  // Self-healing controller: same crash, but Algorithm 3 notices the lost
-  // redundancy and the repaired replacement rejoins after detection + ETL.
-  Controller controller(catalog);
-  controller.SetHistory(journal);
-  CheckOk(controller
-              .Reallocate(&ksafe, HomogeneousBackends(5),
-                          {Granularity::kTable, 4, true})
-              .status(),
-          "controller reallocate");
-  SelfHealingOptions heal;
-  heal.allocator = &ksafe;
-  heal.k_safety = 1;
-  auto healed = ValueOrDie(
-      controller.ProcessOpenSelfHealing(kDuration, kRate, crash_config, heal),
-      "self-healing run");
-  PrintStatsRow("self-heal", healed.stats);
+  // Self-healing controller: same crash on the same k=1 layout, driven
+  // through the AdaptiveController with a heal-only policy. One control
+  // interval is one 5-s timeline bin (sim time is real time), so Algorithm 3
+  // sees the crash at the next bin edge and the repair migrates live.
+  const AdaptiveReport healed = SelfHeal(safe.cls, &ksafe, victim);
+  const TransitionRecord* repair = nullptr;
+  for (const TransitionRecord& t : healed.transitions) {
+    if (t.completed && t.action == AdaptiveAction::kSelfHeal) repair = &t;
+  }
+  uint64_t healed_completed = 0;
+  uint64_t healed_rejected = 0;
+  uint64_t healed_failed = 0;
+  for (const AdaptiveStep& step : healed.steps) {
+    healed_completed += step.completed;
+    healed_rejected += step.rejected;
+    healed_failed += step.failed;
+  }
+  const double recovery =
+      repair != nullptr ? repair->swap_seconds - kCrashTime : 0.0;
+  PrintRow({"self-heal",
+            Fmt(static_cast<double>(healed_completed) / kDuration, 1),
+            Fmt(healed.availability * 100.0, 3),
+            std::to_string(healed_rejected), std::to_string(healed_failed),
+            "-", "-", Fmt(healed.worst_p99_ms, 2), Fmt(recovery, 2)},
+           13);
 
   std::printf("\n");
   PrintTimeline("greedy k=0", unsafe_crash[0]);
   PrintTimeline("ksafe k=1 ", safe_crash[0]);
-  PrintTimeline("self-heal ", healed.stats);
+  std::printf("self-heal  timeline (completions per %.0fs bin):", kBinSeconds);
+  for (const AdaptiveStep& step : healed.steps) {
+    std::printf(" %llu", static_cast<unsigned long long>(step.completed));
+  }
+  std::printf("\n");
 
-  for (const RepairAction& repair : healed.repairs) {
+  if (repair != nullptr) {
     std::printf(
-        "\nrepair: backend %zu crashed t=%.1fs, violation \"%s\", ETL %.2f GB "
-        "in %.1fs, rejoined t=%.1fs (recovery %.1fs)\n",
-        repair.backend + 1, repair.crash_seconds, repair.violation.c_str(),
-        repair.plan.total_bytes / (1024.0 * 1024.0 * 1024.0),
-        repair.plan.duration_seconds, repair.recover_seconds,
-        repair.recover_seconds - repair.crash_seconds);
+        "\nrepair: backend %zu crashed t=%.1fs, %s; decided t=%.1fs, ETL "
+        "%.2f GB in %.1fs, swapped t=%.1fs (recovery %.1fs)\n",
+        victim + 1, kCrashTime, repair->cause.c_str(),
+        repair->decided_seconds,
+        repair->moved_bytes / (1024.0 * 1024.0 * 1024.0),
+        repair->etl_seconds, repair->swap_seconds, recovery);
   }
 
   // Acceptance + determinism guards: fail loudly if the lifecycle
@@ -180,15 +206,13 @@ void Run() {
       std::exit(1);
     }
   }
-  if (healed.repairs.empty() || healed.stats.recovery_seconds <= 0.0) {
+  if (repair == nullptr || !(recovery > 0.0) ||
+      healed.availability != 1.0) {
     std::fprintf(stderr, "FATAL: self-healing must report a finite repair\n");
     std::exit(1);
   }
-  auto healed2 = ValueOrDie(
-      controller.ProcessOpenSelfHealing(kDuration, kRate, crash_config, heal),
-      "self-healing rerun");
-  if (!SameRun(healed.stats, healed2.stats) ||
-      healed.stats.recovery_seconds != healed2.stats.recovery_seconds) {
+  if (SerializeReport(healed) !=
+      SerializeReport(SelfHeal(safe.cls, &ksafe, victim))) {
     std::fprintf(stderr, "FATAL: self-healing run is not deterministic\n");
     std::exit(1);
   }

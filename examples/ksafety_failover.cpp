@@ -2,15 +2,16 @@
 // kill each backend in turn and check whether the surviving cluster can
 // still execute every query class locally (Algorithm 3, Appendix C) —
 // then run a full crash -> repair -> recover lifecycle through the
-// self-healing controller.
+// adaptive controller's self-heal.
 //
 // Build & run:  ./build/examples/ksafety_failover
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "alloc/greedy.h"
 #include "alloc/ksafety.h"
-#include "cluster/controller.h"
+#include "autonomic/control_loop.h"
 #include "model/metrics.h"
 #include "model/validation.h"
 #include "workload/classifier.h"
@@ -70,49 +71,53 @@ int main() {
       "k=1 survives any single failure (k=2 any double failure) at the "
       "cost of extra storage and, for update classes, extra write work.\n");
 
-  // Crash -> repair -> recover: the self-healing controller re-checks
-  // k-safety after the crash (Algorithm 3), re-allocates with a virtual
-  // replacement backend, and the repaired node rejoins after detection +
-  // ETL, draining the updates it missed.
+  // Crash -> repair -> recover: the adaptive controller with a heal-only
+  // policy (fixed size, no drift re-allocation, k = 1) re-checks k-safety
+  // at the end of every 5-s control interval (Algorithm 3). On a violation
+  // it re-allocates onto the survivors plus a replacement node and migrates
+  // live; routing swaps once every new replica has caught up.
   std::printf("\ncrash -> repair -> recover (self-healing controller)\n");
   KSafeGreedyAllocator ksafe({1, 1e-12, 0});
-  Controller controller(catalog);
-  controller.SetHistory(journal);
-  auto report =
-      controller.Reallocate(&ksafe, backends, {Granularity::kTable, 4, true});
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+  AdaptiveOptions options;
+  options.bucket_seconds = options.slice_seconds = 5.0;  // real time
+  options.min_nodes = options.max_nodes = backends.size();
+  options.drift_threshold = std::numeric_limits<double>::infinity();
+  options.k_safety = 1;
+  options.sim.seed = 9;
+  AdaptiveController controller(cls.value(), &ksafe, options);
+  Status installed = controller.Install(backends.size());
+  if (!installed.ok()) {
+    std::fprintf(stderr, "%s\n", installed.ToString().c_str());
     return 1;
   }
-  SimulationConfig config;
-  config.seed = 9;
-  config.fault_plan.Crash(20.0, 2);
-  SelfHealingOptions heal;
-  heal.allocator = &ksafe;
-  heal.k_safety = 1;
-  auto healed = controller.ProcessOpenSelfHealing(60.0, 400.0, config, heal);
+  std::vector<BucketDemand> buckets;
+  for (int i = 0; i < 12; ++i) buckets.push_back({5.0 * i, 400.0, {}});
+  const double crash_seconds = 20.0;
+  const size_t victim = 2;
+  FaultPlan faults;
+  faults.Crash(crash_seconds, victim);
+  auto healed = controller.ReplayDay(buckets, faults);
   if (!healed.ok()) {
     std::fprintf(stderr, "%s\n", healed.status().ToString().c_str());
     return 1;
   }
-  for (const RepairAction& repair : healed->repairs) {
+  for (const TransitionRecord& repair : healed->transitions) {
     std::printf(
-        "  backend %zu crashed at t=%.1fs: %s\n"
-        "  repair ETL moves %.2f GB in %.1fs; replacement rejoined at "
-        "t=%.1fs (recovery %.1fs)\n",
-        repair.backend + 1, repair.crash_seconds, repair.violation.c_str(),
-        repair.plan.total_bytes / (1024.0 * 1024.0 * 1024.0),
-        repair.plan.duration_seconds, repair.recover_seconds,
-        repair.recover_seconds - repair.crash_seconds);
+        "  backend %zu crashed at t=%.1fs; at t=%.1fs %s\n"
+        "  repair ETL moves %.2f GB in %.1fs; routing swapped at t=%.1fs "
+        "(recovery %.1fs)\n",
+        victim + 1, crash_seconds, repair.decided_seconds,
+        repair.cause.c_str(),
+        repair.moved_bytes / (1024.0 * 1024.0 * 1024.0), repair.etl_seconds,
+        repair.swap_seconds, repair.swap_seconds - crash_seconds);
   }
-  const SimStats& stats = healed->stats;
   std::printf(
-      "  served %.2f%% of the offered load (rejected=%llu, retried=%llu, "
-      "redispatched=%llu, lag drained=%llu)\n",
-      stats.availability * 100.0,
-      static_cast<unsigned long long>(stats.rejected_requests),
-      static_cast<unsigned long long>(stats.retried_requests),
-      static_cast<unsigned long long>(stats.redispatched_requests),
-      static_cast<unsigned long long>(stats.lag_tasks_drained));
+      "  served %.2f%% of the offered load; the repaired cluster is %s\n",
+      healed->availability * 100.0,
+      CheckKSafety(controller.base(), controller.allocation(),
+                   controller.alive(), options.k_safety)
+              .ok()
+          ? "1-safe again"
+          : "NOT 1-safe");
   return 0;
 }

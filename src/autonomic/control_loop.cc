@@ -64,6 +64,9 @@ AdaptiveController::AdaptiveController(const Classification& base,
       physical_(options_.etl) {}
 
 Status AdaptiveController::Install(size_t nodes) {
+  if (allocator_ == nullptr) {
+    return Status::InvalidArgument("allocator must not be null");
+  }
   if (nodes == 0) return Status::InvalidArgument("nodes must be > 0");
   QCAP_ASSIGN_OR_RETURN(
       alloc_, allocator_->Allocate(base_, HomogeneousBackends(nodes)));

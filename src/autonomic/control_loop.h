@@ -88,7 +88,7 @@ struct AdaptiveOptions {
   /// Real seconds per control interval (trace bucket).
   double bucket_seconds = 600.0;
   /// Simulated seconds per interval: a representative slice keeps the
-  /// replay cheap, as in autonomic/scaler.h.
+  /// replay cheap. Equal to bucket_seconds, sim time is real time.
   double slice_seconds = 12.0;
   MigrationOptions migration;
   /// ETL rates the Hungarian transition planner prices migrations with.

@@ -27,44 +27,6 @@ struct AllocationReport {
   double degree_of_replication = 1.0;
   /// ETL plan for materializing the new allocation.
   TransitionPlan transition;
-  /// Whether the layout uses fragmentation (granularity != kNone); repair
-  /// transition plans reuse this flag.
-  bool needs_fragmentation = true;
-};
-
-/// Options for the self-healing processing loop.
-struct SelfHealingOptions {
-  /// Re-allocates after a k-safety violation (required, not owned).
-  Allocator* allocator = nullptr;
-  /// Redundancy target the controller re-checks after every detected crash
-  /// (Algorithm 3). 0 means "repair only once some class or fragment has
-  /// no surviving replica".
-  int k_safety = 0;
-  /// Failure-detection delay: seconds between a crash and the repair
-  /// starting to materialize.
-  double detection_seconds = 0.5;
-};
-
-/// One autonomic repair triggered by a k-safety violation.
-struct RepairAction {
-  /// The failed backend whose slot the virtual replacement fills.
-  size_t backend = 0;
-  double crash_seconds = 0.0;
-  /// Absolute simulation time the repaired replacement rejoins.
-  double recover_seconds = 0.0;
-  /// The Algorithm-3 violation that triggered the repair.
-  std::string violation;
-  /// Hungarian-matched ETL plan materializing the re-allocation onto the
-  /// surviving nodes plus the replacement.
-  TransitionPlan plan;
-};
-
-/// Outcome of a self-healing open-loop run.
-struct SelfHealingReport {
-  /// Simulation results; stats.recovery_seconds holds the longest
-  /// crash-to-rejoin interval over all repairs.
-  SimStats stats;
-  std::vector<RepairAction> repairs;
 };
 
 /// \brief Single-controller CDBS: query history + allocation + processing.
@@ -111,23 +73,6 @@ class Controller {
   Result<std::vector<SimStats>> ProcessOpenSweep(
       double duration_seconds, double arrival_rate,
       const SimulationConfig& config, const SweepOptions& sweep) const;
-
-  /// Self-healing open-loop run: replays \p config's fault plan through the
-  /// failure-detection loop. After every crash the controller re-checks
-  /// k-safety of the surviving allocation (Algorithm 3); on a violation it
-  /// triggers an autonomic repair — re-allocating with a virtual
-  /// replacement backend in the failed slot and materializing via the
-  /// Hungarian transition planner — and the repaired node rejoins the
-  /// simulation after detection + ETL time, draining its replica lag
-  /// first. The simulator models the replacement as rejoining with the
-  /// displaced replica set (the least-movement matching maps it onto the
-  /// failed slot; with an unchanged workload the repair allocation
-  /// reproduces an equivalent layout) while the repair's duration and ETL
-  /// plan come from the real re-allocation. Deterministic for a fixed
-  /// config seed.
-  Result<SelfHealingReport> ProcessOpenSelfHealing(
-      double duration_seconds, double arrival_rate,
-      const SimulationConfig& config, const SelfHealingOptions& options) const;
 
   /// True once Reallocate() succeeded at least once.
   bool has_allocation() const { return current_.has_value(); }

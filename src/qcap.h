@@ -12,6 +12,7 @@
 //   ValidateAllocation / metrics                    (model/*.h)
 //   PhysicalAllocator – materialize with minimal movement (physical/*.h)
 //   ClusterSimulator / Controller – run it          (cluster/*.h)
+//   AdaptiveController – scale, heal, re-allocate live (autonomic/*.h)
 #pragma once
 
 #include "common/logging.h"
@@ -68,5 +69,5 @@
 #include "cluster/simulator.h"
 #include "cluster/stats.h"
 
-#include "autonomic/scaler.h"
+#include "autonomic/control_loop.h"
 #include "autonomic/segmentation.h"

@@ -4,11 +4,16 @@
 //    a reference Scheduler that inherited the rotation and pending state);
 //  - a crash mid-migration aborts the in-flight plan and self-heals
 //    without ever violating k-safety at the end of the day;
-//  - a full day replay is bit-deterministic for a fixed seed.
+//  - a full day replay is bit-deterministic for a fixed seed;
+//  - the scale-only policy (drift off, k = 0) tracks the diurnal load
+//    (Section 5 Figures 4 and 5), and the heal-only policy (fixed size,
+//    k = 1) repairs an Algorithm-3 violation after a crash.
 #include "autonomic/control_loop.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "net/dispatcher.h"
 #include "test_util.h"
 #include "workload/classifier.h"
+#include "workloads/tpcapp.h"
 #include "workloads/trace.h"
 
 namespace qcap {
@@ -360,6 +366,133 @@ TEST(AdaptiveControllerTest, DayReplayIsBitDeterministic) {
   }
   EXPECT_EQ(a.availability, b.availability);
   EXPECT_EQ(a.worst_p99_ms, b.worst_p99_ms);
+}
+
+TEST(AdaptiveControllerTest, RejectsBadInput) {
+  LoopFixture fx;
+  AdaptiveController no_allocator(fx.cls, nullptr, FastOptions());
+  const Status status = no_allocator.Install(3);
+  EXPECT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsInvalidArgument());
+
+  GreedyAllocator greedy;
+  AdaptiveController controller(fx.cls, &greedy, FastOptions());
+  EXPECT_FALSE(controller.Install(0).ok());
+  EXPECT_FALSE(controller.Step(Bucket(0.0, 250.0), {}).ok());
+  ASSERT_TRUE(controller.Install(3).ok());
+  EXPECT_FALSE(controller.ReplayDay({}, FaultPlan{}).ok());
+}
+
+// --- Scale-only and heal-only policies ------------------------------------
+
+/// Scale-only: drift off, no redundancy target, resizes between
+/// \p min_nodes and \p max_nodes (equal = the static baseline) on the
+/// diurnal trace scaled 150x so the peak outgrows one backend.
+AdaptiveReport ReplayScaleOnly(const Classification& cls, size_t min_nodes,
+                               size_t max_nodes) {
+  AdaptiveOptions options;
+  options.slo_p99_ms = 45.0;
+  options.scale_up_utilization = 0.4;
+  options.scale_down_utilization = 0.3;
+  options.scale_down_headroom = 0.95;
+  options.min_nodes = min_nodes;
+  options.max_nodes = max_nodes;
+  options.drift_threshold = std::numeric_limits<double>::infinity();
+  options.k_safety = 0;
+  options.slice_seconds = 4.0;
+  options.sim.servers_per_backend = 2;
+  options.sim.cost_params.memory_bytes = 1e12;
+  std::vector<BucketDemand> day;
+  for (const workloads::TracePoint& p : workloads::SampleDay(3)) {
+    day.push_back(Bucket(p.tod_seconds, p.requests_per_10min * 150.0 / 600.0));
+  }
+  GreedyAllocator greedy;
+  AdaptiveController controller(cls, &greedy, options);
+  EXPECT_TRUE(controller.Install(min_nodes).ok());
+  auto report = controller.ReplayDay(day, FaultPlan{});
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return std::move(report).value();
+}
+
+TEST(ScaleOnlyPolicyTest, NodesTrackTheDayWithFewerNodeSecondsThanStatic) {
+  LoopFixture fx;
+  const AdaptiveReport autonomic = ReplayScaleOnly(fx.cls, 1, 5);
+  size_t min_nodes = 100, max_nodes = 0;
+  for (const AdaptiveStep& step : autonomic.steps) {
+    min_nodes = std::min(min_nodes, step.nodes);
+    max_nodes = std::max(max_nodes, step.nodes);
+  }
+  EXPECT_EQ(min_nodes, 1u);  // Night trough runs on one node.
+  EXPECT_GT(max_nodes, 2u);  // Daytime peak grows the cluster.
+  // Night bucket (4 am) uses fewer nodes than the evening peak (7 pm).
+  EXPECT_LT(autonomic.steps[4 * 6].nodes, autonomic.steps[19 * 6].nodes);
+  EXPECT_EQ(autonomic.availability, 1.0);
+
+  // A joining node has to be filled; a scale-in may move nothing (a
+  // survivor can already hold the whole smaller layout).
+  ASSERT_GT(autonomic.scale_outs, 0u);
+  for (const TransitionRecord& t : autonomic.transitions) {
+    if (t.completed && t.action == AdaptiveAction::kScaleOut) {
+      EXPECT_GT(t.moved_bytes, 0.0) << "at " << t.decided_seconds;
+    }
+  }
+
+  // Pinning min_nodes == max_nodes is the static baseline: no transition.
+  const AdaptiveReport fixed = ReplayScaleOnly(fx.cls, 5, 5);
+  EXPECT_TRUE(fixed.transitions.empty());
+  for (const AdaptiveStep& step : fixed.steps) EXPECT_EQ(step.nodes, 5u);
+  EXPECT_LT(autonomic.node_seconds, 0.8 * fixed.node_seconds);
+}
+
+/// Heal-only: a fixed 5-node k=1 TPC-App layout, 60 s at 400 q/s in 5-s
+/// control intervals simulated in full, backend 2 crashing at t=10.
+TEST(HealOnlyPolicyTest, RepairsKSafetyViolationOnlyWhenTheTargetDemandsIt) {
+  const engine::Catalog catalog = workloads::TpcAppCatalog(100.0);
+  Classifier classifier(catalog, {Granularity::kTable, 4, true});
+  auto cls = classifier.Classify(workloads::TpcAppJournal(20000));
+  ASSERT_TRUE(cls.ok());
+  KSafeGreedyAllocator ksafe(KSafetyOptions{1, 1e-12, 0});
+  std::vector<BucketDemand> buckets;
+  for (int i = 0; i < 12; ++i) buckets.push_back(Bucket(5.0 * i, 400.0));
+  FaultPlan faults;
+  faults.Crash(10.0, 2);
+
+  for (int k : {1, 0}) {
+    AdaptiveOptions options;
+    options.bucket_seconds = options.slice_seconds = 5.0;
+    options.min_nodes = options.max_nodes = 5;
+    options.drift_threshold = std::numeric_limits<double>::infinity();
+    options.k_safety = k;
+    options.sim.seed = 9;
+    AdaptiveController controller(*cls, &ksafe, options);
+    ASSERT_TRUE(controller.Install(5).ok());
+    auto report = controller.ReplayDay(buckets, faults);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    for (const AdaptiveStep& step : report->steps) {
+      EXPECT_EQ(step.rejected, 0u) << "k=" << k << " at " << step.tod_seconds;
+    }
+    if (k == 0) {
+      // One crash of a k=1-safe layout keeps every class servable.
+      EXPECT_TRUE(report->transitions.empty());
+      continue;
+    }
+    // One crash under k=1 drops the margin to zero: Algorithm 3 flags it
+    // at the next interval edge and the controller repairs live.
+    ASSERT_EQ(report->transitions.size(), 1u);
+    const TransitionRecord& heal = report->transitions[0];
+    EXPECT_EQ(heal.action, AdaptiveAction::kSelfHeal);
+    EXPECT_TRUE(heal.completed);
+    EXPECT_GT(heal.cause.size(), std::string("k-safety violated: ").size());
+    EXPECT_EQ(heal.cause.rfind("k-safety violated: ", 0), 0u);
+    EXPECT_GE(heal.decided_seconds, 10.0);
+    EXPECT_GT(heal.swap_seconds, heal.decided_seconds);
+    EXPECT_GT(heal.moved_bytes, 0.0);
+    // The repaired cluster is whole again and k-safe.
+    for (bool alive : controller.alive()) EXPECT_TRUE(alive);
+    EXPECT_TRUE(CheckKSafety(controller.base(), controller.allocation(),
+                             controller.alive(), k)
+                    .ok());
+  }
 }
 
 }  // namespace
