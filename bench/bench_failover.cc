@@ -68,8 +68,7 @@ void PrintStatsRow(const char* label, const SimStats& stats) {
             std::to_string(stats.failed_requests),
             std::to_string(stats.retried_requests),
             std::to_string(stats.redispatched_requests),
-            Fmt(stats.p99_response_seconds * 1e3, 2),
-            Fmt(stats.recovery_seconds, 2)},
+            Fmt(stats.p99_response_seconds * 1e3, 2), "-"},
            13);
 }
 

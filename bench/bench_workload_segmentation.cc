@@ -32,10 +32,9 @@ void Run() {
   }
 
   // Segmentation.
-  SegmentationOptions options;
-  auto segments = ValueOrDie(SegmentJournal(journal, options), "segment");
+  auto segments = ValueOrDie(SegmentJournal(journal), "segment");
   std::printf("\nsegments found with a 1h sliding window (threshold %.2f):\n",
-              options.mix_threshold);
+              kSegmentMixThreshold);
   for (const auto& seg : segments) {
     std::printf("  %5.1fh .. %5.1fh\n", seg.begin_seconds / 3600.0,
                 seg.end_seconds / 3600.0);

@@ -9,6 +9,14 @@
 
 namespace qcap {
 
+namespace {
+
+/// Candidates within this relative speedup of the best are considered
+/// throughput ties; the one with the least storage wins among them.
+constexpr double kSpeedupTolerance = 0.02;
+
+}  // namespace
+
 PartitioningAdvisor::PartitioningAdvisor(const engine::Catalog& catalog,
                                          Allocator* allocator,
                                          AdvisorOptions options)
@@ -37,9 +45,6 @@ Result<AdvisorChoice> PartitioningAdvisor::Advise(
     ClassifierOptions copts;
     copts.granularity = granularity;
     copts.horizontal_partitions = options_.horizontal_partitions;
-    copts.include_candidate_keys = options_.include_candidate_keys;
-    copts.hybrid_column_threshold_bytes =
-        options_.hybrid_column_threshold_bytes;
     Classifier classifier(catalog_, copts);
 
     auto cls = classifier.Classify(journal);
@@ -94,7 +99,7 @@ Result<AdvisorChoice> PartitioningAdvisor::Advise(
   const AdvisorCandidate* winner = nullptr;
   for (const auto& candidate : choice.evaluated) {
     if (candidate.model_speedup <
-        best_speedup * (1.0 - options_.speedup_tolerance)) {
+        best_speedup * (1.0 - kSpeedupTolerance)) {
       continue;
     }
     if (winner == nullptr ||

@@ -26,13 +26,9 @@ struct AdvisorOptions {
   std::vector<Granularity> candidates = {Granularity::kTable,
                                          Granularity::kColumn,
                                          Granularity::kHybrid};
-  /// Classifier settings shared by all candidates.
+  /// Classifier setting shared by all candidates; the others keep their
+  /// ClassifierOptions defaults.
   int horizontal_partitions = 4;
-  bool include_candidate_keys = true;
-  double hybrid_column_threshold_bytes = 64.0 * 1024 * 1024;
-  /// Candidates within this relative speedup of the best are considered
-  /// throughput ties; the one with the least storage wins among them.
-  double speedup_tolerance = 0.02;
   /// Configuration for the advisor-owned memetic allocator, used when the
   /// advisor is constructed without an external allocator. Its
   /// islands/threads knobs make the default advisor path parallel.
@@ -60,7 +56,9 @@ struct AdvisorChoice {
   std::vector<AdvisorCandidate> evaluated;
 };
 
-/// \brief Evaluates candidate granularities and picks the winner.
+/// \brief Evaluates candidate granularities and picks the winner: among
+/// the candidates within 2% of the best model speedup, the one storing the
+/// least.
 class PartitioningAdvisor {
  public:
   /// \p allocator computes the allocation for every candidate. Pass

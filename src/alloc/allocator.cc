@@ -51,20 +51,6 @@ void CloseUpdatesEverywhere(const Classification& cls, Allocation* alloc) {
   }
 }
 
-size_t LeastLoadedBackendByBytes(const Classification& cls,
-                                 const Allocation& alloc) {
-  size_t best = 0;
-  double best_bytes = std::numeric_limits<double>::infinity();
-  for (size_t b = 0; b < alloc.num_backends(); ++b) {
-    const double bytes = alloc.BackendBytes(b, cls.catalog);
-    if (bytes < best_bytes) {
-      best_bytes = bytes;
-      best = b;
-    }
-  }
-  return best;
-}
-
 void PlaceOrphanFragments(const Classification& cls, Allocation* alloc) {
   for (FragmentId f = 0; f < alloc->num_fragments(); ++f) {
     if (alloc->ReplicaCount(f) > 0) continue;

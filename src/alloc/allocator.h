@@ -57,10 +57,6 @@ void CloseUpdatesEverywhere(const Classification& cls, Allocation* alloc);
 /// qualifies, followed by an update-closure pass).
 void PlaceOrphanFragments(const Classification& cls, Allocation* alloc);
 
-/// Backend index with minimal stored bytes.
-size_t LeastLoadedBackendByBytes(const Classification& cls,
-                                 const Allocation& alloc);
-
 /// Ordered requeue for the greedy allocators' pending queue. The live queue
 /// is (*queue)[head, end), sorted so that no element is \p before an
 /// earlier one; callers pop by advancing head. \p item goes in at the upper

@@ -13,6 +13,8 @@ namespace qcap {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Numerical slack when comparing loads.
+constexpr double kEpsilon = 1e-12;
 
 /// A class pending allocation: index into reads (is_update=false) or
 /// updates (is_update=true) of the classification.
@@ -29,7 +31,6 @@ Result<Allocation> GreedyAllocator::Allocate(
   QCAP_RETURN_NOT_OK(cls.Validate());
 
   const size_t n = backends.size();
-  const double eps = options_.epsilon;
   // The index memoizes overlaps, bundles and their byte sizes with the same
   // accumulation orders as the Classification helpers, so every comparison
   // below is bitwise identical to the unindexed implementation.
@@ -90,10 +91,8 @@ Result<Allocation> GreedyAllocator::Allocate(
   }
   DenseBitset row_scratch(cls.catalog.size());
 
-  size_t max_iters = options_.max_iterations;
-  if (max_iters == 0) {
-    max_iters = 64 * (queue.size() + 1) * (n + 1) + 1024;
-  }
+  // Hard cap on main-loop iterations (guards against pathological inputs).
+  const size_t max_iters = 64 * (queue.size() + 1) * (n + 1) + 1024;
   size_t iters = 0;
 
   // Line 33 re-sorts the pending classes after every placement, descending
@@ -124,7 +123,7 @@ Result<Allocation> GreedyAllocator::Allocate(
     // take its relative share of this class.
     bool all_full = true;
     for (size_t b = 0; b < n; ++b) {
-      if (current_load[b] < scaled_load[b] - eps) {
+      if (current_load[b] < scaled_load[b] - kEpsilon) {
         all_full = false;
         break;
       }
@@ -157,7 +156,7 @@ Result<Allocation> GreedyAllocator::Allocate(
       }
     }
     for (size_t b = 0; b < n; ++b) {
-      if (current_load[b] >= scaled_load[b] - eps) {
+      if (current_load[b] >= scaled_load[b] - kEpsilon) {
         difference[b] = kInf;
         continue;
       }
@@ -171,12 +170,12 @@ Result<Allocation> GreedyAllocator::Allocate(
         const double candidate_rel =
             (current_load[b] + added_updates + rest_weight[p.index]) /
             backends[b].relative_load;
-        if (added_updates > 0.0 && best_holder_rel < candidate_rel - eps) {
+        if (added_updates > 0.0 && best_holder_rel < candidate_rel - kEpsilon) {
           difference[b] = kInf;
           continue;
         }
       }
-      if (current_load[b] <= eps) {
+      if (current_load[b] <= kEpsilon) {
         difference[b] = 0.0;
       } else {
         difference[b] = alloc.MissingBytes(b, bundle);
@@ -209,7 +208,7 @@ Result<Allocation> GreedyAllocator::Allocate(
         const double tol =
             target == n ? 0.0 : 1e-9 * std::max(1.0, best_missing);
         if (target == n || missing < best_missing - tol ||
-            (missing < best_missing + tol && rel < best_rel - eps)) {
+            (missing < best_missing + tol && rel < best_rel - kEpsilon)) {
           best_missing = missing;
           best_rel = rel;
           target = b;
@@ -250,12 +249,12 @@ Result<Allocation> GreedyAllocator::Allocate(
     } else {
       // Lines 24-32.
       const size_t r = p.index;
-      if (current_load[target] >= scaled_load[target] - eps) {
+      if (current_load[target] >= scaled_load[target] - kEpsilon) {
         scaled_load[target] = current_load[target] +
                               backends[target].relative_load * c.weight;
       }
       const double room = scaled_load[target] - current_load[target];
-      if (rest_weight[r] > room + eps) {
+      if (rest_weight[r] > room + kEpsilon) {
         alloc.add_read_assign(target, r, room);
         rest_weight[r] -= room;
         current_load[target] = scaled_load[target];

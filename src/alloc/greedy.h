@@ -11,15 +11,6 @@
 
 namespace qcap {
 
-/// Tuning knobs for the greedy heuristic.
-struct GreedyOptions {
-  /// Numerical slack when comparing loads.
-  double epsilon = 1e-12;
-  /// Hard cap on main-loop iterations (guards against pathological inputs);
-  /// 0 derives a generous bound from the problem size.
-  size_t max_iterations = 0;
-};
-
 /// \brief Algorithm 1: polynomial-time first-fit allocation.
 ///
 /// Reproduces the paper's greedy trace exactly (the Appendix A worked
@@ -30,17 +21,12 @@ struct GreedyOptions {
 /// backend is saturated.
 class GreedyAllocator : public Allocator {
  public:
-  explicit GreedyAllocator(GreedyOptions options = {}) : options_(options) {}
-
   /// Runs Algorithm 1 on \p cls over \p backends.
   /// \returns an allocation satisfying the validity constraints
   /// (Eq. 8-11), or a Status describing the infeasibility.
   Result<Allocation> Allocate(const Classification& cls,
                               const std::vector<BackendSpec>& backends) override;
   std::string name() const override { return "greedy"; }
-
- private:
-  GreedyOptions options_;
 };
 
 }  // namespace qcap

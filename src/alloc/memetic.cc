@@ -21,6 +21,9 @@ namespace {
 using alloc_internal::SearchKernel;
 using alloc_internal::SolutionCost;
 
+/// Maximum local-search sweeps per LocalImprove() call.
+constexpr size_t kImprovePasses = 2;
+
 struct Member {
   Allocation alloc;
   SolutionCost cost;
@@ -210,7 +213,7 @@ class Evolver {
   // qcap-lint: hot-path end
 
   void LocalImprove(Allocation* a) {
-    for (size_t pass = 0; pass < opts_.improve_passes; ++pass) {
+    for (size_t pass = 0; pass < kImprovePasses; ++pass) {
       const bool improved = ImproveSharedPairs(a) || ImproveUpdateReplicas(a);
       if (!improved) break;
     }

@@ -35,8 +35,6 @@ struct MemeticOptions {
   size_t iterations = 60;
   /// Mutation RNG seed; island i uses `seed + i`.
   uint64_t seed = 42;
-  /// Maximum local-search sweeps per improve() call.
-  size_t improve_passes = 2;
 
   // --- Island-model parallelism ---
 

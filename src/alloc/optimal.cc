@@ -9,6 +9,9 @@ namespace qcap {
 
 namespace {
 
+/// Tolerance added to the optimal scale in the second stage.
+constexpr double kScaleSlack = 1e-6;
+
 /// Variable layout of the Appendix B program.
 struct Layout {
   size_t n, F, R, U;
@@ -170,15 +173,12 @@ Result<Allocation> OptimalAllocator::Allocate(
                    cls.updates.size());
 
   // Heuristic warm start: valid upper bounds on scale and storage.
-  double greedy_scale = 0.0;
+  QCAP_ASSIGN_OR_RETURN(Allocation seed,
+                        GreedyAllocator().Allocate(cls, backends));
+  const double greedy_scale = Scale(seed, backends);
   double greedy_bytes = 0.0;
-  if (options_.greedy_warm_start) {
-    GreedyAllocator greedy;
-    QCAP_ASSIGN_OR_RETURN(Allocation seed, greedy.Allocate(cls, backends));
-    greedy_scale = Scale(seed, backends);
-    for (size_t b = 0; b < seed.num_backends(); ++b) {
-      greedy_bytes += seed.BackendBytes(b, cls.catalog);
-    }
+  for (size_t b = 0; b < seed.num_backends(); ++b) {
+    greedy_bytes += seed.BackendBytes(b, cls.catalog);
   }
   bool homogeneous = true;
   for (const auto& b : backends) {
@@ -189,10 +189,8 @@ Result<Allocation> OptimalAllocator::Allocate(
   }
 
   auto decorate = [&](MilpProblem* prob) {
-    if (options_.greedy_warm_start) {
-      prob->lp.AddVarBound(lay.s, Relation::kLessEqual, greedy_scale + 1e-9);
-    }
-    if (options_.symmetry_breaking && homogeneous) {
+    prob->lp.AddVarBound(lay.s, Relation::kLessEqual, greedy_scale + 1e-9);
+    if (homogeneous) {
       // Lexicographic pruning: weight the placement row of each backend and
       // require non-increasing row scores. Not a total order over placements
       // but removes the bulk of the n! permutation symmetry.
@@ -229,9 +227,8 @@ Result<Allocation> OptimalAllocator::Allocate(
       }
     }
     decorate(&stage2);
-    stage2.lp.AddVarBound(lay.s, Relation::kLessEqual,
-                          opt_scale + options_.scale_slack);
-    if (options_.greedy_warm_start && greedy_bytes > 0.0) {
+    stage2.lp.AddVarBound(lay.s, Relation::kLessEqual, opt_scale + kScaleSlack);
+    if (greedy_bytes > 0.0) {
       std::vector<double> c(stage2.lp.num_vars, 0.0);
       for (size_t i = 0; i < lay.n; ++i) {
         for (size_t j = 0; j < lay.F; ++j) {

@@ -17,17 +17,6 @@ struct OptimalOptions {
   MilpOptions milp;
   /// Skip the second (storage-minimizing) stage.
   bool scale_only = false;
-  /// Tolerance added to the optimal scale in the second stage.
-  double scale_slack = 1e-6;
-  /// Warm start: run the greedy heuristic first and add its scale and
-  /// storage as upper-bound constraints. These bounds are valid (a feasible
-  /// solution can never be worse than optimal) and prune the symmetric
-  /// branch-and-bound tree dramatically on homogeneous clusters.
-  bool greedy_warm_start = true;
-  /// Break backend permutation symmetry with lexicographic ordering
-  /// constraints on the placement matrix (valid for homogeneous backends;
-  /// automatically disabled for heterogeneous ones).
-  bool symmetry_breaking = true;
 };
 
 /// \brief Appendix B: throughput- then storage-optimal allocation.
@@ -36,8 +25,15 @@ struct OptimalOptions {
 /// assignment matrices LQ/LU, validity constraints Eq. 8-11) with the
 /// in-repo branch-and-bound MILP. Stage 1 minimizes the scale factor
 /// (Eq. 15); stage 2 re-solves with scale fixed at the stage-1 optimum
-/// (plus \ref OptimalOptions::scale_slack) minimizing stored bytes —
-/// the benchmark the heuristics are measured against in Fig. 4(c).
+/// (plus a 1e-6 slack) minimizing stored bytes — the benchmark the
+/// heuristics are measured against in Fig. 4(c).
+///
+/// Both stages are warm-started with the greedy heuristic's scale and
+/// storage as upper-bound constraints. These bounds are valid (a feasible
+/// solution can never be worse than optimal) and prune the symmetric
+/// branch-and-bound tree dramatically on homogeneous clusters, where
+/// lexicographic ordering constraints on the placement matrix also break
+/// backend permutation symmetry.
 ///
 /// \warning Allocate() caches last_scale(); unlike the other allocators
 /// it is not safe to call concurrently from several threads.

@@ -12,6 +12,9 @@ namespace qcap {
 
 namespace {
 
+/// Safety cap on the replicas AddRobustnessHeadroom adds.
+constexpr size_t kMaxAddedReplicas = 64;
+
 /// Builds the read-rebalancing LP over a fixed placement:
 /// variables lq_(b,r) for capable pairs plus the scale s (last variable);
 /// minimize s subject to full assignment and per-backend capacity
@@ -193,7 +196,7 @@ Result<Allocation> AddRobustnessHeadroom(
   Allocation out = alloc;
   size_t added = 0;
   for (size_t r = 0; r < cls.reads.size(); ++r) {
-    while (added < options.max_added_replicas) {
+    while (added < kMaxAddedReplicas) {
       QCAP_ASSIGN_OR_RETURN(double tolerance,
                             WeightTolerance(cls, out, backends, r));
       if (tolerance + 1e-12 >=

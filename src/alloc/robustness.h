@@ -54,15 +54,14 @@ struct RobustnessOptions {
   /// Required tolerable weight increase per read class, as a fraction of
   /// the class's weight (e.g. 0.1 = +10% must be absorbable).
   double required_headroom = 0.10;
-  /// Safety cap on added replicas.
-  size_t max_added_replicas = 64;
 };
 
 /// \brief Adds zero-weight replicas (fragments + pinned updates, no read
 /// load) of read classes whose tolerance is below the requirement, placing
 /// each on the least-loaded backend not yet holding the class, until every
-/// class meets the requirement or no placement can improve it — the
-/// paper's Section 5 recipe for buying robustness with storage.
+/// class meets the requirement, no placement can improve it, or 64
+/// replicas have been added — the paper's Section 5 recipe for buying
+/// robustness with storage.
 /// \returns the padded allocation; its scale never regresses because the
 /// added replicas carry no load.
 Result<Allocation> AddRobustnessHeadroom(const Classification& cls,

@@ -20,6 +20,10 @@ constexpr double kMixFloor = 1e-4;
 /// Seed perturbation for the post-swap part of a split bucket.
 constexpr uint64_t kSwapSeedSalt = 0x9e3779b97f4a7c15ULL;
 
+/// L1 boundary between a bucket's observed mix and its running segment's
+/// average that starts a new segment when re-segmenting the mix history.
+constexpr double kSegmentSplitThreshold = 0.3;
+
 double L1(const std::vector<double>& a, const std::vector<double>& b) {
   double d = 0.0;
   for (size_t i = 0; i < a.size(); ++i) d += std::abs(a[i] - b[i]);
@@ -228,7 +232,6 @@ Status AdaptiveController::RunSlice(const BucketDemand& demand, double w0,
   SimulationConfig config = options_.sim;
   config.seed = seed;
   config.fault_plan = std::move(plan);
-  config.failures.clear();
   config.track_class_mix = true;
 
   // The offered mix this interval: base weights scaled by the diurnal
@@ -250,6 +253,8 @@ Status AdaptiveController::RunSlice(const BucketDemand& demand, double w0,
       offered[c] *= demand.class_weight_scale[c];
     }
   }
+  // An idle interval serves nothing; its faults are folded in above.
+  if (demand.offered_qps == 0.0) return Status::OK();
   const Classification slice_cls = WithMix(offered);
   const std::vector<BackendSpec> backends = HomogeneousBackends(nodes_);
   QCAP_ASSIGN_OR_RETURN(
@@ -351,7 +356,7 @@ Status AdaptiveController::BeginResegmentation(double decided_seconds,
   size_t begin = 0;
   for (size_t i = 1; i < history_.size(); ++i) {
     const std::vector<double> avg = MeanMix(history_, begin, i);
-    if (L1(avg, history_[i]) > options_.segment_split_threshold) {
+    if (L1(avg, history_[i]) > kSegmentSplitThreshold) {
       segments.emplace_back(begin, i);
       begin = i;
     }
@@ -493,6 +498,9 @@ Result<AdaptiveStep> AdaptiveController::Step(
     const BucketDemand& demand, const std::vector<FaultEvent>& faults) {
   if (nodes_ == 0) {
     return Status::InvalidArgument("Install() must run before Step()");
+  }
+  if (!std::isfinite(demand.offered_qps) || demand.offered_qps < 0.0) {
+    return Status::InvalidArgument("offered_qps must be finite and >= 0");
   }
   const double bucket_begin = demand.tod_seconds;
   const double bucket_end = bucket_begin + options_.bucket_seconds;

@@ -76,9 +76,6 @@ struct AdaptiveOptions {
   /// Drift re-allocations since the last re-segmentation that escalate the
   /// next drift into a re-segmentation. 0 re-segments immediately.
   size_t resegment_after = 2;
-  /// L1 boundary between adjacent observed mixes that starts a new segment
-  /// when re-segmenting the mix history.
-  double segment_split_threshold = 0.3;
   /// Control intervals to hold off new (non-self-heal) decisions after a
   /// routing swap — lets the window refill with post-swap observations.
   size_t cooldown_buckets = 1;

@@ -37,29 +37,28 @@ Result<std::vector<std::vector<double>>> WindowMixes(
   return mixes;
 }
 
-Result<std::vector<Segment>> SegmentJournal(const QueryJournal& journal,
-                                            const SegmentationOptions& options) {
+Result<std::vector<Segment>> SegmentJournal(const QueryJournal& journal) {
   double begin = 0.0, end = 0.0;
   if (!journal.TimeRange(&begin, &end)) {
     return Status::InvalidArgument("journal has no timestamped records");
   }
   QCAP_ASSIGN_OR_RETURN(std::vector<std::vector<double>> mixes,
-                        WindowMixes(journal, options.window_seconds));
+                        WindowMixes(journal, kSegmentWindowSeconds));
   std::vector<Segment> segments;
-  Segment current{begin, begin + options.window_seconds};
+  Segment current{begin, begin + kSegmentWindowSeconds};
   for (size_t w = 1; w < mixes.size(); ++w) {
     double distance = 0.0;
     for (size_t q = 0; q < mixes[w].size(); ++q) {
       distance += std::abs(mixes[w][q] - mixes[w - 1][q]);
     }
-    const double window_begin = begin + static_cast<double>(w) *
-                                            options.window_seconds;
-    if (distance > options.mix_threshold) {
+    const double window_begin =
+        begin + static_cast<double>(w) * kSegmentWindowSeconds;
+    if (distance > kSegmentMixThreshold) {
       current.end_seconds = window_begin;
       segments.push_back(current);
-      current = Segment{window_begin, window_begin + options.window_seconds};
+      current = Segment{window_begin, window_begin + kSegmentWindowSeconds};
     } else {
-      current.end_seconds = window_begin + options.window_seconds;
+      current.end_seconds = window_begin + kSegmentWindowSeconds;
     }
   }
   current.end_seconds = std::max(current.end_seconds, end + 1.0);

@@ -20,20 +20,16 @@ struct Segment {
   double end_seconds = 0.0;
 };
 
-/// Segmentation parameters.
-struct SegmentationOptions {
-  /// Sliding-window length used to compare mixes (the paper uses one hour).
-  double window_seconds = 3600.0;
-  /// L1 distance between adjacent windows' mix vectors that starts a new
-  /// segment.
-  double mix_threshold = 0.25;
-};
+/// Sliding-window length used to compare mixes (the paper uses one hour).
+inline constexpr double kSegmentWindowSeconds = 3600.0;
+/// L1 distance between adjacent windows' mix vectors that starts a new
+/// segment.
+inline constexpr double kSegmentMixThreshold = 0.25;
 
 /// Splits \p journal (must be timestamped) into segments of stable query
-/// mix. Adjacent windows whose class-share vectors differ by more than the
-/// threshold start a new segment.
-Result<std::vector<Segment>> SegmentJournal(const QueryJournal& journal,
-                                            const SegmentationOptions& options);
+/// mix. Adjacent windows whose class-share vectors differ by more than
+/// kSegmentMixThreshold start a new segment.
+Result<std::vector<Segment>> SegmentJournal(const QueryJournal& journal);
 
 /// Per-window share of executions per distinct query (utility for plots
 /// and tests): result[w][q] for window w and journal query index q.

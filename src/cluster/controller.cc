@@ -76,17 +76,4 @@ Result<SimStats> Controller::ProcessOpen(double duration_seconds,
   return sim.RunOpen(duration_seconds, arrival_rate);
 }
 
-Result<std::vector<SimStats>> Controller::ProcessOpenSweep(
-    double duration_seconds, double arrival_rate,
-    const SimulationConfig& config, const SweepOptions& sweep) const {
-  if (!current_.has_value()) {
-    return Status::InvalidArgument("no allocation installed; call Reallocate");
-  }
-  QCAP_ASSIGN_OR_RETURN(
-      ClusterSimulator sim,
-      ClusterSimulator::Create(current_->classification, current_->allocation,
-                               backends_, config));
-  return sim.RunOpenSweep(duration_seconds, arrival_rate, sweep);
-}
-
 }  // namespace qcap

@@ -66,14 +66,6 @@ class Controller {
   Result<SimStats> ProcessOpen(double duration_seconds, double arrival_rate,
                                const SimulationConfig& config) const;
 
-  /// Replication sweep of open-loop runs over the installed allocation:
-  /// \p sweep.repeat independent replications fanned out on a thread pool,
-  /// results[i] bit-identical to a serial run at seed
-  /// config.seed + i * sweep.seed_stride regardless of thread count.
-  Result<std::vector<SimStats>> ProcessOpenSweep(
-      double duration_seconds, double arrival_rate,
-      const SimulationConfig& config, const SweepOptions& sweep) const;
-
   /// True once Reallocate() succeeded at least once.
   bool has_allocation() const { return current_.has_value(); }
   const AllocationReport& current() const { return *current_; }

@@ -1,9 +1,9 @@
 // Deterministic failure/recovery schedules for the cluster simulator.
 //
-// Generalizes the original one-shot BackendFailure crash into a timed plan
-// of crash, recover, and degrade (straggler) events, usable in both open-
-// and closed-loop runs. Plans are validated strictly before a run starts,
-// and their effect on a simulation is bit-deterministic for a fixed seed.
+// A timed plan of crash, recover, and degrade (straggler) events, usable in
+// both open- and closed-loop runs. Plans are validated strictly before a
+// run starts, and their effect on a simulation is bit-deterministic for a
+// fixed seed.
 #pragma once
 
 #include <cstddef>

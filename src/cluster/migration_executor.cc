@@ -5,6 +5,13 @@
 
 namespace qcap {
 
+namespace {
+
+/// CATCHUP length as a fraction of the (stretched) copy time.
+constexpr double kCatchupFraction = 0.1;
+
+}  // namespace
+
 const char* ToString(MigrationPhase phase) {
   switch (phase) {
     case MigrationPhase::kIdle:
@@ -46,8 +53,8 @@ Status MigrationExecutor::Begin(Allocation target,
       !std::isfinite(options.live_copy_slowdown)) {
     return Status::InvalidArgument("live_copy_slowdown must be >= 1");
   }
-  if (options.catchup_fraction < 0.0 || options.min_catchup_seconds < 0.0) {
-    return Status::InvalidArgument("catch-up parameters must be >= 0");
+  if (options.min_catchup_seconds < 0.0) {
+    return Status::InvalidArgument("min_catchup_seconds must be >= 0");
   }
 
   target_ = std::move(target);
@@ -64,7 +71,7 @@ Status MigrationExecutor::Begin(Allocation target,
   const double max_bytes =
       *std::max_element(plan.move_bytes.begin(), plan.move_bytes.end());
   const double catchup = std::max(options_.min_catchup_seconds,
-                                  options_.catchup_fraction * copy_total);
+                                  kCatchupFraction * copy_total);
 
   ready_.assign(target_.num_backends(), start_);
   for (size_t b = 0; b < target_.num_backends(); ++b) {

@@ -49,10 +49,9 @@ struct MigrationOptions {
   /// The plan's ETL duration assumes dedicated bandwidth; copying while
   /// serving stretches it by this factor (>= 1).
   double live_copy_slowdown = 1.25;
-  /// CATCHUP length as a fraction of the (stretched) copy time — the
-  /// update backlog grows with how long the copy ran.
-  double catchup_fraction = 0.1;
-  /// Floor for the catch-up window, seconds.
+  /// Floor for the catch-up window, seconds. Above it, CATCHUP lasts 10% of
+  /// the (stretched) copy time — the update backlog grows with how long the
+  /// copy ran.
   double min_catchup_seconds = 0.5;
 };
 

@@ -1,6 +1,7 @@
 #include "cluster/simulator.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "cluster/backend_node.h"
 #include "common/arena.h"
@@ -21,6 +22,13 @@ namespace {
 /// backend capacity but never completes a logical request. Request slots
 /// are pool indexes, so the sentinel can never collide with a real id.
 constexpr uint64_t kBackgroundRequest = ~uint64_t{0};
+
+/// Work discount for asynchronous batched application under kLazy.
+constexpr double kLazyApplyFactor = 0.5;
+/// Retry backoff: delay before the first re-dispatch, and the multiplier
+/// applied on each further attempt.
+constexpr double kBaseBackoffSeconds = 0.01;
+constexpr double kBackoffMultiplier = 2.0;
 
 struct Request {
   size_t class_index = 0;  // reads first, then updates.
@@ -239,14 +247,10 @@ ClusterSimulator::ClusterSimulator(const Classification& cls,
   // Left-to-right, matching Rng::NextDiscrete's per-call summation so the
   // hoisted total is bit-identical to what it would compute.
   for (double w : frequency_) frequency_total_ += w;
-  // The fault schedule is per-config: merge, validate, and sort it once
-  // here instead of on every run.
-  FaultPlan plan = config_.fault_plan;
-  for (const BackendFailure& failure : config_.failures) {
-    plan.Crash(failure.time_seconds, failure.backend);
-  }
-  fault_status_ = plan.Validate(backends_.size());
-  if (fault_status_.ok()) faults_ = plan.Sorted();
+  // The fault schedule is per-config: validate and sort it once here
+  // instead of on every run.
+  fault_status_ = config_.fault_plan.Validate(backends_.size());
+  if (fault_status_.ok()) faults_ = config_.fault_plan.Sorted();
 }
 
 // qcap-lint: hot-path begin
@@ -315,7 +319,7 @@ ClusterSimulator::DispatchOutcome ClusterSimulator::Dispatch(
         // not gate the client's response.
         task_request = kBackgroundRequest;
         if (config_.propagation == UpdatePropagation::kLazy) {
-          service *= config_.lazy_apply_factor;
+          service *= kLazyApplyFactor;
         }
       }
       ++alive_seen;
@@ -400,9 +404,8 @@ bool ClusterSimulator::ScheduleRetry(RunState* state, uint64_t request_id,
   // Incremental: multiplying the previous delay once reproduces the
   // left-associative base * multiplier^(attempts-1) product bit-for-bit.
   req.backoff_seconds = req.attempts <= 1
-                            ? config_.retry.base_backoff_seconds
-                            : req.backoff_seconds *
-                                  config_.retry.backoff_multiplier;
+                            ? kBaseBackoffSeconds
+                            : req.backoff_seconds * kBackoffMultiplier;
   ++state->retried_requests;
   SimEvent ev;
   ev.time = now + req.backoff_seconds;
@@ -522,11 +525,6 @@ size_t ClusterSimulator::ApplyFault(RunState* state, const FaultEvent& fault,
 Status ClusterSimulator::InitRun(RunState* state) const {
   if (config_.retry.max_attempts == 0) {
     return Status::InvalidArgument("retry.max_attempts must be >= 1");
-  }
-  if (config_.retry.base_backoff_seconds < 0.0 ||
-      config_.retry.backoff_multiplier <= 0.0) {
-    return Status::InvalidArgument(
-        "retry backoff must be >= 0 with a positive multiplier");
   }
   QCAP_RETURN_NOT_OK(fault_status_);
 
@@ -688,7 +686,6 @@ void ClusterSimulator::FinishInto(RunState* state, SimStats* out) const {
           ? static_cast<double>(out->completed_total()) /
                 static_cast<double>(offered)
           : 1.0;
-  out->recovery_seconds = 0.0;
   out->timeline_bin_seconds = state->timeline_bin;
   out->timeline_completions = state->timeline;
   out->class_completions.assign(state->class_counts.begin(),
@@ -737,8 +734,10 @@ Status ClusterSimulator::RunOpenInto(RunState* state, uint64_t seed,
                                      double duration_seconds,
                                      double arrival_rate,
                                      SimStats* out) const {
-  if (duration_seconds <= 0.0 || arrival_rate <= 0.0) {
-    return Status::InvalidArgument("duration and arrival rate must be > 0");
+  if (!std::isfinite(duration_seconds) || !std::isfinite(arrival_rate) ||
+      duration_seconds <= 0.0 || arrival_rate <= 0.0) {
+    return Status::InvalidArgument(
+        "duration and arrival rate must be finite and > 0");
   }
   QCAP_RETURN_NOT_OK(InitRun(state));
 
@@ -835,9 +834,7 @@ Result<std::vector<SimStats>> RunSweep(uint64_t base_seed,
     pool = owned.get();
   }
   ParallelFor(pool, sweep.repeat, [&](size_t i) {
-    const uint64_t seed =
-        base_seed + static_cast<uint64_t>(i) * sweep.seed_stride;
-    statuses[i] = run_one(seed, &results[i]);
+    statuses[i] = run_one(base_seed + static_cast<uint64_t>(i), &results[i]);
   });
   // Deterministic error reporting: the lowest-index failure wins.
   for (const Status& status : statuses) {

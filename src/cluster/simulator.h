@@ -44,24 +44,16 @@ enum class UpdatePropagation {
   /// asynchronously (same work, better latency).
   kPrimaryCopy,
   /// Primary copy plus batched application on the secondaries (group
-  /// commit): replica apply work is discounted by lazy_apply_factor.
+  /// commit): replica apply work is halved.
   kLazy,
-};
-
-/// Legacy single-crash injection, kept as sugar: every entry is merged
-/// into the run's FaultPlan as a crash event. New code should build a
-/// FaultPlan directly (SimulationConfig::fault_plan), which also supports
-/// recover and degrade events.
-struct BackendFailure {
-  double time_seconds = 0.0;
-  size_t backend = 0;
 };
 
 /// How the scheduler re-dispatches requests stranded by a backend crash.
 /// Queued work is re-dispatched when the crash is processed (the scheduler
 /// observes the node die); in-flight work is re-dispatched when its
 /// expected completion passes without a response (timeout detection). Each
-/// attempt adds an exponentially growing backoff delay. Bit-deterministic:
+/// re-dispatch waits a backoff delay, simulated as added latency: 10 ms
+/// before the first, doubling on each further attempt. Bit-deterministic:
 /// retries re-use the request's original class sample and draw nothing
 /// from the RNG.
 struct RetryPolicy {
@@ -69,10 +61,6 @@ struct RetryPolicy {
   /// 1 disables retries (stranded work counts as failed, the pre-FaultPlan
   /// behaviour); 0 is invalid.
   size_t max_attempts = 3;
-  /// Delay before the first re-dispatch, simulated as added latency.
-  double base_backoff_seconds = 0.01;
-  /// Multiplier applied to the backoff on each further attempt.
-  double backoff_multiplier = 2.0;
 };
 
 /// Configuration of one simulated cluster.
@@ -85,12 +73,8 @@ struct SimulationConfig {
   uint64_t seed = 1;
   /// How updates reach the replicas.
   UpdatePropagation propagation = UpdatePropagation::kRowa;
-  /// Work discount for asynchronous batched application under kLazy.
-  double lazy_apply_factor = 0.5;
   /// Crash/recover/degrade schedule (open- and closed-loop runs).
   FaultPlan fault_plan;
-  /// Legacy crash list, merged into \ref fault_plan at run start.
-  std::vector<BackendFailure> failures;
   /// Re-dispatch policy for crash-stranded requests.
   RetryPolicy retry;
   /// ROWA coordination overhead: each update's per-replica service time is
@@ -110,9 +94,8 @@ struct SimulationConfig {
 /// Options for RunClosedSweep/RunOpenSweep replication fans.
 struct SweepOptions {
   /// Number of independent replications; replication i runs with seed
-  /// config.seed + i * seed_stride. Must be >= 1.
+  /// config.seed + i. Must be >= 1.
   size_t repeat = 1;
-  uint64_t seed_stride = 1;
   /// Worker threads to spawn when \ref pool is null; <= 1 runs serially.
   /// Results are bit-identical at any thread count (each replication is
   /// fully independent and lands in its submission-order slot).
@@ -153,7 +136,7 @@ class ClusterSimulator {
   Status RunOpen(double duration_seconds, double arrival_rate, SimStats* out);
 
   /// Replication sweep: \p sweep.repeat independent closed-loop runs with
-  /// seeds config.seed + i * seed_stride, fanned out on a ThreadPool.
+  /// seeds config.seed + i, fanned out on a ThreadPool.
   /// results[i] is bit-identical to a serial run at that seed, at any
   /// thread count.
   Result<std::vector<SimStats>> RunClosedSweep(uint64_t num_requests,
@@ -197,7 +180,7 @@ class ClusterSimulator {
   /// terminal state as a direct consequence (crash-stranded work).
   size_t ApplyFault(RunState* state, const FaultEvent& fault, double now) const;
   /// Resets \p state and seeds it with nodes, the pending index, and the
-  /// pre-merged fault schedule. Shared by both run modes.
+  /// pre-sorted fault schedule. Shared by both run modes.
   Status InitRun(RunState* state) const;
   /// Open loop: pushes the next lazy Poisson arrival event, or marks the
   /// stream exhausted once the drawn time passes the horizon.
@@ -230,8 +213,8 @@ class ClusterSimulator {
   std::vector<double> frequency_;
   /// Sum of frequency_, hoisted for the per-request class draw.
   double frequency_total_ = 0.0;
-  /// fault_plan + legacy failures, merged, validated and sorted once at
-  /// construction (the schedule is per-config, not per-run).
+  /// fault_plan, validated and sorted once at construction (the schedule
+  /// is per-config, not per-run).
   std::vector<FaultEvent> faults_;
   Status fault_status_;
   std::unique_ptr<RunState> scratch_;

@@ -43,9 +43,6 @@ struct SimStats {
   /// Fraction of the offered load that was served:
   /// completed / (completed + failed + rejected); 1 when nothing was offered.
   double availability = 1.0;
-  /// Filled by the self-healing controller: seconds from a crash to its
-  /// repaired replacement rejoining (max over repairs; 0 = no repair ran).
-  double recovery_seconds = 0.0;
   /// Per-backend total busy (processing) seconds.
   std::vector<double> backend_busy_seconds;
   /// Completions per timeline bin when SimulationConfig::timeline_bin_seconds

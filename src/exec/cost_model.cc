@@ -5,6 +5,22 @@
 
 namespace qcap::engine {
 
+namespace {
+
+/// Per-query multiplier for column-granular execution overhead (stitching
+/// vertical fragments back together; the paper observed a small slowdown
+/// for column-based allocation on TPC-App).
+constexpr double kColumnOverhead = 1.05;
+/// Buffer-pool mixing: a backend interleaving k distinct query classes
+/// behaves as if its working set were inflated by
+/// (1 + kMixingPerClass * (k - 1)). This is what makes specialized
+/// backends cache better than full replicas serving every class
+/// (Section 4.1: "the backends are specialized on single query classes,
+/// less data is stored on the nodes and, hence, the caching improves").
+constexpr double kMixingPerClass = 0.10;
+
+}  // namespace
+
 double CostModel::ScanScale(const Classification& cls,
                             const QueryClass& c) const {
   // Bytes touched at the classification granularity...
@@ -40,7 +56,7 @@ double CostModel::ServiceSeconds(const Classification& cls, const QueryClass& c,
   // Column-granular execution stitches vertical fragments back together.
   if (!c.fragments.empty() &&
       cls.catalog.Get(c.fragments.front()).kind == FragmentKind::kColumn) {
-    overhead = params_.column_overhead;
+    overhead = kColumnOverhead;
   }
   return c.mean_cost * (io + cpu) * overhead / std::max(speed, 1e-9);
 }
@@ -83,8 +99,7 @@ std::vector<std::vector<double>> CostModel::ServiceMatrix(
     }
     const double mixing =
         classes_served > 1
-            ? 1.0 + params_.mixing_per_class *
-                        static_cast<double>(classes_served - 1)
+            ? 1.0 + kMixingPerClass * static_cast<double>(classes_served - 1)
             : 1.0;
     resident[b] = WorkingSetBytes(cls, alloc, b) * mixing;
   }

@@ -34,17 +34,6 @@ struct CostModelParams {
   double memory_bytes = 2.0 * 1024 * 1024 * 1024;
   /// Penalty multiplier on the I/O part when nothing fits in memory.
   double max_cache_penalty = 3.0;
-  /// Per-query multiplier for column-granular execution overhead (stitching
-  /// vertical fragments back together; the paper observed a small slowdown
-  /// for column-based allocation on TPC-App).
-  double column_overhead = 1.05;
-  /// Buffer-pool mixing: a backend interleaving k distinct query classes
-  /// behaves as if its working set were inflated by
-  /// (1 + mixing_per_class * (k - 1)). This is what makes specialized
-  /// backends cache better than full replicas serving every class
-  /// (Section 4.1: "the backends are specialized on single query classes,
-  /// less data is stored on the nodes and, hence, the caching improves").
-  double mixing_per_class = 0.10;
 };
 
 /// \brief Computes deterministic service times for (class, backend) pairs

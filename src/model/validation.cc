@@ -4,6 +4,13 @@
 
 namespace qcap {
 
+namespace {
+
+/// Numerical tolerance for weight comparisons.
+constexpr double kEpsilon = 1e-6;
+
+}  // namespace
+
 Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
                           const std::vector<BackendSpec>& backends,
                           const ValidationOptions& options) {
@@ -21,7 +28,6 @@ Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
         "allocation dimensions do not match classification");
   }
 
-  const double eps = options.epsilon;
 
   // Eq. 8 + Eq. 9: read classes fully assigned, only to backends holding
   // their data.
@@ -30,17 +36,17 @@ Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
     double assigned = 0.0;
     for (size_t b = 0; b < alloc.num_backends(); ++b) {
       const double a = alloc.read_assign(b, r);
-      if (a < -eps) {
+      if (a < -kEpsilon) {
         return Status::InvalidArgument("negative assignment of " + c.label);
       }
-      if (a > eps && !alloc.HoldsAll(b, c.fragments)) {
+      if (a > kEpsilon && !alloc.HoldsAll(b, c.fragments)) {
         return Status::InvalidArgument(
             "read class " + c.label + " assigned to backend " +
             std::to_string(b + 1) + " which lacks referenced fragments");
       }
       assigned += a;
     }
-    if (std::abs(assigned - c.weight) > eps) {
+    if (std::abs(assigned - c.weight) > kEpsilon) {
       return Status::InvalidArgument(
           "read class " + c.label + " assigned " + std::to_string(assigned) +
           " of weight " + std::to_string(c.weight));
@@ -56,7 +62,7 @@ Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
       const double a = alloc.update_assign(b, u);
       const bool overlaps = Intersects(c.fragments, alloc.BackendFragments(b));
       if (overlaps) {
-        if (std::abs(a - c.weight) > eps) {
+        if (std::abs(a - c.weight) > kEpsilon) {
           return Status::InvalidArgument(
               "update class " + c.label + " must carry weight " +
               std::to_string(c.weight) + " on backend " + std::to_string(b + 1) +
@@ -70,7 +76,7 @@ Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
               c.label + "'s data but not all of it");
         }
         ++replicas;
-      } else if (a > eps) {
+      } else if (a > kEpsilon) {
         return Status::InvalidArgument(
             "update class " + c.label + " assigned to backend " +
             std::to_string(b + 1) + " without overlapping data");

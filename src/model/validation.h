@@ -12,8 +12,6 @@ namespace qcap {
 
 /// Options for allocation validation.
 struct ValidationOptions {
-  /// Numerical tolerance for weight comparisons.
-  double epsilon = 1e-6;
   /// Require every fragment (even ones unreferenced by any class) to be
   /// stored on at least one backend, so the distributed database is
   /// complete.
@@ -32,6 +30,7 @@ struct ValidationOptions {
 ///    storing overlapping data, and to no others          (Eq. 10)
 ///  - every update class is assigned at least once        (Eq. 11)
 ///  - optionally: data completeness and k-safety          (Eq. 46/47)
+/// Weight comparisons tolerate an absolute error of 1e-6.
 Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
                           const std::vector<BackendSpec>& backends,
                           const ValidationOptions& options = {});

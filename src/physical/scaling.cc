@@ -4,39 +4,6 @@
 
 namespace qcap {
 
-Result<ElasticPlan> PlanElasticTransition(
-    const Classification& cls, const Allocation& current,
-    const std::vector<BackendSpec>& target_backends, Allocator* allocator,
-    const PhysicalAllocator& physical) {
-  if (allocator == nullptr) {
-    return Status::InvalidArgument("allocator must not be null");
-  }
-  ElasticPlan plan;
-  QCAP_ASSIGN_OR_RETURN(plan.new_allocation,
-                        allocator->Allocate(cls, target_backends));
-  QCAP_ASSIGN_OR_RETURN(
-      plan.transition,
-      physical.Plan(current, plan.new_allocation, cls.catalog));
-  return plan;
-}
-
-Allocation PermuteBackends(const Allocation& alloc,
-                           const std::vector<size_t>& perm) {
-  Allocation out(alloc.num_backends(), alloc.num_fragments(),
-                 alloc.num_reads(), alloc.num_updates());
-  for (size_t b = 0; b < alloc.num_backends(); ++b) {
-    const size_t src = perm[b];
-    out.PlaceSet(b, alloc.BackendFragments(src));
-    for (size_t r = 0; r < alloc.num_reads(); ++r) {
-      out.set_read_assign(b, r, alloc.read_assign(src, r));
-    }
-    for (size_t u = 0; u < alloc.num_updates(); ++u) {
-      out.set_update_assign(b, u, alloc.update_assign(src, u));
-    }
-  }
-  return out;
-}
-
 Result<Allocation> MergeAllocations(const std::vector<Allocation>& segments,
                                     const FragmentCatalog& catalog) {
   if (segments.empty()) {

@@ -1,36 +1,15 @@
-// Elastic scaling and allocation merging (Section 5).
-//
-// Scaling recomputes an allocation for the new cluster size and matches it
-// onto the existing nodes (empty virtual backends pad the smaller side, as
-// in the paper). Merging combines per-segment allocations of a diurnal
-// workload into one placement that serves every segment without
+// Allocation merging (Section 5): combines per-segment allocations of a
+// diurnal workload into one placement that serves every segment without
 // reallocation.
 #pragma once
 
 #include <vector>
 
-#include "alloc/allocator.h"
-#include "physical/physical_allocator.h"
+#include "common/status.h"
+#include "model/allocation.h"
+#include "workload/fragment.h"
 
 namespace qcap {
-
-/// Result of planning a cluster resize.
-struct ElasticPlan {
-  Allocation new_allocation;
-  TransitionPlan transition;
-};
-
-/// Recomputes the allocation of \p cls for \p target_backends using
-/// \p allocator and plans the cost-minimal migration from \p current.
-Result<ElasticPlan> PlanElasticTransition(
-    const Classification& cls, const Allocation& current,
-    const std::vector<BackendSpec>& target_backends, Allocator* allocator,
-    const PhysicalAllocator& physical);
-
-/// Reorders the backends of \p alloc by \p perm (new index b hosts what was
-/// backend perm[b]).
-Allocation PermuteBackends(const Allocation& alloc,
-                           const std::vector<size_t>& perm);
 
 /// Merges per-segment allocations (all over the same fragment catalog and
 /// backend count) into a single placement: segment i's backends are aligned

@@ -4,7 +4,7 @@
 //
 // Typical flow:
 //   engine::Catalog  – describe the schema          (engine/catalog.h)
-//   CostModel / CostEstimator – price query classes (exec/*.h)
+//   CostModel        – price query classes          (exec/cost_model.h)
 //   QueryJournal     – record the query history     (workload/journal.h)
 //   SqlParser        – build queries from SQL text  (workload/sql_parser.h)
 //   Classifier       – queries -> weighted classes  (workload/classifier.h)
@@ -59,7 +59,6 @@
 #include "physical/physical_allocator.h"
 #include "physical/scaling.h"
 
-#include "exec/cost_estimator.h"
 #include "exec/cost_model.h"
 
 #include "cluster/backend_node.h"

@@ -9,6 +9,9 @@ namespace qcap {
 
 namespace {
 
+/// Integrality tolerance.
+constexpr double kIntTolerance = 1e-6;
+
 struct Node {
   /// Fixings: var -> 0 or 1. Applied as equality constraints.
   std::vector<std::pair<size_t, int>> fixings;
@@ -47,7 +50,7 @@ Result<LpSolution> SolveMilp(const MilpProblem& problem,
     for (const auto& [var, value] : node.fixings) {
       lp.AddVarBound(var, Relation::kEqual, static_cast<double>(value));
     }
-    auto res = SolveLp(lp, options.simplex);
+    auto res = SolveLp(lp);
     if (!res.ok()) {
       if (res.status().IsInfeasible()) continue;  // Prune.
 #ifdef QCAP_MILP_TRACE
@@ -62,7 +65,7 @@ Result<LpSolution> SolveMilp(const MilpProblem& problem,
       return res.status();
     }
     const LpSolution& relax = res.value();
-    if (relax.objective >= incumbent_obj - options.int_tolerance) {
+    if (relax.objective >= incumbent_obj - kIntTolerance) {
       continue;  // Bound: cannot improve the incumbent.
     }
 
@@ -70,14 +73,14 @@ Result<LpSolution> SolveMilp(const MilpProblem& problem,
     // within it.
     int branch_var = -1;
     int best_priority = std::numeric_limits<int>::min();
-    double most_fractional = options.int_tolerance;
+    double most_fractional = kIntTolerance;
     const bool has_priority =
         problem.branch_priority.size() == problem.binary_vars.size();
     for (size_t idx = 0; idx < problem.binary_vars.size(); ++idx) {
       const size_t v = problem.binary_vars[idx];
       const double x = relax.x[v];
       const double frac = std::min(x - std::floor(x), std::ceil(x) - x);
-      if (frac <= options.int_tolerance) continue;
+      if (frac <= kIntTolerance) continue;
       const int priority = has_priority ? problem.branch_priority[idx] : 0;
       if (priority > best_priority ||
           (priority == best_priority && frac > most_fractional)) {

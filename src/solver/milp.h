@@ -22,11 +22,8 @@ struct MilpProblem {
 
 /// Options for branch and bound.
 struct MilpOptions {
-  SimplexOptions simplex;
   /// Maximum number of branch-and-bound nodes to explore.
   size_t max_nodes = 100000;
-  /// Integrality tolerance.
-  double int_tolerance = 1e-6;
 };
 
 /// Solves \p problem to optimality by depth-first branch and bound with

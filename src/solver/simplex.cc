@@ -20,6 +20,11 @@ void LinearProgram::AddVarBound(size_t var, Relation rel, double rhs) {
 
 namespace {
 
+/// Pivot limit over both phases.
+constexpr size_t kMaxIterations = 200000;
+/// Numerical tolerance for reduced costs, pivots and ratio ties.
+constexpr double kTolerance = 1e-9;
+
 /// Dense simplex tableau: rows are constraints, the last row is the
 /// objective (reduced costs), the last column is the RHS.
 class Tableau {
@@ -68,14 +73,14 @@ enum class IterateResult { kOptimal, kUnbounded, kIterLimit };
 /// Runs simplex iterations until optimality. Uses Dantzig's rule and falls
 /// back to Bland's rule (guaranteed anti-cycling) after `bland_after`
 /// iterations.
-IterateResult Iterate(Tableau* t, const SimplexOptions& opts,
-                      size_t* iterations, const std::vector<bool>& usable) {
-  const size_t bland_after = opts.max_iterations / 2;
-  while (*iterations < opts.max_iterations) {
+IterateResult Iterate(Tableau* t, size_t* iterations,
+                      const std::vector<bool>& usable) {
+  const size_t bland_after = kMaxIterations / 2;
+  while (*iterations < kMaxIterations) {
     // Entering variable.
     int pcol = -1;
     if (*iterations < bland_after) {
-      double best = -opts.tolerance;
+      double best = -kTolerance;
       for (size_t c = 0; c < t->cols(); ++c) {
         if (!usable[c]) continue;
         if (t->obj(c) < best) {
@@ -85,7 +90,7 @@ IterateResult Iterate(Tableau* t, const SimplexOptions& opts,
       }
     } else {
       for (size_t c = 0; c < t->cols(); ++c) {
-        if (usable[c] && t->obj(c) < -opts.tolerance) {
+        if (usable[c] && t->obj(c) < -kTolerance) {
           pcol = static_cast<int>(c);
           break;
         }
@@ -98,10 +103,10 @@ IterateResult Iterate(Tableau* t, const SimplexOptions& opts,
     double best_ratio = std::numeric_limits<double>::infinity();
     for (size_t r = 0; r < t->rows(); ++r) {
       const double coef = t->at(r, static_cast<size_t>(pcol));
-      if (coef > opts.tolerance) {
+      if (coef > kTolerance) {
         const double ratio = t->rhs(r) / coef;
-        if (ratio < best_ratio - opts.tolerance ||
-            (ratio < best_ratio + opts.tolerance && prow >= 0 &&
+        if (ratio < best_ratio - kTolerance ||
+            (ratio < best_ratio + kTolerance && prow >= 0 &&
              t->basis(r) < t->basis(static_cast<size_t>(prow)))) {
           best_ratio = ratio;
           prow = static_cast<int>(r);
@@ -118,7 +123,7 @@ IterateResult Iterate(Tableau* t, const SimplexOptions& opts,
 
 }  // namespace
 
-Result<LpSolution> SolveLp(const LinearProgram& lp, const SimplexOptions& opts) {
+Result<LpSolution> SolveLp(const LinearProgram& lp) {
   if (lp.num_vars == 0) {
     return Status::InvalidArgument("LP has no variables");
   }
@@ -205,7 +210,7 @@ Result<LpSolution> SolveLp(const LinearProgram& lp, const SimplexOptions& opts) 
         }
       }
     }
-    IterateResult res = Iterate(&t, opts, &iterations, usable);
+    IterateResult res = Iterate(&t, &iterations, usable);
     if (res == IterateResult::kIterLimit) {
       return Status::ResourceExhausted("simplex phase 1 iteration limit");
     }
@@ -247,7 +252,7 @@ Result<LpSolution> SolveLp(const LinearProgram& lp, const SimplexOptions& opts) 
       }
     }
   }
-  IterateResult res = Iterate(&t, opts, &iterations, usable);
+  IterateResult res = Iterate(&t, &iterations, usable);
   if (res == IterateResult::kIterLimit) {
     return Status::ResourceExhausted("simplex phase 2 iteration limit");
   }

@@ -38,21 +38,15 @@ struct LinearProgram {
   void AddVarBound(size_t var, Relation rel, double rhs);
 };
 
-/// Solver options.
-struct SimplexOptions {
-  size_t max_iterations = 200000;
-  double tolerance = 1e-9;
-};
-
 /// Solution of an LP.
 struct LpSolution {
   std::vector<double> x;
   double objective = 0.0;
 };
 
-/// Solves \p lp. Returns kInfeasible / kUnbounded / kResourceExhausted on
-/// the corresponding failure.
-Result<LpSolution> SolveLp(const LinearProgram& lp,
-                           const SimplexOptions& options = {});
+/// Solves \p lp with pivot tolerance 1e-9. Returns kInfeasible /
+/// kUnbounded / kResourceExhausted (after 200000 pivots over both phases)
+/// on the corresponding failure.
+Result<LpSolution> SolveLp(const LinearProgram& lp);
 
 }  // namespace qcap

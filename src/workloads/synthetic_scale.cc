@@ -12,6 +12,15 @@ namespace qcap::workloads {
 
 namespace {
 
+/// Fragments per read class, uniform in [min, max].
+constexpr size_t kMinFragmentsPerRead = 2;
+constexpr size_t kMaxFragmentsPerRead = 8;
+/// Fragments per update class, drawn from the class's locality window.
+constexpr size_t kMinFragmentsPerUpdate = 1;
+constexpr size_t kMaxFragmentsPerUpdate = 4;
+/// Share of total workload weight carried by update classes.
+constexpr double kUpdateShare = 0.25;
+
 /// Inverse-CDF sampler over fragment ids with Zipf(s) popularity. A flat
 /// cumulative table plus binary search keeps sampling deterministic and
 /// O(log F) regardless of the skew.
@@ -41,8 +50,6 @@ class ZipfSampler {
 
 Classification MakeScaleClassification(const ScaleOptions& options) {
   assert(options.num_fragments > 0);
-  assert(options.max_fragments_per_read >= options.min_fragments_per_read);
-  assert(options.max_fragments_per_update >= options.min_fragments_per_update);
   Rng rng(options.seed);
   Classification cls;
 
@@ -67,9 +74,8 @@ Classification MakeScaleClassification(const ScaleOptions& options) {
   FragmentSet set;
   for (size_t r = 0; r < R; ++r) {
     const size_t want =
-        options.min_fragments_per_read +
-        rng.NextBounded(options.max_fragments_per_read -
-                        options.min_fragments_per_read + 1);
+        kMinFragmentsPerRead +
+        rng.NextBounded(kMaxFragmentsPerRead - kMinFragmentsPerRead + 1);
     set.clear();
     // Rejection-free: draw until `want` distinct fragments are collected
     // (duplicates from the Zipf head are skipped; bounded retries because
@@ -91,8 +97,7 @@ Classification MakeScaleClassification(const ScaleOptions& options) {
   // Updates in the same window overlap each other (non-trivial closures);
   // different windows never chain, so closure components stay bounded.
   const size_t U = options.num_update_classes;
-  const size_t window = std::max<size_t>(2 * options.max_fragments_per_update,
-                                         size_t{4});
+  const size_t window = std::max<size_t>(2 * kMaxFragmentsPerUpdate, 4);
   const size_t num_windows = std::max<size_t>(1, F / window);
   std::vector<double> raw_update_weight(U);
   cls.updates.resize(U);
@@ -100,10 +105,9 @@ Classification MakeScaleClassification(const ScaleOptions& options) {
     const size_t base = (u % num_windows) * window;
     const size_t span = std::min(window, F - base);
     const size_t want =
-        std::min(span, options.min_fragments_per_update +
-                           rng.NextBounded(options.max_fragments_per_update -
-                                           options.min_fragments_per_update +
-                                           1));
+        std::min(span, kMinFragmentsPerUpdate +
+                           rng.NextBounded(kMaxFragmentsPerUpdate -
+                                           kMinFragmentsPerUpdate + 1));
     set.clear();
     while (set.size() < want) {
       const FragmentId f = static_cast<FragmentId>(base + rng.NextBounded(span));
@@ -118,18 +122,17 @@ Classification MakeScaleClassification(const ScaleOptions& options) {
     raw_update_weight[u] = 1.0 / static_cast<double>(u + 1);
   }
 
-  // Normalize weights: reads carry (1 - update_share), updates the rest.
+  // Normalize weights: reads carry (1 - kUpdateShare), updates the rest.
   double read_total = 0.0;
   for (double w : raw_read_weight) read_total += w;
   double update_total = 0.0;
   for (double w : raw_update_weight) update_total += w;
-  const double read_share = U == 0 ? 1.0 : 1.0 - options.update_share;
+  const double read_share = U == 0 ? 1.0 : 1.0 - kUpdateShare;
   for (size_t r = 0; r < R; ++r) {
     cls.reads[r].weight = read_share * raw_read_weight[r] / read_total;
   }
   for (size_t u = 0; u < U; ++u) {
-    cls.updates[u].weight =
-        options.update_share * raw_update_weight[u] / update_total;
+    cls.updates[u].weight = kUpdateShare * raw_update_weight[u] / update_total;
   }
   return cls;
 }

@@ -27,22 +27,16 @@ struct ScaleOptions {
   size_t num_fragments = 10000;
   size_t num_read_classes = 100000;
   size_t num_update_classes = 2000;
-  /// Fragments per read class, uniform in [min, max].
-  size_t min_fragments_per_read = 2;
-  size_t max_fragments_per_read = 8;
-  /// Fragments per update class, drawn from the class's locality window.
-  size_t min_fragments_per_update = 1;
-  size_t max_fragments_per_update = 4;
   /// Zipf exponent of the fragment co-access distribution (reads).
   double zipf_exponent = 1.1;
-  /// Share of total workload weight carried by update classes.
-  double update_share = 0.25;
   uint64_t seed = 1;
 };
 
 /// Builds the synthetic Classification. The result passes
 /// Classification::Validate() (weights normalized to 1, sorted unique
-/// fragment sets, labels assigned).
+/// fragment sets, labels assigned). Each read class references 2-8
+/// fragments, each update class 1-4 from its locality window, and update
+/// classes carry a quarter of the total weight.
 Classification MakeScaleClassification(const ScaleOptions& options);
 
 }  // namespace qcap::workloads

@@ -5,6 +5,8 @@
 //  - a crash mid-migration aborts the in-flight plan and self-heals
 //    without ever violating k-safety at the end of the day;
 //  - a full day replay is bit-deterministic for a fixed seed;
+//  - an idle (0-qps) interval steps without simulating and still applies
+//    its faults;
 //  - the scale-only policy (drift off, k = 0) tracks the diurnal load
 //    (Section 5 Figures 4 and 5), and the heal-only policy (fixed size,
 //    k = 1) repairs an Algorithm-3 violation after a crash.
@@ -381,6 +383,47 @@ TEST(AdaptiveControllerTest, RejectsBadInput) {
   EXPECT_FALSE(controller.Step(Bucket(0.0, 250.0), {}).ok());
   ASSERT_TRUE(controller.Install(3).ok());
   EXPECT_FALSE(controller.ReplayDay({}, FaultPlan{}).ok());
+  for (double qps : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(controller.Step(Bucket(0.0, qps), {}).status()
+                    .IsInvalidArgument())
+        << qps;
+  }
+}
+
+TEST(AdaptiveControllerTest, IdleBucketStepsWithoutSimulating) {
+  LoopFixture fx;
+  KSafeGreedyAllocator ksafe(KSafetyOptions{1, 1e-12, 0});
+
+  // A 0-qps interval serves nothing, observes no mix and decides nothing.
+  AdaptiveController idle(fx.cls, &ksafe, FastOptions());
+  ASSERT_TRUE(idle.Install(3).ok());
+  auto step = idle.Step(Bucket(600.0, 0.0), {});
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  EXPECT_EQ(step->completed, 0u);
+  EXPECT_EQ(step->failed + step->rejected, 0u);
+  EXPECT_EQ(step->availability, 1.0);
+  EXPECT_EQ(step->utilization, 0.0);
+  EXPECT_EQ(step->drift, 0.0);
+  EXPECT_EQ(step->decision, AdaptiveAction::kNone);
+
+  // A day with an idle bucket replays, and a crash inside that bucket
+  // still marks the node dead: the k = 1 target starts the repair.
+  AdaptiveController controller(fx.cls, &ksafe, FastOptions());
+  ASSERT_TRUE(controller.Install(3).ok());
+  const std::vector<BucketDemand> day = {
+      Bucket(0.0, 250.0), Bucket(600.0, 0.0), Bucket(1200.0, 250.0)};
+  FaultPlan faults;
+  faults.Crash(700.0, 1);
+  auto report = controller.ReplayDay(day, faults);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->steps.size(), 3u);
+  EXPECT_GT(report->steps[0].completed, 0u);
+  EXPECT_EQ(report->steps[1].completed, 0u);
+  EXPECT_EQ(report->steps[1].dead_backends, 1u);
+  EXPECT_EQ(report->steps[1].decision, AdaptiveAction::kSelfHeal);
+  EXPECT_GT(report->steps[2].completed, 0u);
+  EXPECT_EQ(report->steps[2].rejected, 0u);
 }
 
 // --- Scale-only and heal-only policies ------------------------------------

@@ -23,11 +23,10 @@ struct Fixture {
     cls = std::move(result).value();
   }
 
-  Result<SimStats> Run(const Allocation& alloc,
-                       std::vector<BackendFailure> failures) {
+  Result<SimStats> Run(const Allocation& alloc, FaultPlan faults) {
     SimulationConfig config;
     config.seed = 9;
-    config.failures = std::move(failures);
+    config.fault_plan = std::move(faults);
     QCAP_ASSIGN_OR_RETURN(
         ClusterSimulator sim,
         ClusterSimulator::Create(cls, alloc, backends, config));
@@ -63,7 +62,7 @@ TEST(FailureInjectionTest, UnprotectedAllocationRejectsAfterCrash) {
     }
   }
   ASSERT_LT(victim, 5u) << "expected at least one exclusive fragment";
-  auto stats = fx.Run(alloc.value(), {{10.0, victim}});
+  auto stats = fx.Run(alloc.value(), FaultPlan().Crash(10.0, victim));
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   // Work in flight on the victim is lost and later requests for its
   // exclusive classes are rejected.
@@ -76,7 +75,7 @@ TEST(FailureInjectionTest, KSafeAllocationSurvivesSingleCrash) {
   auto alloc = ksafe.Allocate(fx.cls, fx.backends);
   ASSERT_TRUE(alloc.ok()) << alloc.status().ToString();
   for (size_t victim = 0; victim < 5; ++victim) {
-    auto stats = fx.Run(alloc.value(), {{10.0, victim}});
+    auto stats = fx.Run(alloc.value(), FaultPlan().Crash(10.0, victim));
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->rejected_requests, 0u) << "victim " << victim;
     // In-flight losses at the crash instant are expected; rejections not.
@@ -90,7 +89,7 @@ TEST(FailureInjectionTest, ThroughputDegradesGracefully) {
   auto alloc = ksafe.Allocate(fx.cls, fx.backends);
   ASSERT_TRUE(alloc.ok());
   auto healthy = fx.Run(alloc.value(), {});
-  auto degraded = fx.Run(alloc.value(), {{5.0, 2}});
+  auto degraded = fx.Run(alloc.value(), FaultPlan().Crash(5.0, 2));
   ASSERT_TRUE(healthy.ok());
   ASSERT_TRUE(degraded.ok());
   // Conservation: every arrival is completed, failed, or rejected — and the
@@ -116,8 +115,9 @@ TEST(FailureInjectionTest, DoubleCrashNeedsKTwo) {
   uint64_t worst_k1 = 0, worst_k2 = 0;
   for (size_t x = 0; x < 5; ++x) {
     for (size_t y = x + 1; y < 5; ++y) {
-      auto s1 = fx.Run(a1.value(), {{5.0, x}, {6.0, y}});
-      auto s2 = fx.Run(a2.value(), {{5.0, x}, {6.0, y}});
+      const FaultPlan faults = FaultPlan().Crash(5.0, x).Crash(6.0, y);
+      auto s1 = fx.Run(a1.value(), faults);
+      auto s2 = fx.Run(a2.value(), faults);
       ASSERT_TRUE(s1.ok());
       ASSERT_TRUE(s2.ok());
       worst_k1 = std::max(worst_k1, s1->rejected_requests);
@@ -155,7 +155,7 @@ TEST(FailureInjectionTest, BadFailureIndexRejected) {
   auto alloc = greedy.Allocate(fx.cls, fx.backends);
   ASSERT_TRUE(alloc.ok());
   SimulationConfig config;
-  config.failures = {{1.0, 99}};
+  config.fault_plan.Crash(1.0, 99);
   auto sim = ClusterSimulator::Create(fx.cls, alloc.value(), fx.backends,
                                       config);
   ASSERT_TRUE(sim.ok());

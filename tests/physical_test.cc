@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "alloc/greedy.h"
-#include "model/validation.h"
 #include "physical/scaling.h"
 #include "test_util.h"
 
@@ -124,34 +122,6 @@ TEST(PhysicalTest, RejectsMismatchedCatalogs) {
   Allocation b(1, 3, 0, 0);
   PhysicalAllocator physical;
   EXPECT_FALSE(physical.Plan(a, b, cls.catalog).ok());
-}
-
-TEST(ScalingTest, PermuteBackends) {
-  Allocation a(2, 2, 1, 1);
-  a.Place(0, 0);
-  a.Place(1, 1);
-  a.set_read_assign(0, 0, 0.6);
-  a.set_update_assign(1, 0, 0.4);
-  const Allocation p = PermuteBackends(a, {1, 0});
-  EXPECT_TRUE(p.IsPlaced(0, 1));
-  EXPECT_TRUE(p.IsPlaced(1, 0));
-  EXPECT_DOUBLE_EQ(p.read_assign(1, 0), 0.6);
-  EXPECT_DOUBLE_EQ(p.update_assign(0, 0), 0.4);
-}
-
-TEST(ScalingTest, ElasticTransitionPlansScaleOut) {
-  const Classification cls = testutil::Figure2Classification();
-  GreedyAllocator greedy;
-  auto current = greedy.Allocate(cls, HomogeneousBackends(2));
-  ASSERT_TRUE(current.ok());
-  PhysicalAllocator physical;
-  auto plan = PlanElasticTransition(cls, current.value(),
-                                    HomogeneousBackends(4), &greedy, physical);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->new_allocation.num_backends(), 4u);
-  EXPECT_TRUE(ValidateAllocation(cls, plan->new_allocation,
-                                 HomogeneousBackends(4))
-                  .ok());
 }
 
 TEST(ScalingTest, MergeAllocationsCoversAllSegments) {

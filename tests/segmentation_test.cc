@@ -41,8 +41,7 @@ TEST(SegmentationTest, WindowMixesShapes) {
 
 TEST(SegmentationTest, TwoPhaseDayYieldsTwoSegments) {
   const QueryJournal journal = TwoPhaseJournal();
-  SegmentationOptions options;
-  auto segments = SegmentJournal(journal, options);
+  auto segments = SegmentJournal(journal);
   ASSERT_TRUE(segments.ok()) << segments.status().ToString();
   EXPECT_EQ(segments->size(), 2u);
   EXPECT_NEAR((*segments)[0].end_seconds, 12.0 * kHour, kHour + 1.0);
@@ -54,7 +53,7 @@ TEST(SegmentationTest, StableMixOneSegment) {
   for (int h = 0; h < 24; ++h) {
     for (int i = 0; i < 50; ++i) journal.RecordAt(x, h * kHour + i * 70.0);
   }
-  auto segments = SegmentJournal(journal, {});
+  auto segments = SegmentJournal(journal);
   ASSERT_TRUE(segments.ok());
   EXPECT_EQ(segments->size(), 1u);
 }
@@ -62,7 +61,7 @@ TEST(SegmentationTest, StableMixOneSegment) {
 TEST(SegmentationTest, DiurnalTraceFindsFewSegments) {
   // The paper's example day decomposes into ~4 segments.
   const QueryJournal journal = workloads::TraceJournal(30000, 7);
-  auto segments = SegmentJournal(journal, {});
+  auto segments = SegmentJournal(journal);
   ASSERT_TRUE(segments.ok());
   EXPECT_GE(segments->size(), 2u);
   EXPECT_LE(segments->size(), 6u);
@@ -71,14 +70,14 @@ TEST(SegmentationTest, DiurnalTraceFindsFewSegments) {
 TEST(SegmentationTest, RequiresTimestamps) {
   QueryJournal journal;
   journal.Record(Query::Read("x", {"users"}), 100);
-  EXPECT_FALSE(SegmentJournal(journal, {}).ok());
+  EXPECT_FALSE(SegmentJournal(journal).ok());
   EXPECT_FALSE(WindowMixes(journal, kHour).ok());
 }
 
 TEST(SegmentationTest, SegmentedAllocationServesEverySegment) {
   const engine::Catalog catalog = workloads::TraceCatalog();
   const QueryJournal journal = workloads::TraceJournal(30000, 7);
-  auto segments = SegmentJournal(journal, {});
+  auto segments = SegmentJournal(journal);
   ASSERT_TRUE(segments.ok());
   GreedyAllocator greedy;
   const auto backends = HomogeneousBackends(3);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "alloc/full_replication.h"
 #include "alloc/greedy.h"
 #include "cluster/backend_node.h"
@@ -183,6 +185,12 @@ TEST(SimulatorTest, RejectsBadRunArguments) {
   EXPECT_FALSE(sim->RunClosed(10, 0).ok());
   EXPECT_FALSE(sim->RunOpen(-1.0, 10.0).ok());
   EXPECT_FALSE(sim->RunOpen(10.0, 0.0).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(sim->RunOpen(10.0, nan).ok());
+  EXPECT_FALSE(sim->RunOpen(10.0, inf).ok());
+  EXPECT_FALSE(sim->RunOpen(nan, 10.0).ok());
+  EXPECT_FALSE(sim->RunOpen(inf, 10.0).ok());
 }
 
 TEST(SimulatorTest, RejectedDispatchDoesNotAdvanceTieRotation) {
