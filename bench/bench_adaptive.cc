@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,12 +138,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto next_uint = [&](const char* flag) -> uint64_t {
+      const std::optional<uint64_t> n = ParseUint(next(flag));
+      if (!n) {
+        std::fprintf(stderr, "bench_adaptive: %s needs a count\n", flag);
+        std::exit(2);
+      }
+      return *n;
+    };
     if (std::strcmp(argv[i], "--seed") == 0) {
-      config.seed = std::strtoull(next("--seed"), nullptr, 10);
+      config.seed = next_uint("--seed");
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      config.threads = std::strtoull(next("--threads"), nullptr, 10);
+      config.threads = next_uint("--threads");
     } else if (std::strcmp(argv[i], "--reps") == 0) {
-      config.replications = std::strtoull(next("--reps"), nullptr, 10);
+      config.replications = next_uint("--reps");
     } else if (std::strcmp(argv[i], "--out") == 0) {
       config.out_path = next("--out");
     } else if (std::strcmp(argv[i], "--smoke") == 0) {

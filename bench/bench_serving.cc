@@ -27,14 +27,15 @@
 // target), to a small JSON file committed as the serving baseline.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "cluster/stats.h"
 #include "common/stats.h"
+#include "common/strings.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "serving_load.h"
@@ -70,6 +71,16 @@ int Fail(const char* message) {
                "[--open-qps Q] [--duration S] [--port P] "
                "[--out FILE] [--smoke]\n");
   return 2;
+}
+
+/// Reads the count after \p key in a HEALTH reply; it runs to the next
+/// space or the end of the reply.
+std::optional<uint64_t> HealthField(std::string_view health,
+                                    std::string_view key) {
+  const size_t at = health.find(key);
+  if (at == std::string_view::npos) return std::nullopt;
+  const size_t begin = at + key.size();
+  return ParseUint(health.substr(begin, health.find(' ', begin) - begin));
 }
 
 /// The deterministic class mix: 7 reads then 1 update, cycling through the
@@ -174,32 +185,32 @@ int main(int argc, char** argv) {
   BenchConfig config;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    auto value = [&]() -> std::string_view {
+      return i + 1 < argc ? argv[++i] : "";
     };
     if (arg == "--clients") {
-      const char* v = value();
-      if (!v || std::atoi(v) <= 0) return Fail("--clients needs a count");
-      config.clients = static_cast<size_t>(std::atoi(v));
+      const std::optional<uint64_t> n = ParseUint(value());
+      if (!n || *n == 0) return Fail("--clients needs a count");
+      config.clients = *n;
     } else if (arg == "--requests") {
-      const char* v = value();
-      if (!v || std::atoi(v) <= 0) return Fail("--requests needs a count");
-      config.requests_per_client = static_cast<size_t>(std::atoi(v));
+      const std::optional<uint64_t> n = ParseUint(value());
+      if (!n || *n == 0) return Fail("--requests needs a count");
+      config.requests_per_client = *n;
     } else if (arg == "--open-qps") {
-      const char* v = value();
-      if (!v || std::atof(v) <= 0.0) return Fail("--open-qps needs a rate");
-      config.open_qps = std::atof(v);
+      const std::optional<double> qps = ParseFiniteDouble(value());
+      if (!qps || *qps <= 0.0) return Fail("--open-qps needs a rate");
+      config.open_qps = *qps;
     } else if (arg == "--duration") {
-      const char* v = value();
-      if (!v || std::atof(v) <= 0.0) return Fail("--duration needs seconds");
-      config.open_duration_seconds = std::atof(v);
+      const std::optional<double> seconds = ParseFiniteDouble(value());
+      if (!seconds || *seconds <= 0.0) return Fail("--duration needs seconds");
+      config.open_duration_seconds = *seconds;
     } else if (arg == "--port") {
-      const char* v = value();
-      if (!v || std::atoi(v) <= 0) return Fail("--port needs a port");
-      config.external_port = static_cast<uint16_t>(std::atoi(v));
+      const std::optional<uint64_t> n = ParseUint(value());
+      if (!n || *n == 0 || *n > UINT16_MAX) return Fail("--port needs a port");
+      config.external_port = static_cast<uint16_t>(*n);
     } else if (arg == "--out") {
-      const char* v = value();
-      if (!v) return Fail("--out needs a path");
+      const std::string_view v = value();
+      if (v.empty()) return Fail("--out needs a path");
       config.out_path = v;
     } else if (arg == "--smoke") {
       config.smoke = true;
@@ -246,13 +257,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     // "... read_classes=<n> update_classes=<m> ...".
-    const size_t r_at = health->find("read_classes=");
-    const size_t u_at = health->find("update_classes=");
-    if (r_at == std::string::npos || u_at == std::string::npos) return 1;
-    reads = static_cast<size_t>(
-        std::atoi(health->c_str() + r_at + std::strlen("read_classes=")));
-    updates = static_cast<size_t>(
-        std::atoi(health->c_str() + u_at + std::strlen("update_classes=")));
+    const std::optional<uint64_t> r = HealthField(*health, "read_classes=");
+    const std::optional<uint64_t> u = HealthField(*health, "update_classes=");
+    if (!r || !u) return 1;
+    reads = *r;
+    updates = *u;
     probe->Call("QUIT");
   }
   if (reads == 0) {

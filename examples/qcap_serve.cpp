@@ -16,12 +16,14 @@
 // documented example session against it, prints the transcript, and
 // exits; the examples smoke test runs this mode.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
+#include <string_view>
 #include <thread>
 
 #include "alloc/greedy.h"
+#include "common/strings.h"
 #include "model/validation.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -79,29 +81,29 @@ int main(int argc, char** argv) {
   net::ServerOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    auto value = [&]() -> std::string_view {
+      return i + 1 < argc ? argv[++i] : "";
     };
     if (arg == "--port") {
-      const char* v = value();
-      if (!v) return Fail("--port needs a number");
-      port = static_cast<uint16_t>(std::atoi(v));
+      const std::optional<uint64_t> n = ParseUint(value());
+      if (!n || *n > UINT16_MAX) return Fail("--port needs a number");
+      port = static_cast<uint16_t>(*n);
     } else if (arg == "--backends") {
-      const char* v = value();
-      if (!v || std::atoi(v) <= 0) return Fail("--backends needs a count");
-      backends_n = static_cast<size_t>(std::atoi(v));
+      const std::optional<uint64_t> n = ParseUint(value());
+      if (!n || *n == 0) return Fail("--backends needs a count");
+      backends_n = *n;
     } else if (arg == "--rate") {
-      const char* v = value();
-      if (!v) return Fail("--rate needs a per-class qps");
-      options.limits.rate_limit_qps = std::atof(v);
+      const std::optional<double> qps = ParseFiniteDouble(value());
+      if (!qps) return Fail("--rate needs a per-class qps");
+      options.limits.rate_limit_qps = *qps;
     } else if (arg == "--burst") {
-      const char* v = value();
-      if (!v) return Fail("--burst needs a token count");
-      options.limits.rate_limit_burst = std::atof(v);
+      const std::optional<double> tokens = ParseFiniteDouble(value());
+      if (!tokens) return Fail("--burst needs a token count");
+      options.limits.rate_limit_burst = *tokens;
     } else if (arg == "--max-sessions") {
-      const char* v = value();
-      if (!v || std::atoi(v) <= 0) return Fail("--max-sessions needs a count");
-      options.max_sessions = static_cast<size_t>(std::atoi(v));
+      const std::optional<uint64_t> n = ParseUint(value());
+      if (!n || *n == 0) return Fail("--max-sessions needs a count");
+      options.max_sessions = *n;
     } else if (arg == "--selfcheck") {
       selfcheck = true;
     } else {
@@ -142,18 +144,12 @@ int main(int argc, char** argv) {
   // (autonomic/control_loop.h decides, this endpoint executes).
   (*server)->dispatcher().SetReloadProvider(
       [&cls](std::string_view tag) -> Result<net::RoutingTable> {
-        size_t n = 0;
-        for (char c : tag) {
-          if (c < '0' || c > '9') {
-            return Status::InvalidArgument("tag must be a backend count");
-          }
-          n = n * 10 + static_cast<size_t>(c - '0');
-        }
-        if (tag.empty() || n == 0 || n > 64) {
+        const std::optional<uint64_t> n = ParseUint(tag);
+        if (!n || *n == 0 || *n > 64) {
           return Status::InvalidArgument(
               "usage: RELOAD <backends in 1..64>");
         }
-        const std::vector<BackendSpec> target = HomogeneousBackends(n);
+        const std::vector<BackendSpec> target = HomogeneousBackends(*n);
         GreedyAllocator allocator;
         QCAP_ASSIGN_OR_RETURN(Allocation next,
                               allocator.Allocate(*cls, target));

@@ -26,10 +26,11 @@
 // workload/journal_io.h format (SaveJournal). Example inputs can be
 // produced with examples/sql_workload.
 #include <algorithm>
-#include <cctype>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "qcap.h"
@@ -41,14 +42,6 @@ namespace {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "qcap_tool: %s\n", message.c_str());
   return 1;
-}
-
-bool IsUnsignedInt(const char* s) {
-  if (*s == '\0') return false;
-  for (; *s; ++s) {
-    if (!std::isdigit(static_cast<unsigned char>(*s))) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -83,10 +76,14 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--backends") {
+    auto next_uint = [&]() -> std::optional<uint64_t> {
       const char* v = next();
-      if (!v || std::atoi(v) <= 0) return Fail("--backends needs a count");
-      backends_n = static_cast<size_t>(std::atoi(v));
+      return v ? ParseUint(v) : std::nullopt;
+    };
+    if (arg == "--backends") {
+      const std::optional<uint64_t> n = next_uint();
+      if (!n || *n == 0) return Fail("--backends needs a count");
+      backends_n = *n;
     } else if (arg == "--granularity") {
       const char* v = next();
       if (!v) return Fail("--granularity needs a value");
@@ -102,39 +99,46 @@ int main(int argc, char** argv) {
         return Fail(std::string("unknown granularity '") + v + "'");
       }
     } else if (arg == "--partitions") {
-      const char* v = next();
-      if (!v || std::atoi(v) <= 0) return Fail("--partitions needs a count");
-      copts.horizontal_partitions = std::atoi(v);
+      const std::optional<uint64_t> n = next_uint();
+      if (!n || *n == 0 || *n > uint64_t{INT_MAX}) {
+        return Fail("--partitions needs a count");
+      }
+      copts.horizontal_partitions = static_cast<int>(*n);
     } else if (arg == "--allocator") {
       const char* v = next();
       if (!v) return Fail("--allocator needs a value");
       allocator_name = v;
     } else if (arg == "--threads") {
-      const char* v = next();
-      // 0 is valid (= auto), so atoi alone can't reject garbage input here.
-      if (!v || !IsUnsignedInt(v)) return Fail("--threads needs a count");
-      mopts.threads = static_cast<size_t>(std::atoi(v));
+      const std::optional<uint64_t> n = next_uint();  // 0 = all cores
+      if (!n) return Fail("--threads needs a count");
+      mopts.threads = *n;
     } else if (arg == "--islands") {
-      const char* v = next();
-      if (!v || std::atoi(v) <= 0) return Fail("--islands needs a count");
-      mopts.num_islands = static_cast<size_t>(std::atoi(v));
+      const std::optional<uint64_t> n = next_uint();
+      if (!n || *n == 0) return Fail("--islands needs a count");
+      mopts.num_islands = *n;
     } else if (arg == "--migration") {
-      const char* v = next();
-      if (!v || !IsUnsignedInt(v)) return Fail("--migration needs a count");
-      mopts.migration_interval = static_cast<size_t>(std::atoi(v));
+      const std::optional<uint64_t> n = next_uint();
+      if (!n) return Fail("--migration needs a count");
+      mopts.migration_interval = *n;
     } else if (arg == "--json") {
       emit_json = true;
     } else if (arg == "--simulate") {
       const char* v = next();
-      if (!v || std::sscanf(v, "%lf:%lf", &sim_duration, &sim_rate) != 2 ||
-          sim_duration <= 0.0 || sim_rate <= 0.0) {
+      const std::vector<std::string> parts = Split(v ? v : "", ':');
+      const std::optional<double> duration =
+          parts.size() == 2 ? ParseFiniteDouble(parts[0]) : std::nullopt;
+      const std::optional<double> rate =
+          parts.size() == 2 ? ParseFiniteDouble(parts[1]) : std::nullopt;
+      if (!duration || !rate || *duration <= 0.0 || *rate <= 0.0) {
         return Fail("--simulate needs <duration>:<rate> with both > 0");
       }
+      sim_duration = *duration;
+      sim_rate = *rate;
       simulate = true;
     } else if (arg == "--repeat") {
-      const char* v = next();
-      if (!v || std::atoi(v) <= 0) return Fail("--repeat needs a count");
-      sim_repeat = static_cast<size_t>(std::atoi(v));
+      const std::optional<uint64_t> n = next_uint();
+      if (!n || *n == 0) return Fail("--repeat needs a count");
+      sim_repeat = *n;
     } else if (arg == "--fault-plan") {
       const char* v = next();
       if (!v) return Fail("--fault-plan needs a spec");

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
+#include <optional>
 
 #include "common/strings.h"
 
@@ -154,25 +154,18 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
       return Status::InvalidArgument("fault event '" + token +
                                      "' has the wrong number of fields");
     }
-    try {
-      size_t consumed = 0;
-      ev.time_seconds = std::stod(parts[1], &consumed);
-      if (consumed != parts[1].size()) throw std::invalid_argument(parts[1]);
-      consumed = 0;
-      const long backend = std::stol(parts[2], &consumed);
-      if (consumed != parts[2].size() || backend < 0) {
-        throw std::invalid_argument(parts[2]);
-      }
-      ev.backend = static_cast<size_t>(backend);
-      if (ev.kind == FaultEvent::Kind::kDegrade) {
-        consumed = 0;
-        ev.factor = std::stod(parts[3], &consumed);
-        if (consumed != parts[3].size()) throw std::invalid_argument(parts[3]);
-      }
-    } catch (const std::exception&) {
+    const std::optional<double> time = ParseFiniteDouble(parts[1]);
+    const std::optional<uint64_t> backend = ParseUint(parts[2]);
+    const std::optional<double> factor =
+        ev.kind == FaultEvent::Kind::kDegrade ? ParseFiniteDouble(parts[3])
+                                              : ev.factor;
+    if (!time || !backend || !factor) {
       return Status::InvalidArgument("malformed number in fault event '" +
                                      token + "'");
     }
+    ev.time_seconds = *time;
+    ev.backend = static_cast<size_t>(*backend);
+    ev.factor = *factor;
     plan.events.push_back(ev);
   }
   return plan;

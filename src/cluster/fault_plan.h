@@ -73,8 +73,12 @@ struct FaultPlan {
 ///   recover:<time>:<backend>
 ///   degrade:<time>:<backend>:<factor>
 /// e.g. "degrade:5:2:3,crash:10:0,recover:25:0". Whitespace around events
-/// is ignored; backend indices are 0-based. Parsing does not apply the
-/// cluster-size checks — call Validate() once the cluster size is known.
+/// is ignored; backend indices are 0-based. Each number must be a whole
+/// decimal token (ParseUint / ParseFiniteDouble in common/strings.h):
+/// <backend> is an unsigned integer with no sign; <time> and <factor> are
+/// finite doubles, so "inf", "nan" and "2x" are InvalidArgument here.
+/// Parsing does not apply the range and cluster-size checks — call
+/// Validate() once the cluster size is known.
 Result<FaultPlan> ParseFaultPlan(const std::string& spec);
 
 }  // namespace qcap

@@ -1,7 +1,10 @@
 // Small string/formatting helpers shared by reports, benches, and tests.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qcap {
@@ -15,6 +18,19 @@ std::vector<std::string> Split(const std::string& s, char sep);
 
 /// Strips leading and trailing ASCII whitespace.
 std::string Trim(const std::string& s);
+
+/// The one number grammar: every number read from text (journal, catalog,
+/// fault plan, wire protocol, command line) goes through ParseUint or
+/// ParseFiniteDouble. The whole token must be one decimal number: no
+/// surrounding whitespace, no '+', no hex, no overflow. Range checks
+/// (> 0, <= 65535, ...) stay with the caller.
+
+/// Parses \p token as a uint64_t (digits only; "-1" is rejected).
+std::optional<uint64_t> ParseUint(std::string_view token);
+
+/// Parses \p token as a finite double (optional '-', digits, optional
+/// fraction and exponent); "inf", "nan" and "1e400" are rejected.
+std::optional<double> ParseFiniteDouble(std::string_view token);
 
 /// Formats a double with \p precision fractional digits.
 std::string FormatDouble(double v, int precision = 3);

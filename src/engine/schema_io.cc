@@ -1,7 +1,11 @@
 #include "engine/schema_io.h"
 
-#include <fstream>
+#include <cstdint>
+#include <optional>
 #include <sstream>
+
+#include "common/file_io.h"
+#include "common/strings.h"
 
 namespace qcap::engine {
 
@@ -76,17 +80,22 @@ Result<Catalog> DeserializeCatalog(const std::string& text) {
     std::string keyword;
     if (!(tokens >> keyword) || keyword[0] == '#') continue;
     const std::string where = " (line " + std::to_string(line_number) + ")";
+    std::string number;
     if (keyword == "scale") {
-      if (!(tokens >> scale) || scale <= 0.0) {
+      const std::optional<double> factor =
+          tokens >> number ? ParseFiniteDouble(number) : std::nullopt;
+      if (!factor || *factor <= 0.0) {
         return Status::InvalidArgument("bad scale factor" + where);
       }
+      scale = *factor;
     } else if (keyword == "table") {
       QCAP_RETURN_NOT_OK(flush());
-      uint64_t rows = 0;
-      if (!(tokens >> pending.name >> rows)) {
+      const std::optional<uint64_t> rows =
+          tokens >> pending.name >> number ? ParseUint(number) : std::nullopt;
+      if (!rows) {
         return Status::InvalidArgument("bad table line" + where);
       }
-      pending.base_rows = rows;
+      pending.base_rows = *rows;
       have_pending = true;
     } else if (keyword == "col") {
       if (!have_pending) {
@@ -100,9 +109,12 @@ Result<Catalog> DeserializeCatalog(const std::string& text) {
       QCAP_ASSIGN_OR_RETURN(col.type, ParseType(type_name));
       std::string extra;
       if (NeedsWidth(col.type)) {
-        if (!(tokens >> col.declared_width) || col.declared_width == 0) {
+        const std::optional<uint64_t> width =
+            tokens >> number ? ParseUint(number) : std::nullopt;
+        if (!width || *width == 0 || *width > UINT32_MAX) {
           return Status::InvalidArgument("char/varchar needs a width" + where);
         }
+        col.declared_width = static_cast<uint32_t>(*width);
       }
       while (tokens >> extra) {
         if (extra == "pk") {
@@ -127,26 +139,12 @@ Result<Catalog> DeserializeCatalog(const std::string& text) {
 }
 
 Status SaveCatalog(const Catalog& catalog, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::Internal("cannot open '" + path + "' for writing");
-  }
-  const std::string data = SerializeCatalog(catalog);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!out) {
-    return Status::Internal("write to '" + path + "' failed");
-  }
-  return Status::OK();
+  return WriteFile(path, SerializeCatalog(catalog));
 }
 
 Result<Catalog> LoadCatalog(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return DeserializeCatalog(buffer.str());
+  QCAP_ASSIGN_OR_RETURN(const std::string text, ReadFile(path));
+  return DeserializeCatalog(text);
 }
 
 }  // namespace qcap::engine

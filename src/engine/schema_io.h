@@ -19,7 +19,11 @@ namespace qcap::engine {
 /// Serializes \p catalog to the text format.
 std::string SerializeCatalog(const Catalog& catalog);
 
-/// Parses a catalog from the text format.
+/// Parses a catalog from the text format. Each number must be a whole
+/// decimal token (ParseUint / ParseFiniteDouble in common/strings.h): rows
+/// and widths are unsigned integers with no sign, a width in [1, 2^32 - 1];
+/// the scale factor is a finite double > 0. Anything else, such as "-1" or
+/// "10abc", is InvalidArgument.
 Result<Catalog> DeserializeCatalog(const std::string& text);
 
 /// Writes \p catalog to \p path.

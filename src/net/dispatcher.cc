@@ -1,12 +1,11 @@
 #include "net/dispatcher.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "cluster/pending_index.h"
+#include "common/strings.h"
 
 namespace qcap::net {
 
@@ -26,21 +25,14 @@ std::vector<std::string> SplitFields(std::string_view line) {
   return fields;
 }
 
-bool ParseIndex(std::string_view token, size_t* out) {
-  if (token.empty()) return false;
-  size_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc() || ptr != token.data() + token.size()) return false;
-  *out = value;
-  return true;
-}
-
 /// Parses a class token `R<i>` / `U<j>`.
 bool ParseClassToken(std::string_view token, bool* is_read, size_t* index) {
   if (token.size() < 2 || (token[0] != 'R' && token[0] != 'U')) return false;
+  const std::optional<uint64_t> parsed = ParseUint(token.substr(1));
+  if (!parsed) return false;
   *is_read = token[0] == 'R';
-  return ParseIndex(token.substr(1), index);
+  *index = *parsed;
+  return true;
 }
 
 /// Shortest round-trippable rendering for metrics values (latencies are
@@ -165,11 +157,13 @@ Dispatcher::Reply Dispatcher::Submit(const std::vector<std::string>& args,
 }
 
 Dispatcher::Reply Dispatcher::Done(const std::vector<std::string>& args) {
-  size_t backend = 0;
-  if (args.size() != 2 || !ParseIndex(args[1], &backend)) {
+  const std::optional<uint64_t> parsed =
+      args.size() == 2 ? ParseUint(args[1]) : std::nullopt;
+  if (!parsed) {
     ++counters_.bad_requests;
     return {"ERR BAD_REQUEST usage: DONE <backend>", false, false};
   }
+  const size_t backend = *parsed;
   if (backend >= num_backends_) {
     ++counters_.bad_requests;
     return {"ERR BAD_BACKEND " + args[1] + " out of range (have " +
@@ -189,16 +183,17 @@ Dispatcher::Reply Dispatcher::Done(const std::vector<std::string>& args) {
 
 Dispatcher::Reply Dispatcher::Fault(const std::vector<std::string>& args) {
   const bool is_degrade = args.size() >= 2 && args[1] == "DEGRADE";
-  size_t backend = 0;
   const size_t want_args = is_degrade ? 4u : 3u;
-  if (args.size() != want_args ||
-      (args[1] != "CRASH" && args[1] != "RECOVER" && !is_degrade) ||
-      !ParseIndex(args[2], &backend)) {
+  const std::optional<uint64_t> parsed =
+      args.size() == want_args ? ParseUint(args[2]) : std::nullopt;
+  if (!parsed ||
+      (args[1] != "CRASH" && args[1] != "RECOVER" && !is_degrade)) {
     ++counters_.bad_requests;
     return {"ERR BAD_REQUEST usage: FAULT CRASH|RECOVER <backend> | "
             "FAULT DEGRADE <backend> <factor>",
             false, false};
   }
+  const size_t backend = *parsed;
   if (backend >= num_backends_) {
     ++counters_.bad_requests;
     return {"ERR BAD_BACKEND " + args[2] + " out of range (have " +
@@ -222,8 +217,8 @@ Dispatcher::Reply Dispatcher::Fault(const std::vector<std::string>& args) {
     // also ignores degrade — slow backends shed load through their pending
     // depth), so this is observability plus parity with FaultPlan chaos
     // scripts, exposed as qcap_backend_degrade in METRICS.
-    const double factor = std::atof(args[3].c_str());
-    if (!(factor > 0.0) || !std::isfinite(factor)) {
+    const std::optional<double> factor = ParseFiniteDouble(args[3]);
+    if (!factor || *factor <= 0.0) {
       ++counters_.bad_requests;
       return {"ERR BAD_REQUEST degrade factor must be finite and > 0", false,
               false};
@@ -233,9 +228,9 @@ Dispatcher::Reply Dispatcher::Fault(const std::vector<std::string>& args) {
       return {"ERR BAD_REQUEST cannot degrade a crashed backend", false,
               false};
     }
-    degrade_[backend] = factor;
+    degrade_[backend] = *factor;
     return {"OK FAULT degraded " + std::to_string(backend) + " factor " +
-                FormatMetric(factor),
+                FormatMetric(*factor),
             false, false};
   }
   // Recovery rejoins with an empty queue (the crash destroyed its work)

@@ -53,15 +53,6 @@ Result<LpSolution> SolveMilp(const MilpProblem& problem,
     auto res = SolveLp(lp);
     if (!res.ok()) {
       if (res.status().IsInfeasible()) continue;  // Prune.
-#ifdef QCAP_MILP_TRACE
-      if (res.status().IsUnbounded()) {
-        std::fprintf(stderr, "unbounded node, fixings:");
-        for (auto& [var, val] : node.fixings) {
-          std::fprintf(stderr, " x%zu=%d", var, val);
-        }
-        std::fprintf(stderr, "\n");
-      }
-#endif
       return res.status();
     }
     const LpSolution& relax = res.value();

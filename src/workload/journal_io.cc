@@ -1,9 +1,11 @@
 #include "workload/journal_io.h"
 
+#include <climits>
 #include <cstdio>
-#include <fstream>
+#include <optional>
 #include <sstream>
 
+#include "common/file_io.h"
 #include "common/strings.h"
 
 namespace qcap {
@@ -68,25 +70,10 @@ std::string EncodeAccesses(const Query& q) {
   return Join(parts, ";");
 }
 
-std::vector<std::string> SplitOn(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string current;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  out.push_back(current);
-  return out;
-}
-
 Result<std::vector<TableAccess>> DecodeAccesses(const std::string& encoded) {
   std::vector<TableAccess> out;
   if (encoded.empty()) return out;
-  for (const std::string& part : SplitOn(encoded, ';')) {
+  for (const std::string& part : Split(encoded, ';')) {
     if (part.empty()) {
       return Status::InvalidArgument("empty access entry");
     }
@@ -100,7 +87,7 @@ Result<std::vector<TableAccess>> DecodeAccesses(const std::string& encoded) {
     }
     const size_t colon = rest.find(':');
     if (colon != std::string::npos) {
-      for (const auto& col : SplitOn(rest.substr(colon + 1), '|')) {
+      for (const auto& col : Split(rest.substr(colon + 1), '|')) {
         if (col.empty()) {
           return Status::InvalidArgument("empty column in access entry");
         }
@@ -113,12 +100,12 @@ Result<std::vector<TableAccess>> DecodeAccesses(const std::string& encoded) {
     }
     access.table = rest;
     if (!partitions.empty()) {
-      for (const auto& p : SplitOn(partitions, '|')) {
-        try {
-          access.partitions.push_back(std::stoi(p));
-        } catch (...) {
+      for (const auto& p : Split(partitions, '|')) {
+        const std::optional<uint64_t> partition = ParseUint(p);
+        if (!partition || *partition > uint64_t{INT_MAX}) {
           return Status::InvalidArgument("bad partition number '" + p + "'");
         }
+        access.partitions.push_back(static_cast<int>(*partition));
       }
     }
     out.push_back(std::move(access));
@@ -161,21 +148,20 @@ Result<QueryJournal> DeserializeJournal(const std::string& data) {
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty()) continue;
-    const std::vector<std::string> fields = SplitOn(line, '\t');
+    const std::vector<std::string> fields = Split(line, '\t');
     if (fields.size() != 5) {
       return Status::InvalidArgument("line " + std::to_string(line_number) +
                                      ": expected 5 fields, got " +
                                      std::to_string(fields.size()));
     }
-    Query q;
-    uint64_t count = 0;
-    try {
-      count = std::stoull(fields[0]);
-      q.cost = std::stod(fields[1]);
-    } catch (...) {
+    const std::optional<uint64_t> count = ParseUint(fields[0]);
+    const std::optional<double> cost = ParseFiniteDouble(fields[1]);
+    if (!count || !cost) {
       return Status::InvalidArgument("line " + std::to_string(line_number) +
                                      ": bad count or cost");
     }
+    Query q;
+    q.cost = *cost;
     if (fields[2] == "U") {
       q.is_update = true;
     } else if (fields[2] == "R") {
@@ -190,32 +176,18 @@ Result<QueryJournal> DeserializeJournal(const std::string& data) {
                                      ": empty query text");
     }
     QCAP_ASSIGN_OR_RETURN(q.accesses, DecodeAccesses(fields[4]));
-    journal.Record(q, count);
+    journal.Record(q, *count);
   }
   return journal;
 }
 
 Status SaveJournal(const QueryJournal& journal, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::Internal("cannot open '" + path + "' for writing");
-  }
-  const std::string data = SerializeJournal(journal);
-  out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!out) {
-    return Status::Internal("write to '" + path + "' failed");
-  }
-  return Status::OK();
+  return WriteFile(path, SerializeJournal(journal));
 }
 
 Result<QueryJournal> LoadJournal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return DeserializeJournal(buffer.str());
+  QCAP_ASSIGN_OR_RETURN(const std::string data, ReadFile(path));
+  return DeserializeJournal(data);
 }
 
 }  // namespace qcap

@@ -20,7 +20,11 @@ namespace qcap {
 /// Serializes \p journal.
 std::string SerializeJournal(const QueryJournal& journal);
 
-/// Parses a journal serialized by SerializeJournal.
+/// Parses a journal serialized by SerializeJournal. Each number must be a
+/// whole decimal token (ParseUint / ParseFiniteDouble in common/strings.h):
+/// <count> and every partition are unsigned integers with no sign, a
+/// partition at most INT_MAX; <cost> is a finite double. Anything else,
+/// such as "-1", "12abc", "nan" or "-inf", is InvalidArgument.
 Result<QueryJournal> DeserializeJournal(const std::string& data);
 
 /// Writes \p journal to \p path.

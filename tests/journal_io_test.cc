@@ -92,6 +92,14 @@ TEST(JournalIoTest, RejectsMalformedLines) {
       DeserializeJournal(header + "1\t1.0\tR\t\ttable\n").ok());  // No text.
   EXPECT_FALSE(DeserializeJournal(header + "1\t1.0\tR\tq\t:c1\n").ok());
   EXPECT_FALSE(DeserializeJournal(header + "1\t1.0\tR\tq\tt@x\n").ok());
+  EXPECT_FALSE(DeserializeJournal(header + "1\t1.0\tR\tq\tt@1x\n").ok());
+  EXPECT_FALSE(DeserializeJournal(header + "-1\t1.0\tR\tq\tt\n").ok());
+  EXPECT_FALSE(DeserializeJournal(header + "12abc\t1.0\tR\tq\tt\n").ok());
+  EXPECT_FALSE(  // UINT64_MAX + 1.
+      DeserializeJournal(header + "18446744073709551616\t1.0\tR\tq\tt\n")
+          .ok());
+  EXPECT_FALSE(DeserializeJournal(header + "1\tnan\tR\tq\tt\n").ok());
+  EXPECT_FALSE(DeserializeJournal(header + "1\t-inf\tR\tq\tt\n").ok());
 }
 
 TEST(JournalIoTest, SaveAndLoadFile) {

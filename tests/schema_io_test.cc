@@ -73,6 +73,10 @@ TEST(SchemaIoTest, RejectsMalformedInput) {
       DeserializeCatalog("table t 10\ncol c int64 banana\n").ok());
   EXPECT_FALSE(DeserializeCatalog("bogus line\n").ok());
   EXPECT_FALSE(DeserializeCatalog("scale -1\ntable t 1\ncol c int64\n").ok());
+  EXPECT_FALSE(DeserializeCatalog("table t -1\ncol c int64\n").ok());
+  EXPECT_FALSE(DeserializeCatalog("table t 10abc\ncol c int64\n").ok());
+  EXPECT_FALSE(  // Stored as width 4294967288 by a sign-accepting parser.
+      DeserializeCatalog("table t 10\ncol c varchar -8\n").ok());
 }
 
 TEST(SchemaIoTest, SaveAndLoadFile) {

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "cluster/pending_index.h"
 #include "cluster/scheduler.h"
+#include "common/strings.h"
 #include "model/allocation.h"
 #include "net/client.h"
 #include "test_util.h"
@@ -64,7 +67,10 @@ class ServingTest : public ::testing::Test {
 
 size_t ParseBackend(const std::string& reply) {
   EXPECT_EQ(reply.rfind("OK BACKEND ", 0), 0u) << reply;
-  return static_cast<size_t>(std::stoul(reply.substr(11)));
+  const std::optional<uint64_t> backend =
+      ParseUint(std::string_view(reply).substr(11));
+  EXPECT_TRUE(backend.has_value()) << reply;
+  return backend.value_or(0);
 }
 
 TEST_F(ServingTest, HealthReportsTopology) {
@@ -229,8 +235,10 @@ TEST_F(ServingTest, EveryDocumentedErrorResponse) {
             "FAULT DEGRADE <backend> <factor>");
   EXPECT_EQ(Call(&client, "FAULT CRASH 99"),
             "ERR BAD_BACKEND 99 out of range (have 4)");
+  EXPECT_EQ(Call(&client, "FAULT DEGRADE 0 2abc"),
+            "ERR BAD_REQUEST degrade factor must be finite and > 0");
   const std::string stats = Call(&client, "STATS");
-  EXPECT_NE(stats.find(" bad=11"), std::string::npos) << stats;
+  EXPECT_NE(stats.find(" bad=12"), std::string::npos) << stats;
 }
 
 TEST_F(ServingTest, OversizedFrameGetsErrorThenDisconnect) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+
 namespace qcap {
 namespace {
 
@@ -56,6 +60,60 @@ TEST(StringsTest, TrimSingleCharacter) {
   EXPECT_EQ(Trim(" a"), "a");
   EXPECT_EQ(Trim("a "), "a");
   EXPECT_EQ(Trim("a"), "a");
+}
+
+TEST(StringsTest, ParseUintTakesOnlyAWholeUnsignedDecimalToken) {
+  const struct {
+    const char* token;
+    std::optional<uint64_t> want;
+  } kCases[] = {
+      {"0", 0},
+      {"42", 42},
+      {"007", 7},
+      {"18446744073709551615", UINT64_MAX},
+      {"18446744073709551616", std::nullopt},  // UINT64_MAX + 1
+      {"", std::nullopt},
+      {"+1", std::nullopt},
+      {"-1", std::nullopt},
+      {" 1", std::nullopt},
+      {"1 ", std::nullopt},
+      {"0x10", std::nullopt},
+      {"12abc", std::nullopt},
+      {"1.5", std::nullopt},
+      {"1e3", std::nullopt},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(ParseUint(c.token), c.want) << "'" << c.token << "'";
+  }
+}
+
+TEST(StringsTest, ParseFiniteDoubleTakesOnlyAWholeFiniteDecimalToken) {
+  const struct {
+    const char* token;
+    std::optional<double> want;
+  } kCases[] = {
+      {"0", 0.0},
+      {"-2.5", -2.5},
+      {"0.004", 0.004},
+      {"1e3", 1000.0},
+      {"1E-3", 0.001},
+      {"18446744073709551615", 18446744073709551615.0},
+      {"18446744073709551616", 18446744073709551616.0},
+      {"", std::nullopt},
+      {"+1", std::nullopt},
+      {" 1", std::nullopt},
+      {"1 ", std::nullopt},
+      {"0x10", std::nullopt},
+      {"2abc", std::nullopt},
+      {"1e400", std::nullopt},
+      {"nan", std::nullopt},
+      {"inf", std::nullopt},
+      {"-inf", std::nullopt},
+      {"infinity", std::nullopt},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(ParseFiniteDouble(c.token), c.want) << "'" << c.token << "'";
+  }
 }
 
 TEST(StringsTest, FormatDouble) {

@@ -40,6 +40,14 @@ bool IsSimdModule(const std::string& path) {
   return path.find("common/simd") != std::string::npos;
 }
 
+// common/strings.cc holds the one number grammar (ParseUint,
+// ParseFiniteDouble): whole token, decimal, finite. Every other file reads
+// numbers through it, so a second parser cannot quietly accept "-1" or
+// "12abc".
+bool IsNumberModule(const std::string& path) {
+  return EndsWith(path, "common/strings.cc");
+}
+
 // Modules whose results must be bit-identical across runs and thread counts.
 bool IsDeterministicModule(const std::string& path) {
   for (const char* dir : {"src/alloc/", "src/model/", "src/solver/",
@@ -177,6 +185,7 @@ class Scanner {
     const bool random_module = IsRandomModule(path_);
     const bool deterministic = IsDeterministicModule(path_);
     const bool simd_module = IsSimdModule(path_);
+    const bool number_module = IsNumberModule(path_);
     if (deterministic) {
       for (const Token& t : preprocessor_) {
         if (t.text.find("#include") == 0 &&
@@ -212,6 +221,7 @@ class Scanner {
       }
       if (deterministic) CheckUnorderedContainer(i);
       if (!simd_module) CheckSimdGuard(i);
+      if (!number_module) CheckRawNumberParse(i);
       if (InHotPath(t.line)) CheckHotPath(i);
       if (header && t.text == "using" && Next(i) == "namespace") {
         Report(t.line, "using-namespace-header",
@@ -242,6 +252,15 @@ class Scanner {
     out_->push_back({path_, line, rule, message});
   }
 
+  // `RandomAllocator random(99);` declares a variable named `random`; a
+  // preceding identifier that is not a statement keyword marks a
+  // declaration, not a call.
+  bool IsDeclaredName(size_t i) const {
+    return i > 0 && code_[i - 1].kind == TokenKind::kIdentifier &&
+           !InSet(Prev(i), {"return", "co_return", "co_yield", "case", "else",
+                            "do", "throw"});
+  }
+
   void CheckPragmaOnce() {
     for (const Token& t : preprocessor_) {
       if (t.text.find("#pragma") == 0 &&
@@ -257,13 +276,7 @@ class Scanner {
     const std::string prev = Prev(i);
     const std::string next = Next(i);
     const bool member = prev == "." || prev == "->";
-    // `RandomAllocator random(99);` declares a variable named `random`; a
-    // preceding identifier that is not a statement keyword marks a
-    // declaration, not a call.
-    const bool declaration =
-        i > 0 && code_[i - 1].kind == TokenKind::kIdentifier &&
-        !InSet(prev, {"return", "co_return", "co_yield", "case", "else", "do",
-                      "throw"});
+    const bool declaration = IsDeclaredName(i);
     auto flag = [&](const std::string& what) {
       Report(code_[i].line, "nondeterministic-call",
              what + " breaks run-to-run determinism; draw from qcap::Rng "
@@ -353,6 +366,27 @@ class Scanner {
                name +
                "' outside common/simd*; route it through the dispatch layer "
                "so the scalar fallback and CPUID gate stay in one place");
+  }
+
+  // Text-to-number conversions outside common/strings.cc: the std::sto*,
+  // ato*, strto* and sscanf families and std::from_chars.
+  void CheckRawNumberParse(size_t i) {
+    const std::string& name = code_[i].text;
+    const std::string prev = Prev(i);
+    if (Next(i) != "(" || prev == "." || prev == "->" || IsDeclaredName(i)) {
+      return;
+    }
+    if (!InSet(name, {"stoi", "stol", "stoll", "stoul", "stoull", "stof",
+                      "stod", "stold", "atoi", "atol", "atoll", "atof",
+                      "strtol", "strtoll", "strtoul", "strtoull", "strtof",
+                      "strtod", "strtold", "strtoimax", "strtoumax", "sscanf",
+                      "from_chars"})) {
+      return;
+    }
+    Report(code_[i].line, "raw-number-parse",
+           name + "() parses a number outside common/strings.cc; use "
+                  "ParseUint or ParseFiniteDouble (common/strings.h) so "
+                  "every number is a whole, decimal, finite token");
   }
 
   void CheckUnorderedContainer(size_t i) {

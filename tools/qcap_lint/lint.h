@@ -16,6 +16,7 @@ inline constexpr const char* kAllRules[] = {
     "hot-path-growth",         // .push_back/.resize/... in a hot-path region
     "index-in-loop",           // ClassificationIndex constructed in a loop body
     "simd-guard",              // raw SIMD intrinsics outside common/simd*
+    "raw-number-parse",        // sto*/ato*/strto*/sscanf/from_chars outside common/strings.cc
     "missing-pragma-once",     // header without #pragma once
     "using-namespace-header",  // using namespace at header scope
     "mutable-global",          // mutable namespace-scope variable
