@@ -101,4 +101,42 @@ void ResponseAccumulator::Percentiles(std::vector<double>* scratch,
   *p99 = (*scratch)[k99];
 }
 
+void LatencyHistogram::Add(double seconds) {
+  // Compare in floating point before the cast: a sample below the range
+  // (zero, negative, NaN) takes bucket 0, one above it (inf too) the last.
+  const double x = std::log(seconds / kMinSeconds) * kPerE;
+  size_t bucket = 0;
+  if (x >= static_cast<double>(kBuckets - 1)) {
+    bucket = kBuckets - 1;
+  } else if (x > 0.0) {
+    bucket = static_cast<size_t>(x);
+  }
+  ++buckets_[bucket];
+  if (seconds < min_) min_ = seconds;
+  if (seconds > max_) max_ = seconds;
+  ++count_;
+}
+
+double LatencyHistogram::Percentile(double p) const {
+  if (count_ == 0) return 0.0;
+  if (std::isnan(p)) return max_;
+  // The nearest-rank sample is the first whose cumulative count reaches
+  // p * count; interpolate log-linearly inside its bucket.
+  const double rank =
+      std::min(std::max(p, 0.0), 1.0) * static_cast<double>(count_);
+  double below = 0.0;
+  size_t i = 0;
+  for (; i + 1 < kBuckets; ++i) {
+    const auto n = static_cast<double>(buckets_[i]);
+    if (n > 0.0 && below + n >= rank) break;
+    below += n;
+  }
+  const auto n = static_cast<double>(buckets_[i]);
+  const double within =
+      n > 0.0 ? std::min(std::max((rank - below) / n, 0.0), 1.0) : 0.0;
+  const double estimate =
+      kMinSeconds * std::exp((static_cast<double>(i) + within) / kPerE);
+  return std::min(std::max(estimate, min_), max_);
+}
+
 }  // namespace qcap

@@ -1,5 +1,6 @@
 // Shared measurement primitives: live progress counters for long-running
-// allocation searches and the exact-percentile response-time accumulator.
+// allocation searches, the exact-percentile response-time accumulator, and
+// the fixed-memory latency histogram.
 //
 // These used to live in cluster/stats.h; they moved down to common/ so
 // that the allocation-search layer (alloc/) and the serving layer (net/)
@@ -7,9 +8,11 @@
 // layering DAG (.qcap-layers) forbids alloc → cluster edges.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -90,6 +93,40 @@ class ResponseAccumulator {
   double sum_ = 0.0;
   double max_ = 0.0;
   std::vector<double> samples_;
+};
+
+/// \brief Fixed-memory latency histogram: log-spaced buckets 0.5% wide
+/// from 100 ns to 100 s.
+///
+/// For a sample stream that never ends, such as a server's routing
+/// latencies, where ResponseAccumulator would keep every sample. Add is
+/// O(1) and never allocates; memory is the same for one sample or a
+/// billion. Percentiles are interpolated inside the bucket that holds the
+/// nearest-rank sample, so for samples inside the range they are within
+/// 0.5% of ResponseAccumulator's exact values; max and count stay exact.
+/// Samples below 100 ns count in the first bucket, above 100 s in the last.
+class LatencyHistogram {
+ public:
+  void Add(double seconds);
+  /// Largest sample (0 when empty), exact.
+  double max() const { return max_; }
+  uint64_t count() const { return count_; }
+
+  /// The \p p quantile, seconds, clamped to [smallest, largest] sample
+  /// (so one sample is every percentile). Total like
+  /// ResponseAccumulator::Percentile: 0 when empty, out-of-range \p p
+  /// clamps to [0, 1], and a NaN \p p selects the maximum.
+  double Percentile(double p) const;
+
+ private:
+  static constexpr double kMinSeconds = 1e-7;
+  static constexpr double kPerE = 200.0;  ///< Buckets per factor of e.
+  /// ln(100 s / 100 ns) * kPerE, rounded up.
+  static constexpr size_t kBuckets = 4145;
+  std::array<uint64_t, kBuckets> buckets_{};
+  uint64_t count_ = 0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = 0.0;
 };
 
 }  // namespace qcap

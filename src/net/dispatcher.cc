@@ -1,6 +1,7 @@
 #include "net/dispatcher.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <optional>
 
@@ -10,20 +11,6 @@
 namespace qcap::net {
 
 namespace {
-
-/// Splits on runs of spaces/tabs (the protocol grammar allows one or more
-/// separators; leading/trailing whitespace is ignored).
-std::vector<std::string> SplitFields(std::string_view line) {
-  std::vector<std::string> fields;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    if (i > start) fields.emplace_back(line.substr(start, i - start));
-  }
-  return fields;
-}
 
 /// Parses a class token `R<i>` / `U<j>`.
 bool ParseClassToken(std::string_view token, bool* is_read, size_t* index) {
@@ -43,9 +30,30 @@ std::string FormatMetric(double v) {
   return buf;
 }
 
+/// Appends the decimal \p v to \p out without a temporary string.
+void AppendUint(std::string* out, uint64_t v) {
+  char buf[20];
+  const std::to_chars_result res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, res.ptr);
+}
+
 constexpr size_t kDead = static_cast<size_t>(PendingIndex::kDeadKey);
 
 }  // namespace
+
+// The protocol grammar allows one or more separators; leading/trailing
+// whitespace is ignored.
+Dispatcher::Fields::Fields(std::string_view line) {
+  size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+    const size_t start = i;
+    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+    if (i == start) continue;
+    if (count_ < kMax) at_[count_] = line.substr(start, i - start);
+    ++count_;
+  }
+}
 
 Result<std::unique_ptr<Dispatcher>> Dispatcher::Create(
     const Classification& cls, const Allocation& alloc,
@@ -76,20 +84,19 @@ Dispatcher::Dispatcher(Scheduler scheduler, size_t num_backends,
       buckets_.emplace_back(limits.rate_limit_qps, burst);
     }
   }
-  latency_.Reserve(1 << 16);
 }
 
 Dispatcher::Reply Dispatcher::Execute(std::string_view request,
                                       double now_seconds) {
   MutexLock guard(lock_);
   ++counters_.requests_total;
-  const std::vector<std::string> fields = SplitFields(request);
+  const Fields fields(request);
   auto bad = [this](const std::string& msg) {
     ++counters_.bad_requests;
     return Reply{"ERR BAD_REQUEST " + msg, false, false};
   };
-  if (fields.empty()) return bad("empty request");
-  const std::string& verb = fields[0];
+  if (fields.size() == 0) return bad("empty request");
+  const std::string_view verb = fields[0];
   if (verb == "SUBMIT") return Submit(fields, now_seconds);
   if (verb == "DONE") return Done(fields);
   if (verb == "STATS") return Reply{StatsLine(), false, false};
@@ -100,11 +107,10 @@ Dispatcher::Reply Dispatcher::Execute(std::string_view request,
   if (verb == "FAULT") return Fault(fields);
   if (verb == "RELOAD") return Reload(fields);
   if (verb == "QUIT") return Reply{"OK BYE", true, false};
-  return bad("unknown verb '" + verb + "'");
+  return bad("unknown verb '" + std::string(verb) + "'");
 }
 
-Dispatcher::Reply Dispatcher::Submit(const std::vector<std::string>& args,
-                                     double now_seconds) {
+Dispatcher::Reply Dispatcher::Submit(const Fields& args, double now_seconds) {
   bool is_read = false;
   size_t index = 0;
   if (args.size() != 2 || !ParseClassToken(args[1], &is_read, &index)) {
@@ -114,7 +120,7 @@ Dispatcher::Reply Dispatcher::Submit(const std::vector<std::string>& args,
   const size_t limit = is_read ? num_reads_ : num_updates_;
   if (index >= limit) {
     ++counters_.bad_requests;
-    return {"ERR BAD_CLASS " + args[1] + " out of range (have " +
+    return {"ERR BAD_CLASS " + std::string(args[1]) + " out of range (have " +
                 std::to_string(num_reads_) + " reads, " +
                 std::to_string(num_updates_) + " updates)",
             false, false};
@@ -123,40 +129,44 @@ Dispatcher::Reply Dispatcher::Submit(const std::vector<std::string>& args,
     const size_t bucket = is_read ? index : num_reads_ + index;
     if (!buckets_[bucket].TryAcquire(now_seconds)) {
       ++counters_.rejected;
-      return {"ERR RATE_LIMITED class=" + args[1], false, false};
+      return {"ERR RATE_LIMITED class=" + std::string(args[1]), false, false};
     }
   }
   if (is_read) {
     const size_t pick = scheduler_.PickReadBackend(index, pending_);
     if (pick == PendingIndex::kNone) {
       ++counters_.unservable;
-      return {"ERR UNSERVABLE no live backend holds " + args[1] + "'s data",
+      return {"ERR UNSERVABLE no live backend holds " + std::string(args[1]) +
+                  "'s data",
               false, true};
     }
     ++pending_[pick];
     ++counters_.reads_routed;
-    return {"OK BACKEND " + std::to_string(pick), false, true};
+    Reply reply{"OK BACKEND ", false, true};
+    AppendUint(&reply.text, pick);
+    return reply;
   }
   const std::vector<size_t>& targets = scheduler_.UpdateTargets(index);
-  std::string reply = "OK BACKENDS";
+  Reply reply{"OK BACKENDS", false, true};
   size_t routed = 0;
   for (size_t t : targets) {
     if (!alive_[t]) continue;  // dead replica: owes the update as lag
     ++pending_[t];
     ++routed;
-    reply += ' ';
-    reply += std::to_string(t);
+    reply.text += ' ';
+    AppendUint(&reply.text, t);
   }
   if (routed == 0) {
     ++counters_.unservable;
-    return {"ERR UNSERVABLE every replica of " + args[1] + " is down", false,
-            true};
+    return {"ERR UNSERVABLE every replica of " + std::string(args[1]) +
+                " is down",
+            false, true};
   }
   ++counters_.updates_routed;
-  return {reply, false, true};
+  return reply;
 }
 
-Dispatcher::Reply Dispatcher::Done(const std::vector<std::string>& args) {
+Dispatcher::Reply Dispatcher::Done(const Fields& args) {
   const std::optional<uint64_t> parsed =
       args.size() == 2 ? ParseUint(args[1]) : std::nullopt;
   if (!parsed) {
@@ -166,7 +176,7 @@ Dispatcher::Reply Dispatcher::Done(const std::vector<std::string>& args) {
   const size_t backend = *parsed;
   if (backend >= num_backends_) {
     ++counters_.bad_requests;
-    return {"ERR BAD_BACKEND " + args[1] + " out of range (have " +
+    return {"ERR BAD_BACKEND " + std::string(args[1]) + " out of range (have " +
                 std::to_string(num_backends_) + ")",
             false, false};
   }
@@ -181,7 +191,7 @@ Dispatcher::Reply Dispatcher::Done(const std::vector<std::string>& args) {
   return {"OK DONE", false, false};
 }
 
-Dispatcher::Reply Dispatcher::Fault(const std::vector<std::string>& args) {
+Dispatcher::Reply Dispatcher::Fault(const Fields& args) {
   const bool is_degrade = args.size() >= 2 && args[1] == "DEGRADE";
   const size_t want_args = is_degrade ? 4u : 3u;
   const std::optional<uint64_t> parsed =
@@ -196,7 +206,7 @@ Dispatcher::Reply Dispatcher::Fault(const std::vector<std::string>& args) {
   const size_t backend = *parsed;
   if (backend >= num_backends_) {
     ++counters_.bad_requests;
-    return {"ERR BAD_BACKEND " + args[2] + " out of range (have " +
+    return {"ERR BAD_BACKEND " + std::string(args[2]) + " out of range (have " +
                 std::to_string(num_backends_) + ")",
             false, false};
   }
@@ -233,15 +243,19 @@ Dispatcher::Reply Dispatcher::Fault(const std::vector<std::string>& args) {
                 FormatMetric(*factor),
             false, false};
   }
-  // Recovery rejoins with an empty queue (the crash destroyed its work)
-  // and at full speed.
-  alive_[backend] = true;
-  pending_[backend] = 0;
-  degrade_[backend] = 1.0;
+  // Recovery rejoins a crashed backend with an empty queue (the crash
+  // destroyed its work) and at full speed. A live backend is left as it
+  // is, like the simulator's recover: its queued work and its straggler
+  // factor are still real, and DONEs for that work must still count.
+  if (!alive_[backend]) {
+    alive_[backend] = true;
+    pending_[backend] = 0;
+    degrade_[backend] = 1.0;
+  }
   return {"OK FAULT recovered " + std::to_string(backend), false, false};
 }
 
-Dispatcher::Reply Dispatcher::Reload(const std::vector<std::string>& args) {
+Dispatcher::Reply Dispatcher::Reload(const Fields& args) {
   if (args.size() > 2) {
     ++counters_.bad_requests;
     return {"ERR BAD_REQUEST usage: RELOAD [tag]", false, false};
@@ -250,7 +264,7 @@ Dispatcher::Reply Dispatcher::Reload(const std::vector<std::string>& args) {
     return {"ERR NO_PROVIDER this server has no reload provider installed",
             false, false};
   }
-  const std::string tag = args.size() == 2 ? args[1] : "";
+  const std::string_view tag = args.size() == 2 ? args[1] : "";
   // The provider runs under the routing lock: the poll loop is the only
   // traffic source, and it is the caller — a swap mid-request cannot
   // happen. Embedders registering slow providers accept the serving pause
@@ -361,12 +375,10 @@ std::string Dispatcher::MetricsText(double now_seconds) {
   const uint64_t routed = counters_.reads_routed + counters_.updates_routed;
   const double qps =
       now_seconds > 0.0 ? static_cast<double>(routed) / now_seconds : 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  // Shares SimStats' nearest-rank percentile machinery; on an idle server
-  // the accumulator is empty and the hardened path reports zeros.
-  latency_.Percentiles(&percentile_scratch_, &p50, &p95, &p99);
+  // On an idle server the histogram is empty and reports zeros.
+  const double p50 = latency_.Percentile(0.50);
+  const double p95 = latency_.Percentile(0.95);
+  const double p99 = latency_.Percentile(0.99);
   std::string out;
   out.reserve(512 + num_backends_ * 64);
   out += "qcap_uptime_seconds " + FormatMetric(now_seconds) + "\n";

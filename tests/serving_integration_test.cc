@@ -196,6 +196,31 @@ TEST_F(ServingTest, FaultCrashRecoverLifecycle) {
   EXPECT_NE(health.find("alive=3"), std::string::npos) << health;
 }
 
+// Recovering a backend that never crashed must not forget its queue: the
+// simulator's recover of a live backend is a no-op, and the server's must
+// be too, or the DONE for work still queued there reads as stale, the
+// done count undercounts and least-pending routing sees a busy backend as
+// idle.
+TEST_F(ServingTest, RecoverOfALiveBackendKeepsItsQueueAndDegrade) {
+  StartServer();
+  Client client = Connect();
+  // R3 = {A,B} is exclusively on backend 0.
+  EXPECT_EQ(Call(&client, "SUBMIT R3"), "OK BACKEND 0");
+  EXPECT_EQ(Call(&client, "FAULT DEGRADE 0 2"),
+            "OK FAULT degraded 0 factor 2");
+  EXPECT_EQ(Call(&client, "FAULT RECOVER 0"), "OK FAULT recovered 0");
+  const std::string stats = Call(&client, "STATS");
+  EXPECT_NE(stats.find(" pending=1,0,0,0"), std::string::npos) << stats;
+  const std::string metrics = Call(&client, "METRICS");
+  EXPECT_NE(metrics.find("qcap_backend_degrade{backend=\"0\"} 2\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(Call(&client, "DONE 0"), "OK DONE");
+  const std::string after = Call(&client, "STATS");
+  EXPECT_NE(after.find(" done=1"), std::string::npos) << after;
+  EXPECT_NE(after.find(" pending=0,0,0,0"), std::string::npos) << after;
+}
+
 TEST_F(ServingTest, AdmissionControlRejectsOverBudgetSubmits) {
   ServerOptions options;
   options.limits.rate_limit_qps = 0.5;  // refills ~nothing within the test
@@ -239,6 +264,30 @@ TEST_F(ServingTest, EveryDocumentedErrorResponse) {
             "ERR BAD_REQUEST degrade factor must be finite and > 0");
   const std::string stats = Call(&client, "STATS");
   EXPECT_NE(stats.find(" bad=12"), std::string::npos) << stats;
+}
+
+// Requests are split into at most five fields plus a true field count:
+// a request with more fields than its verb takes, however many, still
+// gets the verb's usage error, and any run of spaces or tabs separates.
+TEST_F(ServingTest, TooManyFieldsGetTheVerbsUsageError) {
+  StartServer();
+  Client client = Connect();
+  EXPECT_EQ(Call(&client, "SUBMIT R0 R1 R2 R3 R4 R5"),
+            "ERR BAD_REQUEST usage: SUBMIT R<i>|U<j>");
+  EXPECT_EQ(Call(&client, "DONE 0 1 2 3 4 5 6"),
+            "ERR BAD_REQUEST usage: DONE <backend>");
+  EXPECT_EQ(Call(&client, "FAULT DEGRADE 0 2 x"),
+            "ERR BAD_REQUEST usage: FAULT CRASH|RECOVER <backend> | "
+            "FAULT DEGRADE <backend> <factor>");
+  EXPECT_EQ(Call(&client, "FAULT CRASH 0 1 2 3 4 5"),
+            "ERR BAD_REQUEST usage: FAULT CRASH|RECOVER <backend> | "
+            "FAULT DEGRADE <backend> <factor>");
+  EXPECT_EQ(Call(&client, "RELOAD a b c d e f"),
+            "ERR BAD_REQUEST usage: RELOAD [tag]");
+  EXPECT_EQ(Call(&client, " \tSUBMIT \t R3\t "), "OK BACKEND 0");
+  EXPECT_EQ(Call(&client, "DONE\t0"), "OK DONE");
+  const std::string stats = Call(&client, "STATS");
+  EXPECT_NE(stats.find(" bad=5"), std::string::npos) << stats;
 }
 
 TEST_F(ServingTest, OversizedFrameGetsErrorThenDisconnect) {

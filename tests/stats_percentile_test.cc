@@ -1,14 +1,17 @@
 // Regression tests for the shared percentile machinery in
-// cluster/stats.h. The serving layer's METRICS endpoint reads these
-// helpers on an *idle* server (zero samples), which previously leaned on
-// every caller guarding emptiness themselves; the helpers are now total:
-// no sample-vector underflow, no NaN propagation into the double→size_t
-// cast, no division by a zero performance share.
+// common/stats.h and cluster/stats.h. The serving layer's METRICS endpoint
+// reads these helpers on an *idle* server (zero samples), which previously
+// leaned on every caller guarding emptiness themselves; the helpers are now
+// total: no sample-vector underflow, no NaN propagation into the
+// double→size_t cast, no division by a zero performance share. The
+// LatencyHistogram tests pin its 0.5% agreement with the exact accumulator.
 #include "cluster/stats.h"
+#include "common/random.h"
 #include "common/stats.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -90,6 +93,94 @@ TEST(ResponseAccumulatorTest, PercentilesMatchSingleCallsAfterReset) {
   EXPECT_DOUBLE_EQ(p50, 50.0);
   EXPECT_DOUBLE_EQ(p95, 95.0);
   EXPECT_DOUBLE_EQ(p99, 99.0);
+}
+
+TEST(LatencyHistogramTest, EmptyHistogramIsZeroEverywhere) {
+  LatencyHistogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.max(), 0.0);
+  for (double p : {0.0, 0.5, 0.95, 0.99, 1.0, -1.0, 2.0,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(h.Percentile(p), 0.0) << p;
+  }
+}
+
+TEST(LatencyHistogramTest, SingleSampleIsEveryPercentile) {
+  LatencyHistogram h;
+  h.Add(0.042);
+  for (double p : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0, -1.0, 2.0,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(h.Percentile(p), 0.042) << p;
+  }
+  EXPECT_EQ(h.max(), 0.042);
+  EXPECT_EQ(h.count(), 1u);
+}
+
+TEST(LatencyHistogramTest, OutOfRangeSamplesClampToTheEdgeBuckets) {
+  LatencyHistogram low;
+  // Below 100 ns, zero and negative all land in the first bucket.
+  for (double v : {1e-9, 5e-8, 0.0, -1.0}) low.Add(v);
+  low.Add(1e-3);
+  EXPECT_EQ(low.count(), 5u);
+  EXPECT_EQ(low.max(), 1e-3);
+  // Interpolated inside [100 ns, 100.5 ns], then clamped to the samples.
+  EXPECT_LE(low.Percentile(0.5), 1.006e-7);
+  EXPECT_GE(low.Percentile(0.5), 0.0);
+
+  LatencyHistogram high;
+  high.Add(1e-3);
+  for (double v : {500.0, 1e6, std::numeric_limits<double>::infinity()}) {
+    high.Add(v);
+  }
+  EXPECT_EQ(high.count(), 4u);
+  EXPECT_EQ(high.max(), std::numeric_limits<double>::infinity());
+  // Above 100 s everything shares the last bucket, about 100 s.
+  const double p75 = high.Percentile(0.75);
+  EXPECT_GE(p75, 99.0);
+  EXPECT_LE(p75, 101.0);
+  // NaN p still selects the exact maximum.
+  EXPECT_EQ(high.Percentile(std::numeric_limits<double>::quiet_NaN()),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(LatencyHistogramTest, MaxAndCountAreExactAndBoundEveryPercentile) {
+  LatencyHistogram h;
+  Rng rng(7);
+  double max = 0.0;
+  for (int i = 0; i < 10000; ++i) {
+    const double v = rng.NextDouble(1e-6, 3e-3);
+    max = std::max(max, v);
+    h.Add(v);
+  }
+  EXPECT_EQ(h.count(), 10000u);
+  EXPECT_EQ(h.max(), max);
+  double previous = 0.0;
+  for (double p = 0.0; p <= 1.0; p += 0.01) {
+    const double v = h.Percentile(p);
+    EXPECT_LE(v, max) << p;
+    EXPECT_GE(v, previous) << p;  // monotone in p
+    previous = v;
+  }
+  EXPECT_EQ(h.Percentile(1.0), max);
+  EXPECT_EQ(h.Percentile(2.0), max);
+}
+
+TEST(LatencyHistogramTest, MatchesExactNearestRankWithinHalfAPercent) {
+  LatencyHistogram h;
+  ResponseAccumulator exact;
+  Rng rng(20170514);
+  for (int i = 0; i < 100000; ++i) {
+    // Log-normal around 20 us, the shape of routing latencies.
+    const double v = 20e-6 * std::exp(rng.NextGaussian(0.0, 0.8));
+    h.Add(v);
+    exact.Add(v);
+  }
+  ASSERT_EQ(h.count(), exact.count());
+  EXPECT_EQ(h.max(), exact.max());
+  for (double p : {0.50, 0.95, 0.99}) {
+    const double want = exact.Percentile(p);
+    EXPECT_NEAR(h.Percentile(p), want, 0.005 * want) << p;
+  }
 }
 
 TEST(SimStatsTest, BusyBalanceDeviationGuardsZeroLoadShares) {
