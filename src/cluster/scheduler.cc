@@ -23,7 +23,7 @@ Result<Scheduler> Scheduler::Build(const Classification& cls,
   }
   for (size_t u = 0; u < cls.updates.size(); ++u) {
     for (size_t b = 0; b < alloc.num_backends(); ++b) {
-      if (Intersects(cls.updates[u].fragments, alloc.BackendFragments(b))) {
+      if (alloc.HoldsAny(b, cls.updates[u].fragments)) {
         sched.update_targets_[u].push_back(b);
       }
     }

@@ -12,6 +12,7 @@
 
 #include "cluster/server_calendar.h"
 #include "common/thread_pool.h"
+#include "model/validation.h"
 
 namespace qcap {
 
@@ -200,6 +201,7 @@ Result<ClusterSimulator> ClusterSimulator::Create(
     const Classification& cls, const Allocation& alloc,
     const std::vector<BackendSpec>& backends, const SimulationConfig& config) {
   QCAP_RETURN_NOT_OK(ValidateBackends(backends));
+  QCAP_RETURN_NOT_OK(ValidateAllocationShape(cls, alloc, backends.size()));
   QCAP_ASSIGN_OR_RETURN(Scheduler scheduler, Scheduler::Build(cls, alloc));
   return ClusterSimulator(cls, alloc, backends, config, std::move(scheduler));
 }
@@ -218,22 +220,18 @@ ClusterSimulator::ClusterSimulator(const Classification& cls,
       config_(config),
       scheduler_(std::move(scheduler)) {
   engine::CostModel model(config_.cost_params);
-  service_ = model.ServiceMatrix(cls_, alloc_, backends_);
+  service_flat_ = model.ServiceMatrix(cls_, alloc_, backends_);
   if (config_.rowa_fanout_overhead > 0.0) {
+    const size_t n = backends_.size();
     for (size_t u = 0; u < cls_.updates.size(); ++u) {
       const size_t fanout = scheduler_.UpdateTargets(u).size();
       if (fanout > 1) {
         const double factor = 1.0 + config_.rowa_fanout_overhead *
                                         static_cast<double>(fanout - 1);
-        for (double& service : service_[cls_.reads.size() + u]) {
-          service *= factor;
-        }
+        double* row = service_flat_.data() + (cls_.reads.size() + u) * n;
+        for (size_t b = 0; b < n; ++b) row[b] *= factor;
       }
     }
-  }
-  service_flat_.reserve(service_.size() * backends_.size());
-  for (const auto& row : service_) {
-    service_flat_.insert(service_flat_.end(), row.begin(), row.end());
   }
   // Execution frequency of a class is its weight divided by the mean cost
   // of one execution (weight = frequency x cost share).

@@ -204,10 +204,10 @@ class ClusterSimulator {
   std::vector<BackendSpec> backends_;
   SimulationConfig config_;
   Scheduler scheduler_;
-  /// service_[class][backend], reads first then updates.
-  std::vector<std::vector<double>> service_;
-  /// Row-major copy of service_ (stride = num backends): one indexed load
-  /// per lookup on the dispatch fast path.
+  /// Service seconds per (class, backend), row-major (stride = num
+  /// backends, reads first then updates), update rows scaled by the ROWA
+  /// fan-out overhead: one indexed load per lookup on the dispatch fast
+  /// path.
   std::vector<double> service_flat_;
   /// Sampling frequencies per class (reads first then updates).
   std::vector<double> frequency_;

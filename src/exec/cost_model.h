@@ -3,7 +3,7 @@
 // Service time of one execution of a query class on a backend:
 //
 //   t = mean_cost(C) * (io_fraction * scan_scale(C) * cache_penalty(B)
-//                       + (1 - io_fraction)) / speed(B)
+//                       + (1 - io_fraction)) * overhead(C) / speed(B)
 //
 // where
 //   - mean_cost(C): measured per-execution cost from the journal (seconds);
@@ -11,10 +11,20 @@
 //     granularity relative to touching its tables in full — this is what
 //     makes column-granular allocations faster (vertical partitioning
 //     improves transfer from disk, Section 4.1);
+//   - overhead(C): a small slowdown for column-granular classes, which
+//     stitch vertical fragments back together;
 //   - cache_penalty(B): grows as the backend's resident data exceeds its
 //     memory — this is what makes specialized backends super-linear
 //     ("less data is stored on the nodes and the caching improves");
 //   - speed(B): the backend's relative processing power (heterogeneity).
+//
+// scan_scale and overhead are per-class factors, cache_penalty and speed
+// per-backend factors; a cell only combines them. ServiceMatrix computes
+// each factor once: O(F) to give every fragment a dense table id,
+// O(|C|) per class for its factors (the full-table bytes are memoised per
+// referenced-table set), O(Σ|C|) per backend for its working set, then
+// O(1) per cell — O(F + Σ|C| · (1 + backends) + classes × backends) in
+// all, plus one O(F) catalog pass per distinct referenced-table set.
 #pragma once
 
 #include <vector>
@@ -49,29 +59,27 @@ class CostModel {
   double ServiceSeconds(const Classification& cls, const QueryClass& c,
                         double resident_bytes, double speed) const;
 
-  /// Precomputes the service time of every (class, backend) pair:
-  /// result[class][backend], read classes first, then update classes.
+  /// Precomputes the service time of every (class, backend) pair, row-major
+  /// with stride backends.size(): cell (class, b) is at
+  /// class * backends.size() + b, read classes first, then update classes.
+  /// \p alloc must have backends.size() backends and one placement bit per
+  /// catalog fragment.
   ///
   /// The cache penalty is driven by each backend's *working set* — the
-  /// union of fragments of the classes the allocation assigns to it — not
-  /// its raw stored bytes: a fully replicated backend serves every class
-  /// (working set = whole database), while a specialized backend touches
-  /// only its classes' data, which is the caching advantage the paper
-  /// observes for partial replication.
-  std::vector<std::vector<double>> ServiceMatrix(
+  /// union of fragments of the classes it is eligible for (reads whose
+  /// fragments it holds, updates overlapping its data), inflated by 10%
+  /// per additional class for buffer-pool mixing — not its raw stored
+  /// bytes: a fully replicated backend serves every class (working set =
+  /// whole database), while a specialized backend touches only its
+  /// classes' data, which is the caching advantage the paper observes for
+  /// partial replication.
+  std::vector<double> ServiceMatrix(
       const Classification& cls, const Allocation& alloc,
       const std::vector<BackendSpec>& backends) const;
-
-  /// Bytes of the union of fragments of all classes assigned to backend
-  /// \p b (reads with positive assignment plus pinned update classes).
-  static double WorkingSetBytes(const Classification& cls,
-                                const Allocation& alloc, size_t b);
 
   const CostModelParams& params() const { return params_; }
 
  private:
-  double ScanScale(const Classification& cls, const QueryClass& c) const;
-
   CostModelParams params_;
 };
 

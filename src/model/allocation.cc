@@ -148,6 +148,13 @@ bool Allocation::HoldsAll(size_t b, const FragmentSet& set) const {
   return true;
 }
 
+bool Allocation::HoldsAny(size_t b, const FragmentSet& set) const {
+  for (FragmentId f : set) {
+    if (IsPlaced(b, f)) return true;
+  }
+  return false;
+}
+
 bool Allocation::HoldsAllBits(size_t b, ConstBitSpan set) const {
   assert(set.num_bits() == num_fragments_);
   return !simd::AnyAndNot(set.words(), row(b), words_per_backend_);

@@ -78,6 +78,8 @@ class Allocation {
   }
   /// True iff all fragments of \p set are on backend \p b.
   bool HoldsAll(size_t b, const FragmentSet& set) const;
+  /// True iff any fragment of \p set is on backend \p b.
+  bool HoldsAny(size_t b, const FragmentSet& set) const;
   /// True iff all fragments of \p set are on backend \p b (word-parallel).
   bool HoldsAllBits(size_t b, ConstBitSpan set) const;
   /// True iff backend \p b stores any fragment of \p set (word-parallel).

@@ -11,22 +11,27 @@ constexpr double kEpsilon = 1e-6;
 
 }  // namespace
 
+Status ValidateAllocationShape(const Classification& cls,
+                               const Allocation& alloc, size_t num_backends) {
+  const auto check = [](const char* what, size_t got, size_t want) {
+    if (got == want) return Status::OK();
+    return Status::InvalidArgument("allocation has " + std::to_string(got) +
+                                   " " + what + ", expected " +
+                                   std::to_string(want));
+  };
+  QCAP_RETURN_NOT_OK(check("backends", alloc.num_backends(), num_backends));
+  QCAP_RETURN_NOT_OK(
+      check("fragments", alloc.num_fragments(), cls.catalog.size()));
+  QCAP_RETURN_NOT_OK(
+      check("read classes", alloc.num_reads(), cls.reads.size()));
+  return check("update classes", alloc.num_updates(), cls.updates.size());
+}
+
 Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
                           const std::vector<BackendSpec>& backends,
                           const ValidationOptions& options) {
   QCAP_RETURN_NOT_OK(ValidateBackends(backends));
-  if (alloc.num_backends() != backends.size()) {
-    return Status::InvalidArgument("allocation has " +
-                                   std::to_string(alloc.num_backends()) +
-                                   " backends, specs have " +
-                                   std::to_string(backends.size()));
-  }
-  if (alloc.num_fragments() != cls.catalog.size() ||
-      alloc.num_reads() != cls.reads.size() ||
-      alloc.num_updates() != cls.updates.size()) {
-    return Status::InvalidArgument(
-        "allocation dimensions do not match classification");
-  }
+  QCAP_RETURN_NOT_OK(ValidateAllocationShape(cls, alloc, backends.size()));
 
 
   // Eq. 8 + Eq. 9: read classes fully assigned, only to backends holding
@@ -140,12 +145,7 @@ Status CheckKSafety(const Classification& cls, const Allocation& alloc,
   if (k < 0) {
     return Status::InvalidArgument("k must be >= 0");
   }
-  if (alloc.num_fragments() != cls.catalog.size() ||
-      alloc.num_reads() != cls.reads.size() ||
-      alloc.num_updates() != cls.updates.size()) {
-    return Status::InvalidArgument(
-        "allocation dimensions do not match classification");
-  }
+  QCAP_RETURN_NOT_OK(ValidateAllocationShape(cls, alloc, alive.size()));
   const size_t required = static_cast<size_t>(k) + 1;
 
   for (const QueryClass& c : cls.reads) {

@@ -21,6 +21,13 @@ struct ValidationOptions {
   int k_safety = 0;
 };
 
+/// \brief Checks that \p alloc's dimensions match its inputs: one row per
+/// backend (\p num_backends), one placement bit per catalog fragment, and
+/// one assignment column per read and per update class of \p cls. The
+/// error names the first dimension that differs.
+Status ValidateAllocationShape(const Classification& cls,
+                               const Allocation& alloc, size_t num_backends);
+
 /// \brief Checks that \p alloc is a valid allocation of \p cls onto
 /// \p backends:
 ///  - dimensions match;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc/greedy.h"
 #include "test_util.h"
 #include "workload/classifier.h"
+#include "workloads/synthetic_scale.h"
+#include "workloads/tpcapp.h"
 #include "workloads/tpch.h"
 
 namespace qcap {
@@ -106,11 +109,145 @@ TEST(CostModelTest, ServiceMatrixShape) {
   for (size_t b = 0; b < 3; ++b) a.PlaceSet(b, {0, 1, 2});
   engine::CostModel model;
   const auto matrix = model.ServiceMatrix(cls, a, backends);
-  ASSERT_EQ(matrix.size(), 7u);
-  for (const auto& row : matrix) {
-    ASSERT_EQ(row.size(), 3u);
-    for (double v : row) EXPECT_GT(v, 0.0);
+  ASSERT_EQ(matrix.size(), 7u * 3u);  // 7 classes x 3 backends, row-major
+  for (double v : matrix) EXPECT_GT(v, 0.0);
+}
+
+/// Backend \p b's resident bytes as the matrix defines them, computed
+/// independently: the SetUnion of the fragments of every class the backend
+/// is eligible for, times 1 + 0.1 per class beyond the first.
+double ReferenceResident(const Classification& cls, const Allocation& alloc,
+                         size_t b) {
+  const FragmentSet held = alloc.BackendFragments(b);
+  FragmentSet working;
+  size_t served = 0;
+  for (const QueryClass& r : cls.reads) {
+    if (IsSubset(r.fragments, held)) {
+      working = SetUnion(working, r.fragments);
+      ++served;
+    }
   }
+  for (const QueryClass& u : cls.updates) {
+    if (Intersects(u.fragments, held)) {
+      working = SetUnion(working, u.fragments);
+      ++served;
+    }
+  }
+  const double mixing =
+      served > 1 ? 1.0 + 0.10 * static_cast<double>(served - 1) : 1.0;
+  return cls.catalog.SetBytes(working) * mixing;
+}
+
+/// FNV-1a over the bits of every cell.
+uint64_t MatrixDigest(const std::vector<double>& matrix) {
+  uint64_t h = 1469598103934665603ULL;
+  for (double v : matrix) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&v);
+    for (size_t i = 0; i < sizeof(v); ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+/// Four heterogeneous backends.
+std::vector<BackendSpec> FourBackends() {
+  auto backends = HeterogeneousBackends({0.4, 0.3, 0.2, 0.1});
+  EXPECT_TRUE(backends.ok());
+  return backends.ok() ? backends.value() : HomogeneousBackends(4);
+}
+
+/// \p alloc's layout of \p cls on FourBackends(), with memory a fifth of
+/// the database so the cache penalty fires on some backends. Every matrix
+/// cell must equal (exactly) the single-cell ServiceSeconds of the same
+/// class and backend, and the matrix must hash to the pinned \p digest, so
+/// the matrix and the single-cell reference, which share their per-class
+/// factors, cannot drift together.
+void ExpectMatrixMatchesCells(const Classification& cls,
+                              const Allocation& alloc, uint64_t digest) {
+  const std::vector<BackendSpec> backends = FourBackends();
+  const size_t n = backends.size();
+  engine::CostModelParams params;
+  params.memory_bytes = cls.catalog.TotalBytes() / 5.0;
+  const engine::CostModel model(params);
+  const std::vector<double> matrix = model.ServiceMatrix(cls, alloc, backends);
+  ASSERT_EQ(matrix.size(), cls.NumClasses() * n);
+  size_t spilling = 0;
+  for (size_t b = 0; b < n; ++b) {
+    const double resident = ReferenceResident(cls, alloc, b);
+    if (resident > params.memory_bytes) ++spilling;
+    const double speed = backends[b].relative_load * static_cast<double>(n);
+    for (size_t i = 0; i < cls.NumClasses(); ++i) {
+      const QueryClass& c = i < cls.reads.size()
+                                ? cls.reads[i]
+                                : cls.updates[i - cls.reads.size()];
+      EXPECT_EQ(matrix[i * n + b],
+                model.ServiceSeconds(cls, c, resident, speed))
+          << "class " << c.label << ", backend " << b;
+    }
+  }
+  EXPECT_GT(spilling, 0u) << "the cache-penalty branch never fired";
+  EXPECT_EQ(MatrixDigest(matrix), digest);
+}
+
+/// Greedy layout of \p cls on FourBackends(), checked as above.
+void ExpectGreedyMatrixMatchesCells(const Classification& cls,
+                                    uint64_t digest) {
+  auto alloc = GreedyAllocator().Allocate(cls, FourBackends());
+  ASSERT_TRUE(alloc.ok()) << alloc.status().ToString();
+  ExpectMatrixMatchesCells(cls, alloc.value(), digest);
+}
+
+Classification Classify(const engine::Catalog& catalog,
+                        const QueryJournal& journal, Granularity g) {
+  Classifier classifier(catalog, {g, 4, true});
+  auto cls = classifier.Classify(journal);
+  EXPECT_TRUE(cls.ok()) << cls.status().ToString();
+  return cls.ok() ? std::move(cls).value() : Classification{};
+}
+
+Classification Synthetic1000() {
+  workloads::ScaleOptions so;
+  so.num_fragments = 1000;
+  so.num_read_classes = 2500;
+  so.num_update_classes = 100;
+  so.zipf_exponent = 0.6;
+  so.seed = 7;
+  return workloads::MakeScaleClassification(so);
+}
+
+TEST(CostModelTest, MatrixMatchesCellsTpchColumns) {
+  ExpectGreedyMatrixMatchesCells(
+      Classify(workloads::TpchCatalog(1.0), workloads::TpchJournal(),
+               Granularity::kColumn),
+      0xfd3b53000d13b7bfULL);
+}
+
+TEST(CostModelTest, MatrixMatchesCellsTpcAppTables) {
+  ExpectGreedyMatrixMatchesCells(
+      Classify(workloads::TpcAppCatalog(), workloads::TpcAppJournal(20000),
+               Granularity::kTable),
+      0xf71f35940e9c6d41ULL);
+}
+
+TEST(CostModelTest, MatrixMatchesCellsSynthetic) {
+  ExpectGreedyMatrixMatchesCells(Synthetic1000(), 0xedebadf1f8158b85ULL);
+}
+
+// The allocators co-place every update class whole. A striped layout also
+// leaves backends holding only part of an update class, which must still
+// count toward their working set, and part of a read class, which must
+// not.
+TEST(CostModelTest, MatrixMatchesCellsSyntheticStriped) {
+  const Classification cls = Synthetic1000();
+  Allocation alloc(4, cls.catalog.size(), cls.reads.size(),
+                   cls.updates.size());
+  for (size_t b = 0; b < 4; ++b) {
+    for (FragmentId f = 0; f < cls.catalog.size(); ++f) {
+      if ((f / (b + 1)) % 2 == 0) alloc.Place(b, f);
+    }
+  }
+  ExpectMatrixMatchesCells(cls, alloc, 0xdaae6f3fe151ec41ULL);
 }
 
 TEST(CostModelTest, MeanCostScalesServiceTime) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "alloc/full_replication.h"
 #include "alloc/greedy.h"
@@ -191,6 +192,43 @@ TEST(SimulatorTest, RejectsBadRunArguments) {
   EXPECT_FALSE(sim->RunOpen(10.0, inf).ok());
   EXPECT_FALSE(sim->RunOpen(nan, 10.0).ok());
   EXPECT_FALSE(sim->RunOpen(inf, 10.0).ok());
+}
+
+/// Create on the Appendix A classes (3 fragments, 4 reads, 3 updates) and
+/// two backends, with an allocation of the given shape holding every
+/// fragment it has on every backend it has. Any mismatch must fail with
+/// InvalidArgument naming \p dimension, not index past the allocation's
+/// placement rows or the service matrix.
+void ExpectShapeRejected(size_t backends, size_t fragments, size_t reads,
+                         size_t updates, const std::string& dimension) {
+  const Classification cls = testutil::AppendixAClassification();
+  Allocation a(backends, fragments, reads, updates);
+  for (size_t b = 0; b < backends; ++b) {
+    for (FragmentId f = 0; f < fragments; ++f) a.Place(b, f);
+  }
+  auto sim =
+      ClusterSimulator::Create(cls, a, HomogeneousBackends(2), LightConfig());
+  ASSERT_FALSE(sim.ok()) << "accepted a " << dimension << " mismatch";
+  EXPECT_TRUE(sim.status().IsInvalidArgument()) << sim.status().ToString();
+  EXPECT_NE(sim.status().ToString().find(dimension), std::string::npos)
+      << sim.status().ToString();
+}
+
+TEST(SimulatorTest, RejectsAllocationBackendMismatch) {
+  ExpectShapeRejected(3, 3, 4, 3, "backends");
+  ExpectShapeRejected(1, 3, 4, 3, "backends");
+}
+
+TEST(SimulatorTest, RejectsAllocationFragmentMismatch) {
+  ExpectShapeRejected(2, 4, 4, 3, "fragments");
+}
+
+TEST(SimulatorTest, RejectsAllocationReadMismatch) {
+  ExpectShapeRejected(2, 3, 5, 3, "read classes");
+}
+
+TEST(SimulatorTest, RejectsAllocationUpdateMismatch) {
+  ExpectShapeRejected(2, 3, 4, 2, "update classes");
 }
 
 TEST(SimulatorTest, RejectedDispatchDoesNotAdvanceTieRotation) {
