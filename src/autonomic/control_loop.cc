@@ -502,6 +502,12 @@ Result<AdaptiveStep> AdaptiveController::Step(
   if (!std::isfinite(demand.offered_qps) || demand.offered_qps < 0.0) {
     return Status::InvalidArgument("offered_qps must be finite and >= 0");
   }
+  for (double scale : demand.class_weight_scale) {
+    if (!std::isfinite(scale) || scale < 0.0) {
+      return Status::InvalidArgument(
+          "class_weight_scale entries must be finite and >= 0");
+    }
+  }
   const double bucket_begin = demand.tod_seconds;
   const double bucket_end = bucket_begin + options_.bucket_seconds;
   const double epsilon = 1e-9 * options_.bucket_seconds;

@@ -203,7 +203,28 @@ Result<ClusterSimulator> ClusterSimulator::Create(
   QCAP_RETURN_NOT_OK(ValidateBackends(backends));
   QCAP_RETURN_NOT_OK(ValidateAllocationShape(cls, alloc, backends.size()));
   QCAP_ASSIGN_OR_RETURN(Scheduler scheduler, Scheduler::Build(cls, alloc));
-  return ClusterSimulator(cls, alloc, backends, config, std::move(scheduler));
+  // Execution frequency of a class is its weight divided by the mean cost
+  // of one execution (weight = frequency x cost share); reads first, then
+  // updates, as class indices run. The sampler keeps this vector and
+  // stores its prefix sums behind the frequencies, so reserve room for both.
+  std::vector<double> frequency;
+  frequency.reserve(2 * cls.NumClasses());
+  for (const auto& c : cls.reads) {
+    frequency.push_back(c.weight / std::max(c.mean_cost, 1e-12));
+  }
+  for (const auto& c : cls.updates) {
+    frequency.push_back(c.weight / std::max(c.mean_cost, 1e-12));
+  }
+  const auto name = [&cls](size_t i) {
+    const QueryClass& c = i < cls.reads.size()
+                              ? cls.reads[i]
+                              : cls.updates[i - cls.reads.size()];
+    return "class '" + c.label + "' execution frequency";
+  };
+  QCAP_ASSIGN_OR_RETURN(DiscreteSampler class_sampler,
+                        DiscreteSampler::Create(std::move(frequency), name));
+  return ClusterSimulator(cls, alloc, backends, config, std::move(scheduler),
+                          std::move(class_sampler));
 }
 
 ClusterSimulator::ClusterSimulator(ClusterSimulator&&) noexcept = default;
@@ -213,12 +234,14 @@ ClusterSimulator::ClusterSimulator(const Classification& cls,
                                    const Allocation& alloc,
                                    const std::vector<BackendSpec>& backends,
                                    const SimulationConfig& config,
-                                   Scheduler scheduler)
+                                   Scheduler scheduler,
+                                   DiscreteSampler class_sampler)
     : cls_(cls),
       alloc_(alloc),
       backends_(backends),
       config_(config),
-      scheduler_(std::move(scheduler)) {
+      scheduler_(std::move(scheduler)),
+      class_sampler_(std::move(class_sampler)) {
   engine::CostModel model(config_.cost_params);
   service_flat_ = model.ServiceMatrix(cls_, alloc_, backends_);
   if (config_.rowa_fanout_overhead > 0.0) {
@@ -233,38 +256,11 @@ ClusterSimulator::ClusterSimulator(const Classification& cls,
       }
     }
   }
-  // Execution frequency of a class is its weight divided by the mean cost
-  // of one execution (weight = frequency x cost share).
-  frequency_.reserve(cls_.NumClasses());
-  for (const auto& c : cls_.reads) {
-    frequency_.push_back(c.weight / std::max(c.mean_cost, 1e-12));
-  }
-  for (const auto& c : cls_.updates) {
-    frequency_.push_back(c.weight / std::max(c.mean_cost, 1e-12));
-  }
-  // Left-to-right, matching Rng::NextDiscrete's per-call summation so the
-  // hoisted total is bit-identical to what it would compute.
-  for (double w : frequency_) frequency_total_ += w;
   // The fault schedule is per-config: validate and sort it once here
   // instead of on every run.
   fault_status_ = config_.fault_plan.Validate(backends_.size());
   if (fault_status_.ok()) faults_ = config_.fault_plan.Sorted();
 }
-
-// qcap-lint: hot-path begin
-size_t ClusterSimulator::SampleClass(Rng* rng) const {
-  // Same subtractive scan (and therefore the same float arithmetic and
-  // result) as Rng::NextDiscrete, with the weight total hoisted to
-  // construction instead of re-summed per draw.
-  double x = rng->NextDouble() * frequency_total_;
-  const size_t n = frequency_.size();
-  for (size_t i = 0; i < n; ++i) {
-    x -= frequency_[i];
-    if (x < 0.0) return i;
-  }
-  return n - 1;  // Floating-point tail: return last index.
-}
-// qcap-lint: hot-path end
 
 // qcap-lint: hot-path begin
 ClusterSimulator::DispatchOutcome ClusterSimulator::Dispatch(
@@ -611,7 +607,7 @@ void ClusterSimulator::DrainEvents(RunState* state, Rng* rng,
         switch (ev.kind) {
           case SimEvent::Kind::kArrival: {
             const uint64_t id = state->AllocRequest();
-            if (Dispatch(state, id, SampleClass(rng), now) ==
+            if (Dispatch(state, id, class_sampler_.Sample(rng), now) ==
                 DispatchOutcome::kRejected) {
               issue_next(now);
             }
@@ -714,7 +710,7 @@ Status ClusterSimulator::RunClosedInto(RunState* state, uint64_t seed,
     while (issued < num_requests) {
       ++issued;
       const uint64_t id = state->AllocRequest();
-      if (Dispatch(state, id, SampleClass(&rng), now) ==
+      if (Dispatch(state, id, class_sampler_.Sample(&rng), now) ==
           DispatchOutcome::kDispatched) {
         break;
       }

@@ -107,7 +107,9 @@ struct SweepOptions {
 /// \brief Event-driven cluster simulator over a fixed allocation.
 class ClusterSimulator {
  public:
-  /// Builds a simulator; fails if the allocation leaves a class unservable.
+  /// Builds a simulator; fails if the allocation leaves a class unservable
+  /// or the class mix cannot be sampled (no classes, a NaN, infinite or
+  /// negative execution frequency, or a zero total).
   static Result<ClusterSimulator> Create(const Classification& cls,
                                          const Allocation& alloc,
                                          const std::vector<BackendSpec>& backends,
@@ -156,13 +158,12 @@ class ClusterSimulator {
  private:
   ClusterSimulator(const Classification& cls, const Allocation& alloc,
                    const std::vector<BackendSpec>& backends,
-                   const SimulationConfig& config, Scheduler scheduler);
+                   const SimulationConfig& config, Scheduler scheduler,
+                   DiscreteSampler class_sampler);
 
   struct RunState;
   enum class DispatchOutcome { kDispatched, kRejected };
 
-  /// Samples a class index in [0, reads+updates) by execution frequency.
-  size_t SampleClass(Rng* rng) const;
   DispatchOutcome Dispatch(RunState* state, uint64_t request_id,
                            size_t class_index, double now) const;
   void StartReady(RunState* state, size_t backend, double now) const;
@@ -209,10 +210,8 @@ class ClusterSimulator {
   /// fan-out overhead: one indexed load per lookup on the dispatch fast
   /// path.
   std::vector<double> service_flat_;
-  /// Sampling frequencies per class (reads first then updates).
-  std::vector<double> frequency_;
-  /// Sum of frequency_, hoisted for the per-request class draw.
-  double frequency_total_ = 0.0;
+  /// Draws a class index in [0, reads+updates) by execution frequency.
+  DiscreteSampler class_sampler_;
   /// fault_plan, validated and sorted once at construction (the schedule
   /// is per-config, not per-run).
   std::vector<FaultEvent> faults_;

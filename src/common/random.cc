@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace qcap {
 
@@ -65,20 +66,48 @@ bool Rng::NextBernoulli(double p) {
   return NextDouble() < p;
 }
 
-size_t Rng::NextDiscrete(const std::vector<double>& weights) {
-  assert(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    assert(w >= 0.0);
-    total += w;
+Result<DiscreteSampler> DiscreteSampler::Create(
+    std::vector<double> weights,
+    const std::function<std::string(size_t)>& name) {
+  const auto label = [&](size_t i) {
+    return name ? name(i) : "weight " + std::to_string(i);
+  };
+  const size_t k = weights.size();
+  if (k == 0) {
+    return Status::InvalidArgument("discrete distribution has no outcomes");
   }
-  assert(total > 0.0);
-  double x = NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
+  weights.resize(2 * k);
+  double total = 0.0;
+  for (size_t i = 0; i < k; ++i) {
+    if (!std::isfinite(weights[i])) {
+      return Status::InvalidArgument(label(i) + " is not finite");
+    }
+    if (weights[i] < 0.0) {
+      return Status::InvalidArgument(label(i) + " is negative");
+    }
+    total += weights[i];
+    weights[k + i] = total;
+  }
+  if (std::isinf(total)) {
+    return Status::InvalidArgument("weights overflow when summed");
+  }
+  if (total == 0.0) return Status::InvalidArgument("weights sum to zero");
+  // The scan's running value and the prefix sums each drift at most
+  // K·ε/2·total from the exact sums; a margin four times their sum keeps
+  // every fast-path answer certain.
+  const double margin = 4.0 * static_cast<double>(k + 2) *
+                        std::numeric_limits<double>::epsilon() * total;
+  return DiscreteSampler(std::move(weights), margin);
+}
+
+// qcap-lint: hot-path begin
+size_t DiscreteSampler::Scan(double x) const {
+  for (size_t i = 0; i < k_; ++i) {
+    x -= table_[i];
     if (x < 0.0) return i;
   }
-  return weights.size() - 1;  // Floating-point tail: return last index.
+  return k_ - 1;  // Floating-point tail: return last index.
 }
+// qcap-lint: hot-path end
 
 }  // namespace qcap

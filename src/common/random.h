@@ -7,8 +7,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "common/status.h"
 
 namespace qcap {
 
@@ -54,10 +58,6 @@ class Rng {
   /// True with probability \p p (clamped to [0,1]).
   bool NextBernoulli(double p);
 
-  /// Samples an index from a discrete distribution given by \p weights.
-  /// Weights need not be normalized; all must be >= 0 and sum > 0.
-  size_t NextDiscrete(const std::vector<double>& weights);
-
   /// Fisher-Yates shuffle of [first, last) index permutation helper.
   template <typename It>
   void Shuffle(It first, It last) {
@@ -74,6 +74,78 @@ class Rng {
   uint64_t s_[4];
   bool have_gauss_ = false;
   double gauss_cache_ = 0.0;
+};
+
+/// \brief Draws indices from a fixed discrete distribution in O(log K).
+///
+/// Every draw returns exactly the index of the reference subtractive scan
+/// (`x = NextDouble() * total; x -= w[i]` until `x < 0`, else the last
+/// index), with `total` summed left to right, so swapping the scan for the
+/// sampler changes no draw. A draw binary-searches the left-to-right prefix
+/// sums P for `x` and returns the first j with `P[j] > x` when both P[j] and
+/// P[j-1] lie more than a rounding margin from `x`: the scan's running
+/// value and P each stay within (j+1)·ε/2·total of the exact sums, so the
+/// scan stops at j too. Anything closer (boundary hits, the floating-point
+/// tail) falls back to the scan itself, about once per 10^8 draws at K in
+/// the thousands.
+class DiscreteSampler {
+ public:
+  /// Builds a sampler over \p weights (need not be normalized). Fails with
+  /// InvalidArgument when there are no weights, a weight is NaN, infinite
+  /// or negative, or the total is zero or overflows. \p name labels index
+  /// i in the message (default "weight i"). The prefix sums are stored
+  /// after the weights in the same vector, so a \p weights with capacity
+  /// for 2·K values is kept without a reallocation.
+  static Result<DiscreteSampler> Create(
+      std::vector<double> weights,
+      const std::function<std::string(size_t)>& name = nullptr);
+
+  // qcap-lint: hot-path begin
+  /// Draws one index in [0, K) using one NextDouble() of \p rng.
+  size_t Sample(Rng* rng) const { return SampleAt(rng->NextDouble()); }
+
+  /// The index drawn for the uniform variate \p u in [0, 1).
+  size_t SampleAt(double u) const {
+    const double x = u * total_;
+    const double* prefix = table_.data() + k_;
+    // Branch-free upper bound (the first j with prefix[j] > x, or K):
+    // halve [lo, lo + len] down to at most 8 candidates, then count the
+    // ones <= x. Trip counts depend on K alone and each step is a
+    // conditional move or an add, so a random x mispredicts nothing; the
+    // final count's compares are independent, which keeps the latency at
+    // small K below the scan's.
+    size_t lo = 0, len = k_;
+    while (len > 8) {
+      const size_t half = len / 2;
+      lo += prefix[lo + half - 1] <= x ? half : 0;
+      len -= half;
+    }
+    size_t j = lo;
+    for (size_t i = 0; i < len; ++i) j += prefix[lo + i] <= x ? 1 : 0;
+    if (j < k_ && prefix[j] - x > margin_ &&
+        (j == 0 || x - prefix[j - 1] > margin_)) {
+      return j;
+    }
+    return Scan(x);
+  }
+  // qcap-lint: hot-path end
+
+ private:
+  DiscreteSampler(std::vector<double> table, double margin)
+      : k_(table.size() / 2),
+        table_(std::move(table)),
+        total_(table_.back()),
+        margin_(margin) {}
+
+  /// The reference subtractive scan for one already-scaled \p x.
+  size_t Scan(double x) const;
+
+  size_t k_;
+  /// table_[i] = w[i] and table_[K + i] = w[0] + ... + w[i], summed left
+  /// to right; back() is the scan's total bit for bit.
+  std::vector<double> table_;
+  double total_;
+  double margin_;
 };
 
 }  // namespace qcap

@@ -43,9 +43,15 @@ Status Classification::Validate() const {
       return Status::InvalidArgument("class '" + c.label +
                                      "' references no fragments");
     }
-    if (c.weight < 0.0 || c.weight > 1.0 + 1e-9) {
+    // Negated so a NaN weight fails too.
+    if (!(c.weight >= 0.0 && c.weight <= 1.0 + 1e-9)) {
       return Status::InvalidArgument("class '" + c.label +
                                      "' has weight outside [0,1]");
+    }
+    // Zero is legal: the simulator floors the cost at 1e-12.
+    if (!std::isfinite(c.mean_cost) || c.mean_cost < 0.0) {
+      return Status::InvalidArgument("class '" + c.label +
+                                     "' has a non-finite or negative mean cost");
     }
     if (c.is_update != is_update) {
       return Status::InvalidArgument("class '" + c.label +

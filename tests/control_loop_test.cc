@@ -389,6 +389,20 @@ TEST(AdaptiveControllerTest, RejectsBadInput) {
                     .IsInvalidArgument())
         << qps;
   }
+  // A NaN, infinite or negative mix multiplier would reach the simulator
+  // as a NaN or negative class weight.
+  const size_t classes = fx.cls.NumClasses();
+  for (double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    std::vector<double> scale(classes, 1.0);
+    scale[classes / 2] = bad;
+    EXPECT_TRUE(controller.Step(Bucket(0.0, 250.0, scale), {}).status()
+                    .IsInvalidArgument())
+        << bad;
+  }
+  EXPECT_TRUE(
+      controller.Step(Bucket(0.0, 250.0, std::vector<double>(classes, 1.0)), {})
+          .ok());
 }
 
 TEST(AdaptiveControllerTest, IdleBucketStepsWithoutSimulating) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace qcap {
@@ -96,6 +98,41 @@ TEST(QueryClassTest, ValidateRejectsUnsortedFragments) {
 TEST(QueryClassTest, ValidateRejectsMisplacedUpdateFlag) {
   Classification cls = AppendixAClassification();
   cls.reads[0].is_update = true;
+  EXPECT_FALSE(cls.Validate().ok());
+}
+
+TEST(QueryClassTest, ValidateRejectsNonFiniteOrNegativeWeightAndCost) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Row {
+    const char* name;
+    double weight;
+    double mean_cost;
+    bool ok;
+  };
+  // Rows edit Q1 (weight 0.24, cost 1) and keep the total at 1 when legal.
+  const Row rows[] = {
+      {"well formed", 0.24, 1.0, true},
+      {"zero cost", 0.24, 0.0, true},
+      {"NaN weight", nan, 1.0, false},
+      {"negative weight", -0.24, 1.0, false},
+      {"infinite weight", inf, 1.0, false},
+      {"NaN cost", 0.24, nan, false},
+      {"infinite cost", 0.24, inf, false},
+      {"negative cost", 0.24, -1.0, false},
+  };
+  for (const Row& row : rows) {
+    Classification cls = AppendixAClassification();
+    cls.reads[0].weight = row.weight;
+    cls.reads[0].mean_cost = row.mean_cost;
+    const Status status = cls.Validate();
+    EXPECT_EQ(status.ok(), row.ok) << row.name << ": " << status.ToString();
+    if (!row.ok) {
+      EXPECT_NE(status.message().find("'Q1'"), std::string::npos) << row.name;
+    }
+  }
+  Classification cls = AppendixAClassification();
+  cls.updates[2].mean_cost = nan;
   EXPECT_FALSE(cls.Validate().ok());
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -109,25 +111,6 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(RngTest, DiscreteRespectsWeights) {
-  Rng rng(31);
-  std::vector<double> weights = {1.0, 3.0, 6.0};
-  std::vector<int> counts(3, 0);
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) counts[rng.NextDiscrete(weights)]++;
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.02);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.02);
-  EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.6, 0.02);
-}
-
-TEST(RngTest, DiscreteZeroWeightNeverChosen) {
-  Rng rng(37);
-  std::vector<double> weights = {0.0, 1.0, 0.0};
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(rng.NextDiscrete(weights), 1u);
-  }
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(41);
   std::vector<int> v(50);
@@ -137,6 +120,140 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_FALSE(std::equal(v.begin(), v.end(), shuffled.begin()));
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(v, shuffled);
+}
+
+/// The subtractive scan DiscreteSampler must reproduce draw for draw:
+/// the weights summed left to right, x = u * total, then x -= w[i] until
+/// it goes negative, else the last index.
+size_t ReferenceScan(const std::vector<double>& weights, double u) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  double x = u * total;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    x -= weights[i];
+    if (x < 0.0) return i;
+  }
+  return weights.size() - 1;
+}
+
+/// Uniform variates that put x = u * total on or next to every prefix sum
+/// (where they are representable as u), plus both ends of [0, 1).
+std::vector<double> BoundaryVariates(const std::vector<double>& weights) {
+  std::vector<double> prefix;
+  double total = 0.0;
+  for (double w : weights) {
+    total += w;
+    prefix.push_back(total);
+  }
+  std::vector<double> us = {0.0, std::nextafter(1.0, 0.0)};
+  for (double p : prefix) {
+    const double u = p / total;
+    for (double v : {std::nextafter(u, 0.0), u, std::nextafter(u, 1.0)}) {
+      if (v >= 0.0 && v < 1.0) us.push_back(v);
+    }
+  }
+  return us;
+}
+
+struct SamplerCase {
+  const char* name;
+  std::vector<double> weights;
+};
+
+TEST(DiscreteSamplerTest, MatchesSubtractiveScanOnEveryDraw) {
+  const std::vector<SamplerCase> cases = {
+      {"single class", {2.5}},
+      {"leading zeros", {0.0, 0.0, 1.0, 2.0}},
+      {"trailing zeros", {1.0, 2.0, 0.0, 0.0}},
+      {"interior zeros", {1.0, 0.0, 0.0, 2.0, 0.0, 3.0}},
+      {"spread 1e-300..1e300",
+       {1e-300, 1e300, 1e-300, 1.0, 1e150, 1e300, 1e-150, 7e299}},
+      {"tiny tail", {1.0, 1e-17}},
+      {"dyadic prefix sums", {1.0, 1.0, 2.0, 0.5, 0.5, 3.0}},
+      {"thirds", {1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0}},
+  };
+  size_t draws = 0;
+  for (const SamplerCase& c : cases) {
+    auto sampler = DiscreteSampler::Create(c.weights);
+    ASSERT_TRUE(sampler.ok()) << c.name << ": " << sampler.status().ToString();
+    for (double u : BoundaryVariates(c.weights)) {
+      ASSERT_EQ(sampler->SampleAt(u), ReferenceScan(c.weights, u))
+          << c.name << " u=" << u;
+    }
+    Rng a(43), b(43);
+    for (int i = 0; i < 100000; ++i, ++draws) {
+      ASSERT_EQ(sampler->Sample(&a), ReferenceScan(c.weights, b.NextDouble()))
+          << c.name << " draw " << i;
+    }
+  }
+  // Random mixes like the simulator's: up to 3,000 classes, 5% zero
+  // weights, the rest log-uniform over 1e-12..1e6.
+  Rng gen(47);
+  for (int v = 0; v < 40; ++v) {
+    std::vector<double> weights(1 + gen.NextBounded(3000));
+    for (double& w : weights) {
+      w = gen.NextBernoulli(0.05) ? 0.0
+                                  : std::pow(10.0, gen.NextDouble(-12.0, 6.0));
+    }
+    weights[gen.NextBounded(weights.size())] = 1.0;  // a positive total
+    auto sampler = DiscreteSampler::Create(weights);
+    ASSERT_TRUE(sampler.ok()) << sampler.status().ToString();
+    for (double u : BoundaryVariates(weights)) {
+      ASSERT_EQ(sampler->SampleAt(u), ReferenceScan(weights, u))
+          << "mix " << v << " u=" << u;
+    }
+    Rng a(53 + v), b(53 + v);
+    for (int i = 0; i < 10000; ++i, ++draws) {
+      ASSERT_EQ(sampler->Sample(&a), ReferenceScan(weights, b.NextDouble()))
+          << "mix " << v << " draw " << i;
+    }
+  }
+  EXPECT_GE(draws, 1000000u);
+}
+
+TEST(DiscreteSamplerTest, RespectsWeights) {
+  Rng rng(31);
+  auto sampler = DiscreteSampler::Create({1.0, 3.0, 6.0});
+  ASSERT_TRUE(sampler.ok());
+  std::vector<int> counts(3, 0);
+  const int n = 30000;
+  for (int i = 0; i < n; ++i) counts[sampler->Sample(&rng)]++;
+  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.02);
+  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.02);
+  EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.6, 0.02);
+}
+
+TEST(DiscreteSamplerTest, ZeroWeightNeverDrawn) {
+  Rng rng(37);
+  for (const std::vector<double>& weights :
+       {std::vector<double>{0.0, 1.0, 0.0},
+        std::vector<double>{0.0, 3.0, 0.0, 0.0, 1e-9, 0.0, 5.0, 0.0}}) {
+    auto sampler = DiscreteSampler::Create(weights);
+    ASSERT_TRUE(sampler.ok());
+    for (int i = 0; i < 100000; ++i) {
+      EXPECT_GT(weights[sampler->Sample(&rng)], 0.0);
+    }
+    for (double u : BoundaryVariates(weights)) {
+      EXPECT_GT(weights[sampler->SampleAt(u)], 0.0) << "u=" << u;
+    }
+  }
+}
+
+TEST(DiscreteSamplerTest, RejectsWeightsItCannotSample) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& weights :
+       {std::vector<double>{}, std::vector<double>{1.0, nan},
+        std::vector<double>{inf, 1.0}, std::vector<double>{1.0, -0.5},
+        std::vector<double>{0.0, 0.0}, std::vector<double>{1e308, 1e308}}) {
+    EXPECT_TRUE(DiscreteSampler::Create(weights).status().IsInvalidArgument())
+        << weights.size();
+  }
+  const Status named = DiscreteSampler::Create({1.0, nan}, [](size_t i) {
+                         return "outcome #" + std::to_string(i);
+                       }).status();
+  EXPECT_NE(named.message().find("outcome #1"), std::string::npos)
+      << named.ToString();
 }
 
 class RngSeedSweep : public ::testing::TestWithParam<uint64_t> {};

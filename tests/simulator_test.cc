@@ -9,6 +9,7 @@
 #include "alloc/greedy.h"
 #include "cluster/backend_node.h"
 #include "test_util.h"
+#include "workloads/synthetic_scale.h"
 
 namespace qcap {
 namespace {
@@ -261,6 +262,165 @@ TEST(SimulatorTest, RejectedDispatchDoesNotAdvanceTieRotation) {
   ASSERT_EQ(stats->backend_busy_seconds.size(), 3u);
   EXPECT_NEAR(stats->backend_busy_seconds[0], stats->backend_busy_seconds[1],
               0.010 + 1e-12);
+}
+
+/// A 12-class synthetic instance (10 reads, 2 updates) greedily allocated
+/// over 4 backends; tests mutate the class mix after allocation.
+struct SmallSynthetic {
+  SmallSynthetic() {
+    workloads::ScaleOptions so;
+    so.num_fragments = 8;
+    so.num_read_classes = 10;
+    so.num_update_classes = 2;
+    so.seed = 5;
+    cls = workloads::MakeScaleClassification(so);
+    auto result = GreedyAllocator().Allocate(cls, backends);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    alloc = std::move(result).value();
+  }
+  std::vector<BackendSpec> backends = HomogeneousBackends(4);
+  Classification cls;
+  Allocation alloc;
+};
+
+TEST(SimulatorTest, CreateRejectsAClassMixItCannotSample) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const SmallSynthetic fx;
+  ASSERT_EQ(fx.cls.NumClasses(), 12u);
+  ASSERT_TRUE(ClusterSimulator::Create(fx.cls, fx.alloc, fx.backends,
+                                       SimulationConfig{})
+                  .ok());
+  struct Case {
+    const char* name;
+    void (*mutate)(Classification*);
+    const char* names;  // the class the message must name, or ""
+  };
+  const Case cases[] = {
+      {"NaN weight", [](Classification* c) { c->reads[0].weight = kNan; },
+       "'Q0'"},
+      {"NaN mean cost",
+       [](Classification* c) { c->reads[0].mean_cost = kNan; }, "'Q0'"},
+      {"infinite weight",
+       [](Classification* c) { c->updates[1].weight = kInf; }, "'U1'"},
+      {"negative weight",
+       [](Classification* c) { c->reads[3].weight = -0.1; }, "'Q3'"},
+      {"all-zero weights",
+       [](Classification* c) {
+         for (auto& q : c->reads) q.weight = 0.0;
+         for (auto& q : c->updates) q.weight = 0.0;
+       },
+       ""},
+  };
+  for (const Case& c : cases) {
+    Classification cls = fx.cls;
+    c.mutate(&cls);
+    auto sim =
+        ClusterSimulator::Create(cls, fx.alloc, fx.backends, SimulationConfig{});
+    EXPECT_FALSE(sim.ok()) << c.name;
+    if (sim.ok()) continue;
+    EXPECT_TRUE(sim.status().IsInvalidArgument()) << c.name;
+    EXPECT_NE(sim.status().message().find(c.names), std::string::npos)
+        << c.name << ": " << sim.status().ToString();
+  }
+
+  // No classes at all: nothing to draw from.
+  Classification empty;
+  empty.catalog = fx.cls.catalog;
+  const Allocation none(fx.backends.size(), empty.catalog.size(), 0, 0);
+  auto sim =
+      ClusterSimulator::Create(empty, none, fx.backends, SimulationConfig{});
+  ASSERT_FALSE(sim.ok());
+  EXPECT_TRUE(sim.status().IsInvalidArgument()) << sim.status().ToString();
+}
+
+/// FNV-1a over every SimStats field, vectors included.
+uint64_t StatsDigest(const SimStats& s) {
+  uint64_t h = 1469598103934665603ULL;
+  const auto add = [&h](const void* p, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) h = (h ^ bytes[i]) * 1099511628211ULL;
+  };
+  const auto scalar = [&add](const auto& v) { add(&v, sizeof(v)); };
+  const auto vec = [&add](const auto& v) {
+    add(v.data(), v.size() * sizeof(v[0]));
+  };
+  scalar(s.duration_seconds);
+  scalar(s.completed_reads);
+  scalar(s.completed_updates);
+  scalar(s.failed_requests);
+  scalar(s.rejected_requests);
+  scalar(s.retried_requests);
+  scalar(s.redispatched_requests);
+  scalar(s.lag_tasks_drained);
+  scalar(s.throughput);
+  scalar(s.avg_response_seconds);
+  scalar(s.max_response_seconds);
+  scalar(s.p50_response_seconds);
+  scalar(s.p95_response_seconds);
+  scalar(s.p99_response_seconds);
+  scalar(s.availability);
+  vec(s.backend_busy_seconds);
+  scalar(s.timeline_bin_seconds);
+  vec(s.timeline_completions);
+  vec(s.class_completions);
+  return h;
+}
+
+// Pins whole runs on the simulate-synth shape (2,500 reads + 100 updates,
+// greedy over 16 backends), so any change to a class draw shows: the
+// digests are those of the reference subtractive scan, which every
+// DiscreteSampler draw must equal.
+class ScaleDigestTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    cls_ = testutil::GoldenInstance({1000, 16, 0.6, 7, 0});
+    ASSERT_EQ(cls_.NumClasses(), 2600u);
+    auto alloc = GreedyAllocator().Allocate(cls_, backends_);
+    ASSERT_TRUE(alloc.ok()) << alloc.status().ToString();
+    alloc_ = std::move(alloc).value();
+    config_.seed = 3;
+    config_.timeline_bin_seconds = 0.5;
+    config_.track_class_mix = true;
+  }
+
+  SimStats Run(const SimulationConfig& config, bool closed) {
+    auto sim = ClusterSimulator::Create(cls_, alloc_, backends_, config);
+    EXPECT_TRUE(sim.ok()) << sim.status().ToString();
+    if (!sim.ok()) return {};
+    auto stats = closed ? sim->RunClosed(20000, 64) : sim->RunOpen(2.0, 4000.0);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    return stats.ok() ? stats.value() : SimStats{};
+  }
+
+  Classification cls_;
+  Allocation alloc_;
+  std::vector<BackendSpec> backends_ = HomogeneousBackends(16);
+  SimulationConfig config_;
+};
+
+TEST_F(ScaleDigestTest, ClosedRun) {
+  const SimStats stats = Run(config_, true);
+  EXPECT_EQ(stats.completed_total(), 20000u);
+  EXPECT_EQ(StatsDigest(stats), 0x9283ab187b9e77a4ULL)
+      << std::hex << "0x" << StatsDigest(stats);
+}
+
+TEST_F(ScaleDigestTest, OpenRun) {
+  const SimStats stats = Run(config_, false);
+  EXPECT_GT(stats.completed_total(), 7000u);
+  EXPECT_EQ(StatsDigest(stats), 0x21177e8fee568fe7ULL)
+      << std::hex << "0x" << StatsDigest(stats);
+}
+
+TEST_F(ScaleDigestTest, ClosedRunRetriesAcrossACrash) {
+  SimulationConfig config = config_;
+  config.fault_plan.Crash(1.0, 3).Recover(2.0, 3);
+  const SimStats stats = Run(config, true);
+  // Retries re-dispatch with the class drawn at first dispatch.
+  EXPECT_GT(stats.retried_requests, 0u);
+  EXPECT_EQ(StatsDigest(stats), 0x8ef871c5c470acc7ULL)
+      << std::hex << "0x" << StatsDigest(stats);
 }
 
 TEST(SimStatsTest, BusyBalanceDeviation) {
