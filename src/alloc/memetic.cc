@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "model/metrics.h"
+#include "model/validation.h"
 
 namespace qcap {
 
@@ -47,69 +48,78 @@ class Evolver {
         kernel_(cls, index, backends, opts.progress),
         rng_(opts.seed + island_id) {
     collect_scratch_.resize(cls.reads.size());
+    share_count_.resize(cls.reads.size());
+    holders_.reserve(backends.size());
+    touched_.reserve(backends.size());
   }
 
   SolutionCost Evaluate(const Allocation& a) const { return kernel_.Evaluate(a); }
 
-  /// Drops every fragment a backend no longer needs for its assigned read
-  /// classes (and the update classes forced by what remains), then restores
-  /// global data completeness. Edits rows in place via the precomputed
-  /// per-read update closures; no allocation rebuild, no O(U²) fixpoint.
-  void GarbageCollect(Allocation* a) { kernel_.GarbageCollect(a); }
-
-  // Mutation and the two local-search strategies are the per-trial inner
-  // loops of the memetic search. Trials reuse the island's scratch vectors
-  // and trial_ allocation; the only allocation is the returned child.
+  // Everything from here to EvolveGenerations' end runs once per generation
+  // or per trial. Trials edit trial_, a mirror of the allocation being
+  // improved, and copy back only the backends they touched; offspring are
+  // written into recycled population buffers. Past the first generations no
+  // path below allocates.
   // qcap-lint: hot-path begin
 
-  Allocation Mutate(const Allocation& parent) {
-    Allocation child = parent;
-    // Move one random (class, backend) read share to another backend.
-    // Candidates are found by a SIMD scan of each backend's contiguous
-    // assignment row (b-major), then restored to the r-major, b-ascending
-    // sequence of the original nested loop with a stable counting sort by
-    // read class — the RNG draw below indexes this list, so its order is
-    // part of the deterministic trace.
+  /// Writes into \p child a copy of \p parent with one random (read class,
+  /// backend) share moved to another backend. \p child's buffers are reused.
+  void Mutate(const Allocation& parent, Allocation* child) {
+    *child = parent;
+    // The candidates are the (read class, backend) pairs with a positive
+    // share, in r-major, b-ascending order; the draw below indexes that
+    // sequence, so its order is part of the deterministic trace. Per-read
+    // counts locate the k-th pair without materializing the list.
     const size_t R = cls_.reads.size();
-    bmajor_.clear();  // (read class, backend), b-major.
-    for (size_t b = 0; b < child.num_backends(); ++b) {
-      const std::span<const double> row = child.ReadAssignRow(b);
-      const size_t n =
-          simd::CollectAbove(row.data(), R, 1e-12, collect_scratch_.data());
-      for (size_t i = 0; i < n; ++i) {
-        // qcap-lint: allow(hot-path-growth) -- bmajor_ reaches steady-state capacity after the first scan and is reused across trials
-        bmajor_.emplace_back(collect_scratch_[i], b);
-      }
+    const size_t B = child->num_backends();
+    std::fill(share_count_.begin(), share_count_.end(), 0);
+    for (size_t b = 0; b < B; ++b) {
+      const double* row = child->ReadAssignRow(b).data();
+      for (size_t r = 0; r < R; ++r) share_count_[r] += row[r] > 1e-12;
     }
-    count_scratch_.assign(R + 1, 0);
-    for (const auto& [r, b] : bmajor_) ++count_scratch_[r + 1];
-    for (size_t r = 0; r < R; ++r) count_scratch_[r + 1] += count_scratch_[r];
-    // qcap-lint: allow(hot-path-growth) -- same steady-state capacity as bmajor_; no growth after the first scan
-    positive_.resize(bmajor_.size());  // (read class, backend), r-major.
-    for (const auto& [r, b] : bmajor_) positive_[count_scratch_[r]++] = {r, b};
-    if (positive_.empty() || child.num_backends() < 2) return child;
-    const auto [r, b1] = positive_[rng_.NextBounded(positive_.size())];
-    size_t b2 = static_cast<size_t>(rng_.NextBounded(child.num_backends() - 1));
+    size_t total = 0;
+    for (size_t r = 0; r < R; ++r) total += share_count_[r];
+    if (total == 0 || B < 2) return;
+    size_t k = rng_.NextBounded(total);
+    size_t r = 0;
+    while (k >= share_count_[r]) k -= share_count_[r++];
+    size_t b1 = 0;
+    for (;; ++b1) {
+      if (child->read_assign(b1, r) > 1e-12 && k-- == 0) break;
+    }
+    size_t b2 = static_cast<size_t>(rng_.NextBounded(B - 1));
     if (b2 >= b1) ++b2;
-    const double have = child.read_assign(b1, r);
+    const double have = child->read_assign(b1, r);
     const double share =
         rng_.NextBernoulli(0.5) ? have : have * rng_.NextDouble(0.25, 1.0);
-    child.add_read_assign(b1, r, -share);
-    child.add_read_assign(b2, r, share);
-    child.PlaceBits(b2, index_.read_bits(r));
-    kernel_.CloseUpdates(&child, b2);
+    child->add_read_assign(b1, r, -share);
+    child->add_read_assign(b2, r, share);
+    child->PlaceBits(b2, index_.read_bits(r));
+    kernel_.CloseUpdates(child, b2);
     // The parent is garbage-collected (population invariant), so only the
     // two modified rows can hold junk.
     const size_t touched[2] = {b1, b2};
-    kernel_.GarbageCollectBackends(&child, touched, 2, &touched_);
-    return child;
+    kernel_.GarbageCollectBackends(child, touched, 2, &touched_);
+  }
+
+  /// Scores trial_, which differs from \p a on the backends in touched_,
+  /// against \p before. An improving trial is copied into \p a; a losing one
+  /// is reverted. Either way trial_ equals \p a again afterwards.
+  bool Settle(Allocation* a, const SolutionCost& before) {
+    if (kernel_.EvaluateDelta(trial_, touched_).Better(before)) {
+      a->CopyBackendsFrom(trial_, touched_);
+      RecordImprovement();
+      return true;
+    }
+    trial_.CopyBackendsFrom(*a, touched_);
+    return false;
   }
 
   /// Local search strategy 1 (Eq. 21/22): consolidate pairs of read classes
   /// that are split across the same two backends but drag different update
   /// sets, freeing update replicas. The `before` cost is computed lazily,
-  /// only once a candidate pair actually exists; each trial reuses the
-  /// scratch allocation and is scored via the O(|touched|) delta form.
+  /// only once a candidate pair actually exists; each trial edits trial_
+  /// and is scored via the O(|touched|) delta form.
   bool ImproveSharedPairs(Allocation* a) {
     bool have_before = false;
     SolutionCost before;
@@ -121,13 +131,12 @@ class Evolver {
             a->ReadAssignRow(b1).data(), a->ReadAssignRow(b2).data(),
             cls_.reads.size(), 1e-12, collect_scratch_.data());
         if (num_shared < 2) continue;
-        // qcap-lint: allow(hot-path-growth) -- shared_ is cleared scratch bounded by |reads|; capacity is reused
-        shared_.assign(collect_scratch_.begin(),
-                       collect_scratch_.begin() + num_shared);
-        for (size_t i = 0; i < shared_.size(); ++i) {
-          for (size_t j = 0; j < shared_.size(); ++j) {
+        const std::span<const uint32_t> shared(collect_scratch_.data(),
+                                               num_shared);
+        for (size_t i = 0; i < shared.size(); ++i) {
+          for (size_t j = 0; j < shared.size(); ++j) {
             if (i == j) continue;
-            const size_t r1 = shared_[i], r2 = shared_[j];
+            const size_t r1 = shared[i], r2 = shared[j];
             const auto upd1 = index_.read_overlapping_updates(r1);
             const auto upd2 = index_.read_overlapping_updates(r2);
             if (upd1.size() == upd2.size() &&
@@ -142,18 +151,13 @@ class Evolver {
               kernel_.BeginDelta(*a, before);
               have_before = true;
             }
-            trial_ = *a;
             trial_.add_read_assign(b2, r1, -delta);
             trial_.add_read_assign(b1, r1, delta);
             trial_.add_read_assign(b1, r2, -delta);
             trial_.add_read_assign(b2, r2, delta);
             const size_t touched[2] = {b1, b2};
             kernel_.GarbageCollectBackends(&trial_, touched, 2, &touched_);
-            if (kernel_.EvaluateDelta(trial_, touched_).Better(before)) {
-              *a = trial_;
-              RecordImprovement();
-              return true;
-            }
+            if (Settle(a, before)) return true;
           }
         }
       }
@@ -170,7 +174,7 @@ class Evolver {
     for (size_t u = 0; u < cls_.updates.size(); ++u) {
       holders_.clear();
       for (size_t b = 0; b < a->num_backends(); ++b) {
-        // qcap-lint: allow(hot-path-growth) -- holders_ is cleared scratch bounded by num_backends; capacity is reused
+        // qcap-lint: allow(hot-path-growth) -- holders_ is reserved to num_backends in the constructor
         if (a->update_assign(b, u) > 1e-12) holders_.push_back(b);
       }
       if (holders_.size() < 2) continue;
@@ -182,7 +186,6 @@ class Evolver {
             kernel_.BeginDelta(*a, before);
             have_before = true;
           }
-          trial_ = *a;
           bool moved = false;
           for (size_t r = 0; r < cls_.reads.size(); ++r) {
             if (trial_.read_assign(b1, r) <= 1e-12) continue;
@@ -196,76 +199,67 @@ class Evolver {
             kernel_.CloseUpdates(&trial_, b2);
             moved = true;
           }
-          if (!moved) continue;
+          if (!moved) continue;  // trial_ is untouched.
           const size_t touched[2] = {b1, b2};
           kernel_.GarbageCollectBackends(&trial_, touched, 2, &touched_);
-          if (kernel_.EvaluateDelta(trial_, touched_).Better(before)) {
-            *a = trial_;
-            RecordImprovement();
-            return true;
-          }
+          if (Settle(a, before)) return true;
         }
       }
     }
     return false;
   }
 
-  // qcap-lint: hot-path end
-
   void LocalImprove(Allocation* a) {
+    // The one full copy per call; every trial after it restores only the
+    // rows it touched.
+    trial_ = *a;
     for (size_t pass = 0; pass < kImprovePasses; ++pass) {
       const bool improved = ImproveSharedPairs(a) || ImproveUpdateReplicas(a);
       if (!improved) break;
     }
   }
 
-  /// Evolves the island's population for \p generations. Mutation and
-  /// selection draw from the island RNG on the calling thread; only the
-  /// (pure) offspring evaluations fan out over \p pool, writing each cost
-  /// to its own slot, so the outcome is independent of the thread count.
+  /// Evolves the island's population for \p generations, all of it on the
+  /// calling thread and drawing only from the island's RNG, so the outcome
+  /// does not depend on which worker runs the island.
   void EvolveGenerations(std::vector<Member>* population, size_t generations,
-                         size_t island_population, ThreadPool* pool) {
+                         size_t island_population) {
     const size_t p = std::max<size_t>(3, island_population);
+    if (offspring_.size() != p) {
+      // qcap-lint: allow(hot-path-growth) -- one-time sizing of the island's offspring slots on its first epoch
+      offspring_.resize(p);
+    }
+    auto by_cost = [](const Member& x, const Member& y) {
+      return x.cost.Better(y.cost);
+    };
     for (size_t iter = 0; iter < generations; ++iter) {
-      // Offspring: p mutations of random parents (serial: RNG), then a
-      // parallel evaluation of the batch.
-      std::vector<Allocation> kids;
-      kids.reserve(p);
-      for (size_t i = 0; i < p; ++i) {
+      // Offspring: p mutations of random parents, each written into a
+      // recycled slot and scored in the same order as it was drawn.
+      for (Member& kid : offspring_) {
         const Member& parent =
             (*population)[rng_.NextBounded(population->size())];
-        kids.push_back(Mutate(parent.alloc));
-      }
-      std::vector<SolutionCost> costs(p);
-      ParallelFor(pool, p,
-                  [&](size_t i) { costs[i] = Evaluate(kids[i]); });
-      std::vector<Member> offspring;
-      offspring.reserve(p);
-      for (size_t i = 0; i < p; ++i) {
-        offspring.push_back(Member{std::move(kids[i]), costs[i]});
+        Mutate(parent.alloc, &kid.alloc);
+        kid.cost = Evaluate(kid.alloc);
       }
       // (λ+µ) selection: best 2/3 of parents + best 1/3 of offspring.
       // Selection only consumes the kept prefix, so a partial sort to that
       // prefix replaces the two full sorts.
-      auto by_cost = [](const Member& x, const Member& y) {
-        return x.cost.Better(y.cost);
-      };
       const size_t keep_parents = std::min(population->size(), 2 * p / 3);
-      const size_t keep_children = std::min(offspring.size(), p - keep_parents);
+      const size_t keep_children = p - keep_parents;
       std::partial_sort(population->begin(),
                         population->begin() + keep_parents, population->end(),
                         by_cost);
-      std::partial_sort(offspring.begin(), offspring.begin() + keep_children,
-                        offspring.end(), by_cost);
-      std::vector<Member> next;
-      next.reserve(keep_parents + keep_children);
-      for (size_t i = 0; i < keep_parents; ++i) {
-        next.push_back(std::move((*population)[i]));
-      }
+      std::partial_sort(offspring_.begin(), offspring_.begin() + keep_children,
+                        offspring_.end(), by_cost);
+      // The kept children swap into the slots past the kept parents; the
+      // parents they displace become the next generation's offspring
+      // buffers. The population grows from its single seed to p members in
+      // the first generation and keeps that size after.
+      // qcap-lint: allow(hot-path-growth) -- the population grows once, from the seed to p members, in the first generation
+      population->resize(keep_parents + keep_children);
       for (size_t i = 0; i < keep_children; ++i) {
-        next.push_back(std::move(offspring[i]));
+        std::swap((*population)[keep_parents + i], offspring_[i]);
       }
-      *population = std::move(next);
       // Memetic step: locally improve a random third of the population.
       const size_t improve_count = std::max<size_t>(1, population->size() / 3);
       for (size_t i = 0; i < improve_count; ++i) {
@@ -278,6 +272,8 @@ class Evolver {
       }
     }
   }
+
+  // qcap-lint: hot-path end
 
  private:
   void RecordImprovement() const {
@@ -292,16 +288,13 @@ class Evolver {
   SearchKernel kernel_;
   Rng rng_;
 
-  // Reused scratch: candidate lists and the trial allocation. Copy-assigning
-  // into trial_ reuses its buffers, so rejected trials cost no allocation.
-  std::vector<std::pair<size_t, size_t>> positive_;
-  std::vector<std::pair<size_t, size_t>> bmajor_;
-  std::vector<uint32_t> collect_scratch_;  // CollectAbove output, |reads|.
-  std::vector<size_t> count_scratch_;      // Counting-sort offsets, |reads|+1.
-  std::vector<size_t> shared_;
+  // Reused scratch, sized in the constructor or on first use.
+  std::vector<uint32_t> collect_scratch_;  // CollectBothAbove output, |reads|.
+  std::vector<uint32_t> share_count_;      // Positive shares per read class.
   std::vector<size_t> holders_;
   std::vector<size_t> touched_;
-  Allocation trial_;
+  Allocation trial_;               // Mirror of the member LocalImprove edits.
+  std::vector<Member> offspring_;  // One generation's children, recycled.
 };
 
 /// Coordinates the islands: epochs of independent evolution (parallel over
@@ -340,7 +333,7 @@ class IslandModel {
                                           remaining);
       ParallelFor(pool, n, [&](size_t i) {
         evolvers_[i]->EvolveGenerations(&populations_[i], generations,
-                                        island_population_, pool);
+                                        island_population_);
       });
       remaining -= generations;
       if (remaining > 0 && n > 1) Migrate();
@@ -405,6 +398,8 @@ Result<Allocation> MemeticAllocator::Improve(
     const Allocation& seed_allocation) {
   QCAP_RETURN_NOT_OK(ValidateBackends(backends));
   QCAP_RETURN_NOT_OK(cls.Validate());
+  QCAP_RETURN_NOT_OK(
+      ValidateAllocationShape(cls, seed_allocation, backends.size()));
   ThreadPool* pool = options_.pool;
   std::unique_ptr<ThreadPool> owned;
   if (pool == nullptr) {

@@ -10,8 +10,8 @@
 // migrates to its ring neighbour, replacing the neighbour's worst member.
 //
 // Determinism contract: island i draws from its own RNG seeded with
-// `seed + i`, islands only interact at the (serial) migration barrier, and
-// offspring evaluation is a pure function — so for a fixed
+// `seed + i`, each island evolves serially on whichever thread runs it, and
+// islands only interact at the (serial) migration barrier — so for a fixed
 // {seed, num_islands, population_size, iterations, migration_interval} the
 // result is bit-identical at every thread count, including threads == 1.
 #pragma once
@@ -45,8 +45,9 @@ struct MemeticOptions {
   /// Generations between migration barriers. Migration copies each
   /// island's best member to its ring successor. 0 disables migration.
   size_t migration_interval = 15;
-  /// Worker threads for the search: islands evolve concurrently and
-  /// offspring batches are evaluated in parallel. 1 = fully serial,
+  /// Worker threads for the search. Islands are the unit of parallelism:
+  /// they evolve concurrently, each one serially, so more threads than
+  /// num_islands buy nothing. 1 = fully serial,
   /// 0 = ThreadPool::DefaultThreads(). Ignored when \ref pool is set.
   /// The allocation returned does not depend on this value.
   size_t threads = 1;

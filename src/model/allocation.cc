@@ -1,5 +1,6 @@
 #include "model/allocation.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/strings.h"
@@ -117,6 +118,27 @@ void Allocation::ClearBackendRow(size_t b) {
   read_load_[b] = 0.0;
   update_load_[b] = 0.0;
   if (frag_bytes_ != nullptr) bytes_[b] = 0.0;
+}
+
+void Allocation::CopyBackendsFrom(const Allocation& src,
+                                  std::span<const size_t> bs) {
+  assert(src.num_backends_ == num_backends_ &&
+         src.num_fragments_ == num_fragments_ &&
+         src.num_reads_ == num_reads_ && src.num_updates_ == num_updates_ &&
+         src.sizes_bound() == sizes_bound());
+  for (const size_t b : bs) {
+    assert(b < num_backends_);
+    std::copy_n(src.row(b), words_per_backend_, row(b));
+    std::copy_n(src.read_assign_.data() + b * num_reads_, num_reads_,
+                read_assign_.data() + b * num_reads_);
+    std::copy_n(src.update_assign_.data() + b * num_updates_, num_updates_,
+                update_assign_.data() + b * num_updates_);
+    read_load_[b] = src.read_load_[b];
+    update_load_[b] = src.update_load_[b];
+    if (frag_bytes_ != nullptr) bytes_[b] = src.bytes_[b];
+  }
+  std::copy(src.replica_count_.begin(), src.replica_count_.end(),
+            replica_count_.begin());
 }
 
 bool Allocation::IsPlaced(size_t b, FragmentId f) const {

@@ -66,6 +66,12 @@ class Allocation {
   /// Empties backend \p b: no fragments, all assignments zero. Resets the
   /// backend's aggregates exactly (no accumulated drift survives).
   void ClearBackendRow(size_t b);
+  /// Makes backends \p bs equal to \p src's: their placement and assignment
+  /// rows and running aggregates, plus the whole replica-count column. When
+  /// this and \p src differ only on the rows in \p bs, they are equal
+  /// afterwards, bit for bit. Both must have the same shape; reuses this
+  /// allocation's buffers (no heap allocation).
+  void CopyBackendsFrom(const Allocation& src, std::span<const size_t> bs);
   /// True iff fragment \p f is on backend \p b.
   bool IsPlaced(size_t b, FragmentId f) const;
   /// fragments(B): the sorted fragment set of backend \p b.

@@ -65,7 +65,7 @@ Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
     size_t replicas = 0;
     for (size_t b = 0; b < alloc.num_backends(); ++b) {
       const double a = alloc.update_assign(b, u);
-      const bool overlaps = Intersects(c.fragments, alloc.BackendFragments(b));
+      const bool overlaps = alloc.HoldsAny(b, c.fragments);
       if (overlaps) {
         if (std::abs(a - c.weight) > kEpsilon) {
           return Status::InvalidArgument(

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "alloc/greedy.h"
 #include "test_util.h"
 
 namespace qcap {
@@ -146,6 +149,59 @@ TEST(AllocationTest, ClearBackendRowResetsRowAndAggregates) {
   EXPECT_EQ(a.ReplicaCount(0), 1u);
   EXPECT_EQ(a.ReplicaCount(1), 0u);
   EXPECT_DOUBLE_EQ(a.BackendBytes(1, cls.catalog), 1.0);
+}
+
+TEST(AllocationTest, CopyBackendsFromRestoresEditedRows) {
+  const Classification cls = testutil::GoldenInstance({120, 8, 0.6, 1, 0});
+  const auto backends = HomogeneousBackends(8);
+  auto greedy = GreedyAllocator().Allocate(cls, backends);
+  ASSERT_TRUE(greedy.ok()) << greedy.status().ToString();
+  Allocation original = greedy.value();
+  if (!original.sizes_bound()) original.BindSizes(cls.catalog);
+
+  // Edit three backends: move read load, place every fragment on backend 1
+  // (raising replica counts), drop all but one fragment from backend 5 and
+  // pin an update class on backend 3.
+  Allocation edited = original;
+  const size_t bs[] = {1, 3, 5};
+  edited.add_read_assign(1, 0, 0.125);
+  edited.add_read_assign(3, 0, -0.125);
+  DenseBitset all(cls.catalog.size());
+  for (FragmentId f = 0; f < cls.catalog.size(); ++f) all.Set(f);
+  edited.PlaceBits(1, all);
+  DenseBitset keep(cls.catalog.size());
+  keep.Set(0);
+  edited.RetainFragments(5, keep);
+  edited.set_update_assign(3, 0, cls.updates[0].weight + 1.0);
+  ASSERT_NE(testutil::AllocationDigest(edited),
+            testutil::AllocationDigest(original));
+  const auto replicas = [](const Allocation& a) {
+    return std::vector<uint32_t>(a.ReplicaCounts().begin(),
+                                 a.ReplicaCounts().end());
+  };
+  ASSERT_NE(replicas(edited), replicas(original));
+
+  // Restoring the edited rows makes the copy equal again, bit for bit, in
+  // both directions.
+  const auto expect_equal = [&](const Allocation& got,
+                                const Allocation& want) {
+    EXPECT_EQ(testutil::AllocationDigest(got),
+              testutil::AllocationDigest(want));
+    EXPECT_EQ(replicas(got), replicas(want));
+    for (size_t b = 0; b < want.num_backends(); ++b) {
+      EXPECT_EQ(got.AssignedReadLoad(b), want.AssignedReadLoad(b)) << b;
+      EXPECT_EQ(got.AssignedUpdateLoad(b), want.AssignedUpdateLoad(b)) << b;
+      EXPECT_EQ(got.BackendBytes(b, cls.catalog),
+                want.BackendBytes(b, cls.catalog))
+          << b;
+    }
+  };
+  Allocation restored = edited;
+  restored.CopyBackendsFrom(original, bs);
+  expect_equal(restored, original);
+  Allocation forward = original;
+  forward.CopyBackendsFrom(edited, bs);
+  expect_equal(forward, edited);
 }
 
 TEST(AllocationTest, SnapshotRowRoundTrips) {

@@ -10,6 +10,7 @@
 #include "test_util.h"
 #include "workload/classifier.h"
 #include "workloads/journal_synth.h"
+#include "workloads/tpcapp.h"
 
 namespace qcap {
 namespace {
@@ -218,6 +219,97 @@ TEST(MemeticTest, GarbageCollectLeavesOnlyNeededFragments) {
     }
     EXPECT_EQ(improved->BackendFragments(b), needed) << "backend " << b;
   }
+}
+
+TEST(MemeticTest, ImproveRejectsSeedWithOtherFragmentCount) {
+  // A seed allocated for 40 fragments must not be read as one over 60: its
+  // placement rows are too short for the larger catalog.
+  const Classification small = testutil::GoldenInstance({40, 4, 0.6, 1, 0});
+  const Classification large = testutil::GoldenInstance({60, 4, 0.6, 1, 0});
+  const auto backends = HomogeneousBackends(4);
+  auto seed_alloc = GreedyAllocator().Allocate(small, backends);
+  ASSERT_TRUE(seed_alloc.ok()) << seed_alloc.status().ToString();
+  auto result = MemeticAllocator(FastOptions()).Improve(large, backends,
+                                                        seed_alloc.value());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+}
+
+TEST(MemeticTest, ImproveRejectsSeedWithOtherBackendCount) {
+  const Classification cls = testutil::AppendixAClassification();
+  auto seed_alloc = GreedyAllocator().Allocate(cls, HomogeneousBackends(4));
+  ASSERT_TRUE(seed_alloc.ok()) << seed_alloc.status().ToString();
+  auto result = MemeticAllocator(FastOptions()).Improve(
+      cls, HomogeneousBackends(5), seed_alloc.value());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+}
+
+/// One pinned search: the allocation the memetic search returns, and how
+/// many cost evaluations and accepted local-search moves it took to get
+/// there. Any change to a mutation draw, a selection tie or a trial's
+/// accept/reject decision shows up here.
+struct TrajectoryGolden {
+  uint64_t seed;
+  uint64_t digest;
+  uint64_t evaluations;
+  uint64_t improvements;
+};
+
+void ExpectTrajectory(const Classification& cls,
+                      const std::vector<BackendSpec>& backends,
+                      MemeticOptions opts, const TrajectoryGolden& g) {
+  for (size_t threads : {1, 3}) {
+    SearchProgress progress;
+    opts.threads = threads;
+    opts.progress = &progress;
+    auto result = MemeticAllocator(opts).Allocate(cls, backends);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(ValidateAllocation(cls, result.value(), backends).ok());
+    EXPECT_EQ(testutil::AllocationDigest(result.value()), g.digest)
+        << std::hex << "0x" << testutil::AllocationDigest(result.value())
+        << std::dec << " for seed " << g.seed << " at " << threads
+        << " threads";
+    EXPECT_EQ(progress.evaluations.load(), g.evaluations)
+        << "seed " << g.seed << " at " << threads << " threads";
+    EXPECT_EQ(progress.improvements.load(), g.improvements)
+        << "seed " << g.seed << " at " << threads << " threads";
+    EXPECT_EQ(progress.generations.load(),
+              opts.iterations * opts.num_islands);
+  }
+}
+
+/// The advise-synth shape: 700 fragments, 1750 read and 70 update classes
+/// (Zipf 0.6), 16 backends, 18 members in 4 islands, 30 generations.
+TEST(MemeticTest, GoldenTrajectoriesSyntheticScale) {
+  const TrajectoryGolden goldens[] = {
+      {1, 0x7ae85e5f0bf0dafbULL, 5580, 240},
+      {2, 0x11e17b3822cb36d5ULL, 3136, 240},
+      {3, 0x31589f66fb846f4cULL, 5378, 240},
+  };
+  const auto backends = HomogeneousBackends(16);
+  for (const TrajectoryGolden& g : goldens) {
+    const Classification cls =
+        testutil::GoldenInstance({700, 16, 0.6, g.seed, 0});
+    MemeticOptions opts;
+    opts.population_size = 18;
+    opts.num_islands = 4;
+    opts.iterations = 30;
+    opts.seed = g.seed;
+    ExpectTrajectory(cls, backends, opts, g);
+  }
+}
+
+/// TPC-App at column granularity on 10 backends, default search options.
+TEST(MemeticTest, GoldenTrajectoryTpcApp) {
+  const engine::Catalog catalog = workloads::TpcAppCatalog(300.0);
+  Classifier classifier(catalog, {Granularity::kColumn, 4, true});
+  auto cls = classifier.Classify(workloads::TpcAppJournal(50000));
+  ASSERT_TRUE(cls.ok()) << cls.status().ToString();
+  ExpectTrajectory(cls.value(), HomogeneousBackends(10), MemeticOptions{},
+                   {42, 0x6918e0fbdad9f5d7ULL, 5685, 221});
 }
 
 class MemeticPropertySweep : public ::testing::TestWithParam<uint64_t> {};

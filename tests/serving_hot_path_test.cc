@@ -3,8 +3,8 @@
 // however many requests the dispatcher routes, and METRICS scrapes from a
 // second thread race with nothing (run under TSan in CI).
 //
-// The binary replaces the global operator new with a counting one, so
-// these tests live apart from the other serving tests.
+// The binary replaces the global operator new with a counting one
+// (counting_new.h), so these tests live apart from the other serving tests.
 #include "net/dispatcher.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,44 +20,9 @@
 #include <vector>
 
 #include "common/strings.h"
+#include "counting_new.h"
 #include "model/allocation.h"
 #include "test_util.h"
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return operator new(size, tag);
-}
-// GCC pairs the built-in operator new with the built-in operator delete at
-// call sites and flags std::free as mismatched; with the malloc-backed
-// replacement above, free() is exactly right.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace qcap::net {
 namespace {
@@ -142,12 +105,12 @@ TEST(ServingHotPathTest, RoutedRequestsMakeNoHeapAllocation) {
   for (size_t i = 0; i < 1000; ++i) {
     ASSERT_TRUE(RouteOne(dispatcher.get(), requests, i, 1.0));
   }
-  const uint64_t before = g_allocations.load();
+  const uint64_t before = testutil::heap_allocations.load();
   bool all_routed = true;
   for (size_t i = 0; i < 10000; ++i) {
     all_routed &= RouteOne(dispatcher.get(), requests, i, 2.0);
   }
-  const uint64_t allocations = g_allocations.load() - before;
+  const uint64_t allocations = testutil::heap_allocations.load() - before;
   EXPECT_TRUE(all_routed);
   EXPECT_EQ(allocations, 0u);
 }
