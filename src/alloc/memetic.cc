@@ -104,14 +104,17 @@ class Evolver {
 
   /// Scores trial_, which differs from \p a on the backends in touched_,
   /// against \p before. An improving trial is copied into \p a; a losing one
-  /// is reverted. Either way trial_ equals \p a again afterwards.
+  /// is reverted. Either way trial_, and the kernel's counts of it, match
+  /// \p a again afterwards.
   bool Settle(Allocation* a, const SolutionCost& before) {
     if (kernel_.EvaluateDelta(trial_, touched_).Better(before)) {
       a->CopyBackendsFrom(trial_, touched_);
+      kernel_.AcceptTrial();
       RecordImprovement();
       return true;
     }
     trial_.CopyBackendsFrom(*a, touched_);
+    kernel_.RejectTrial();
     return false;
   }
 
@@ -151,12 +154,12 @@ class Evolver {
               kernel_.BeginDelta(*a, before);
               have_before = true;
             }
-            trial_.add_read_assign(b2, r1, -delta);
-            trial_.add_read_assign(b1, r1, delta);
-            trial_.add_read_assign(b1, r2, -delta);
-            trial_.add_read_assign(b2, r2, delta);
+            kernel_.AddTrialShare(b2, r1, -delta);
+            kernel_.AddTrialShare(b1, r1, delta);
+            kernel_.AddTrialShare(b1, r2, -delta);
+            kernel_.AddTrialShare(b2, r2, delta);
             const size_t touched[2] = {b1, b2};
-            kernel_.GarbageCollectBackends(&trial_, touched, 2, &touched_);
+            kernel_.CollectTrial(touched, 2, &touched_);
             if (Settle(a, before)) return true;
           }
         }
@@ -193,15 +196,15 @@ class Evolver {
               continue;
             }
             const double w = trial_.read_assign(b1, r);
-            trial_.add_read_assign(b1, r, -w);
-            trial_.add_read_assign(b2, r, w);
+            kernel_.AddTrialShare(b1, r, -w);
+            kernel_.AddTrialShare(b2, r, w);
             trial_.PlaceBits(b2, index_.read_bits(r));
             kernel_.CloseUpdates(&trial_, b2);
             moved = true;
           }
           if (!moved) continue;  // trial_ is untouched.
           const size_t touched[2] = {b1, b2};
-          kernel_.GarbageCollectBackends(&trial_, touched, 2, &touched_);
+          kernel_.CollectTrial(touched, 2, &touched_);
           if (Settle(a, before)) return true;
         }
       }
@@ -211,8 +214,10 @@ class Evolver {
 
   void LocalImprove(Allocation* a) {
     // The one full copy per call; every trial after it restores only the
-    // rows it touched.
+    // rows it touched. The kernel's counts for the mirror are rebuilt per
+    // backend before the call's first share edit there.
     trial_ = *a;
+    kernel_.Track(&trial_);
     for (size_t pass = 0; pass < kImprovePasses; ++pass) {
       const bool improved = ImproveSharedPairs(a) || ImproveUpdateReplicas(a);
       if (!improved) break;
@@ -357,23 +362,29 @@ class IslandModel {
 
   /// Ring migration: island i's best member immigrates into island
   /// (i+1) % n, replacing that island's worst member if it improves on it.
-  /// Emigrants are snapshotted first so the outcome is order-independent.
+  /// Every emigrant is the best of its island before any migration: walking
+  /// the sources in descending order reads each island before it is
+  /// written, except island 0, which island n-1 writes first, so only
+  /// island 0's best is snapshotted.
   void Migrate() {
     const size_t n = populations_.size();
-    std::vector<Member> emigrants;
-    emigrants.reserve(n);
-    for (const auto& population : populations_) {
-      emigrants.push_back(
-          *std::min_element(population.begin(), population.end(), ByCost));
+    emigrant_ = Best(populations_[0]);
+    for (size_t i = n; i-- > 1;) {
+      Immigrate(Best(populations_[i]), &populations_[(i + 1) % n]);
     }
-    for (size_t i = 0; i < n; ++i) {
-      auto& target = populations_[(i + 1) % n];
-      auto worst = std::max_element(target.begin(), target.end(), ByCost);
-      if (emigrants[i].cost.Better(worst->cost)) {
-        *worst = emigrants[i];
-        if (opts_.progress != nullptr) {
-          opts_.progress->migrations.fetch_add(1, std::memory_order_relaxed);
-        }
+    Immigrate(emigrant_, &populations_[1]);
+  }
+
+  static const Member& Best(const std::vector<Member>& population) {
+    return *std::min_element(population.begin(), population.end(), ByCost);
+  }
+
+  void Immigrate(const Member& emigrant, std::vector<Member>* target) {
+    auto worst = std::max_element(target->begin(), target->end(), ByCost);
+    if (emigrant.cost.Better(worst->cost)) {
+      *worst = emigrant;  // Copy-assign: reuses the member's buffers.
+      if (opts_.progress != nullptr) {
+        opts_.progress->migrations.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -382,6 +393,7 @@ class IslandModel {
   size_t island_population_ = 3;
   std::vector<std::unique_ptr<Evolver>> evolvers_;
   std::vector<std::vector<Member>> populations_;
+  Member emigrant_;  // Island 0's best during a migration, reused.
 };
 
 }  // namespace

@@ -13,11 +13,27 @@ namespace qcap::alloc_internal {
 
 namespace {
 
+/// A read "needs" a backend's copy of its closure while its share there is
+/// above this (strict >, as in the collection scans).
+constexpr double kPositiveShare = 1e-15;
+
 bool ContainsBackend(const std::vector<size_t>& list, size_t b) {
   for (size_t x : list) {
     if (x == b) return true;
   }
   return false;
+}
+
+/// Walks of the closure id lists of many scattered reads stall on cache
+/// misses. Two-level prefetch: the CSR offsets well ahead (so the address
+/// computation never stalls), then the id data itself a few reads ahead.
+void PrefetchAhead(const ClassificationIndex& index, const uint32_t* reads,
+                   size_t i, size_t count) {
+  if (i + 16 < count) index.PrefetchReadClosureIds(reads[i + 16]);
+  if (i + 8 < count) {
+    __builtin_prefetch(index.read_closure_fragment_ids(reads[i + 8]).data());
+    __builtin_prefetch(index.read_closure_update_ids(reads[i + 8]).data());
+  }
 }
 
 }  // namespace
@@ -39,6 +55,17 @@ SearchKernel::SearchKernel(const Classification& cls,
   upd_sparse_limit_ = 4 * ((cls.updates.size() + 63) / 64);
   base_norm_.resize(backends.size());
   base_bytes_.resize(backends.size());
+  const size_t B = backends.size();
+  frag_words_ = (cls.catalog.size() + 63) / 64;
+  upd_words_ = (cls.updates.size() + 63) / 64;
+  frag_refs_.resize(B * cls.catalog.size());
+  upd_refs_.resize(B * cls.updates.size());
+  needed_rows_.resize(B * frag_words_);
+  pinned_rows_.resize(B * upd_words_);
+  counted_.resize(B);
+  // A memetic trial edits each read at most once on each of its two
+  // backends, so 2R entries log any of them.
+  crossings_.resize(2 * cls.reads.size());
   relative_load_.reserve(backends.size());
   for (const BackendSpec& spec : backends) {
     relative_load_.push_back(spec.relative_load);
@@ -86,20 +113,11 @@ void SearchKernel::CollectBackend(Allocation* a, size_t b) {
   // union the same set, so the resulting bits are identical either way.
   const std::span<const double> assign_row = a->ReadAssignRow(b);
   const size_t positives = simd::CollectAbove(
-      assign_row.data(), assign_row.size(), 1e-15, positive_scratch_.data());
+      assign_row.data(), assign_row.size(), kPositiveShare,
+      positive_scratch_.data());
   for (size_t i = 0; i < positives; ++i) {
     const size_t r = positive_scratch_[i];
-    // The id lists of distinct reads land on distant cache lines. Two-level
-    // prefetch: offsets well ahead (so the address computation below never
-    // stalls), then the id data itself a few reads ahead.
-    if (i + 16 < positives) {
-      index_.PrefetchReadClosureIds(positive_scratch_[i + 16]);
-    }
-    if (i + 8 < positives) {
-      const size_t ahead = positive_scratch_[i + 8];
-      __builtin_prefetch(index_.read_closure_fragment_ids(ahead).data());
-      __builtin_prefetch(index_.read_closure_update_ids(ahead).data());
-    }
+    PrefetchAhead(index_, positive_scratch_.data(), i, positives);
     const std::span<const uint32_t> frag_ids =
         index_.read_closure_fragment_ids(r);
     if (frag_ids.size() <= frag_sparse_limit_) {
@@ -114,11 +132,16 @@ void SearchKernel::CollectBackend(Allocation* a, size_t b) {
       keep_updates_.UnionWith(index_.read_closure_updates(r));
     }
   }
-  a->RetainFragments(b, needed_);
-  a->PlaceBits(b, needed_);
+  ApplyCollected(a, b, needed_, keep_updates_);
+}
+
+void SearchKernel::ApplyCollected(Allocation* a, size_t b, ConstBitSpan needed,
+                                  ConstBitSpan pinned) {
+  a->RetainFragments(b, needed);
+  a->PlaceBits(b, needed);
   for (size_t u = 0; u < cls_.updates.size(); ++u) {
     a->set_update_assign(b, u,
-                         keep_updates_.Test(u) ? cls_.updates[u].weight : 0.0);
+                         pinned.Test(u) ? cls_.updates[u].weight : 0.0);
   }
 }
 
@@ -130,13 +153,126 @@ void SearchKernel::GarbageCollect(Allocation* a) {
 void SearchKernel::GarbageCollectBackends(Allocation* a, const size_t* bs,
                                           size_t count,
                                           std::vector<size_t>* touched) {
+  CollectBackends(a, bs, count, /*use_counts=*/false, touched);
+}
+
+void SearchKernel::CollectBackends(Allocation* a, const size_t* bs,
+                                   size_t count, bool use_counts,
+                                   std::vector<size_t>* touched) {
   touched->clear();
   for (size_t i = 0; i < count; ++i) {
-    CollectBackend(a, bs[i]);
+    const size_t b = bs[i];
+    if (use_counts && counted_[b] != 0) {
+      ApplyCollected(a, b, NeededBits(b), PinnedBits(b));
+    } else {
+      CollectBackend(a, b);
+    }
     // qcap-lint: allow(hot-path-growth) -- touched holds <= num_backends entries; capacity is reached on the first call and reused
-    if (!ContainsBackend(*touched, bs[i])) touched->push_back(bs[i]);
+    if (!ContainsBackend(*touched, b)) touched->push_back(b);
   }
   PlaceOrphans(a, touched);
+}
+
+void SearchKernel::Track(Allocation* mirror) {
+  trial_ = mirror;
+  std::fill(counted_.begin(), counted_.end(), 0);
+  num_crossings_ = 0;
+  crossings_overflowed_ = false;
+}
+
+void SearchKernel::AddTrialShare(size_t b, size_t r, double delta) {
+  assert(trial_ != nullptr);
+  if (counted_[b] == 0) CountBackend(b);
+  const bool was = trial_->read_assign(b, r) > kPositiveShare;
+  trial_->add_read_assign(b, r, delta);
+  const bool now = trial_->read_assign(b, r) > kPositiveShare;
+  if (was == now) return;
+  CountRead(b, r, now);
+  if (num_crossings_ < crossings_.size()) {
+    crossings_[num_crossings_++] = Crossing{static_cast<uint32_t>(b),
+                                            static_cast<uint32_t>(r), now};
+  } else {
+    crossings_overflowed_ = true;
+  }
+}
+
+void SearchKernel::CollectTrial(const size_t* bs, size_t count,
+                                std::vector<size_t>* touched) {
+  assert(trial_ != nullptr);
+  CollectBackends(trial_, bs, count, /*use_counts=*/true, touched);
+}
+
+void SearchKernel::AcceptTrial() {
+  num_crossings_ = 0;
+  crossings_overflowed_ = false;
+}
+
+void SearchKernel::RejectTrial() {
+  if (crossings_overflowed_) {
+    // Part of the trial went unlogged: recount from the restored rows.
+    std::fill(counted_.begin(), counted_.end(), 0);
+  } else {
+    for (size_t i = num_crossings_; i > 0; --i) {
+      const Crossing& c = crossings_[i - 1];
+      CountRead(c.backend, c.read, !c.up);
+    }
+  }
+  num_crossings_ = 0;
+  crossings_overflowed_ = false;
+}
+
+void SearchKernel::CountBackend(size_t b) {
+  const size_t F = cls_.catalog.size();
+  const size_t U = cls_.updates.size();
+  uint32_t* frag_refs = frag_refs_.data() + b * F;
+  uint32_t* upd_refs = upd_refs_.data() + b * U;
+  std::fill_n(frag_refs, F, 0u);
+  std::fill_n(upd_refs, U, 0u);
+  BitSpan needed = NeededBits(b);
+  BitSpan pinned = PinnedBits(b);
+  needed.ClearAll();
+  pinned.ClearAll();
+  const std::span<const double> assign_row = trial_->ReadAssignRow(b);
+  const size_t positives = simd::CollectAbove(
+      assign_row.data(), assign_row.size(), kPositiveShare,
+      positive_scratch_.data());
+  for (size_t i = 0; i < positives; ++i) {
+    const size_t r = positive_scratch_[i];
+    PrefetchAhead(index_, positive_scratch_.data(), i, positives);
+    for (uint32_t f : index_.read_closure_fragment_ids(r)) {
+      ++frag_refs[f];
+      needed.Set(f);
+    }
+    for (uint32_t u : index_.read_closure_update_ids(r)) {
+      ++upd_refs[u];
+      pinned.Set(u);
+    }
+  }
+  counted_[b] = 1;
+}
+
+void SearchKernel::CountRead(size_t b, size_t r, bool up) {
+  uint32_t* frag_refs = frag_refs_.data() + b * cls_.catalog.size();
+  uint32_t* upd_refs = upd_refs_.data() + b * cls_.updates.size();
+  BitSpan needed = NeededBits(b);
+  BitSpan pinned = PinnedBits(b);
+  if (up) {
+    for (uint32_t f : index_.read_closure_fragment_ids(r)) {
+      if (frag_refs[f]++ == 0) needed.Set(f);
+    }
+    for (uint32_t u : index_.read_closure_update_ids(r)) {
+      if (upd_refs[u]++ == 0) pinned.Set(u);
+    }
+  } else {
+    for (uint32_t f : index_.read_closure_fragment_ids(r)) {
+      assert(frag_refs[f] > 0);
+      if (--frag_refs[f] == 0) needed.Clear(f);
+    }
+    for (uint32_t u : index_.read_closure_update_ids(r)) {
+      assert(upd_refs[u] > 0);
+      if (--upd_refs[u] == 0) pinned.Clear(u);
+    }
+  }
 }
 
 void SearchKernel::PlaceOrphans(Allocation* a, std::vector<size_t>* touched) {

@@ -10,8 +10,13 @@
 //    B rows per backend (O(B²·(F+R+U))) with an O(U²) fixpoint each,
 //  - BeginDelta/EvaluateDelta score a trial that differs from a base
 //    allocation on a few backends in O(|touched|),
+//  - for one tracked trial mirror (Track), per-backend reference counts of
+//    how many positive-share reads need each fragment and update class let
+//    CollectTrial skip the closure unions: a share edit that crosses the
+//    positivity threshold walks that read's closure ids, and a rejected
+//    trial undoes its logged crossings instead of recounting,
 // and none of it heap-allocates on the steady-state path (scratch is sized
-// on first use and reused).
+// in the constructor and reused).
 //
 // A kernel instance is NOT thread-safe (it owns scratch); give each search
 // thread / island its own kernel over the same shared ClassificationIndex.
@@ -82,8 +87,57 @@ class SearchKernel {
   /// accumulation order as alloc_internal::CloseUpdatesOnBackend).
   double CloseUpdates(Allocation* a, size_t b);
 
+  // --- Reference-counted collection of one trial mirror ---
+  //
+  // A local search copies a member into a mirror once, then runs many
+  // trials on it; each trial edits a few read shares, is collected and
+  // scored, and is then accepted or rolled back. For the tracked mirror the
+  // kernel keeps per-backend counts, rebuilt from the backend's row before
+  // its first share edit after Track, and then kept current by every share
+  // edit that crosses the > 1e-15 threshold GarbageCollect uses. Counts
+  // depend only on read shares, so placements, update pins and orphan
+  // repairs never disturb them.
+
+  /// Starts tracking \p mirror (unowned; must outlive the tracking) and
+  /// drops every backend's counts.
+  void Track(Allocation* mirror);
+  /// The one way a trial edits a share of the tracked mirror:
+  /// add_read_assign(b, r, delta), counting b first if it is not yet
+  /// counted and logging the edit if r's share on b crossed the threshold.
+  void AddTrialShare(size_t b, size_t r, double delta);
+  /// GarbageCollectBackends on the tracked mirror. Counted backends keep
+  /// the fragments and update pins their counts mark, which is the same set
+  /// the closure union yields, so the result is bit-identical; a backend
+  /// with no counts is collected by the union.
+  void CollectTrial(const size_t* bs, size_t count,
+                    std::vector<size_t>* touched);
+  /// The trial's share edits stand: forgets the crossing log.
+  void AcceptTrial();
+  /// The caller restored the mirror's touched rows to their state before
+  /// the trial: undoes the logged crossings so the counts match it again.
+  void RejectTrial();
+
  private:
   void CollectBackend(Allocation* a, size_t b);
+  void CollectBackends(Allocation* a, const size_t* bs, size_t count,
+                       bool use_counts, std::vector<size_t>* touched);
+  /// Makes backend \p b hold exactly \p needed (row) and pin exactly
+  /// \p pinned (update classes, ascending).
+  void ApplyCollected(Allocation* a, size_t b, ConstBitSpan needed,
+                      ConstBitSpan pinned);
+  /// Rebuilds backend \p b's counts from the tracked mirror's row.
+  void CountBackend(size_t b);
+  /// Adds (\p up) or removes read \p r's closure from backend \p b's
+  /// counts, keeping the needed/pinned bits in step.
+  void CountRead(size_t b, size_t r, bool up);
+  BitSpan NeededBits(size_t b) {
+    return BitSpan(needed_rows_.data() + b * frag_words_, frag_words_,
+                   cls_.catalog.size());
+  }
+  BitSpan PinnedBits(size_t b) {
+    return BitSpan(pinned_rows_.data() + b * upd_words_, upd_words_,
+                   cls_.updates.size());
+  }
   /// Restores data completeness like alloc_internal::PlaceOrphanFragments
   /// (same target choice), recording modified backends in \p touched when
   /// non-null.
@@ -99,6 +153,28 @@ class SearchKernel {
   DenseBitset keep_updates_;
   DenseBitset row_scratch_;
   std::vector<uint32_t> positive_scratch_;  // CollectAbove output, |reads|.
+
+  // Reference counts of the tracked mirror (see Track). Row b of each
+  // table is meaningful only while counted_[b] is set.
+  struct Crossing {
+    uint32_t backend;
+    uint32_t read;
+    bool up;  // The share became positive.
+  };
+  Allocation* trial_ = nullptr;
+  size_t frag_words_ = 0;
+  size_t upd_words_ = 0;
+  std::vector<uint32_t> frag_refs_;    // B x F: positive reads needing f.
+  std::vector<uint32_t> upd_refs_;     // B x U: positive reads pinning u.
+  std::vector<uint64_t> needed_rows_;  // B x frag_words: frag_refs_ > 0.
+  std::vector<uint64_t> pinned_rows_;  // B x upd_words: upd_refs_ > 0.
+  std::vector<uint8_t> counted_;       // Per backend.
+  // The current trial's crossings, in edit order. A trial that crosses
+  // more often than the log holds drops every backend's counts on
+  // rejection instead (they are rebuilt before the next edit).
+  std::vector<Crossing> crossings_;
+  size_t num_crossings_ = 0;
+  bool crossings_overflowed_ = false;
 
   // CollectBackend unions a read's closure by scattering its sparse id list
   // when the list is short, and by streaming the dense row otherwise; these

@@ -21,27 +21,20 @@ Result<TransitionPlan> PhysicalAllocator::Plan(
   }
   const size_t n = std::max(new_n, old_n);
 
-  // Cached fragment sets.
-  std::vector<FragmentSet> new_frags(new_n), old_frags(old_n);
-  for (size_t v = 0; v < new_n; ++v) new_frags[v] = new_alloc.BackendFragments(v);
-  for (size_t u = 0; u < old_n; ++u) old_frags[u] = old_alloc.BackendFragments(u);
-
   // Eq. 27: cost(v,u) = bytes of fragments backend v needs that node u
-  // lacks. Rows/columns beyond the real counts are empty virtual backends.
-  std::vector<std::vector<double>> cost(n, std::vector<double>(n, 0.0));
-  for (size_t v = 0; v < n; ++v) {
+  // lacks, read straight off the placement rows. Rows/columns beyond the
+  // real counts are empty virtual backends: a virtual new backend costs 0
+  // (node u is decommissioned), a fresh node lacks everything.
+  std::vector<double> cost(n * n, 0.0);
+  for (size_t v = 0; v < new_n; ++v) {
+    const ConstBitSpan want = new_alloc.RowBits(v);
     for (size_t u = 0; u < n; ++u) {
-      if (v >= new_n) {
-        cost[v][u] = 0.0;  // Virtual new backend: node u is decommissioned.
-      } else if (u >= old_n) {
-        cost[v][u] = catalog.SetBytes(new_frags[v]);  // Fresh node.
-      } else {
-        cost[v][u] = catalog.SetBytes(SetDifference(new_frags[v], old_frags[u]));
-      }
+      cost[v * n + u] = catalog.DifferenceBytes(
+          want, u < old_n ? old_alloc.RowBits(u) : ConstBitSpan());
     }
   }
 
-  QCAP_ASSIGN_OR_RETURN(AssignmentResult matching, SolveAssignment(cost));
+  QCAP_ASSIGN_OR_RETURN(AssignmentResult matching, SolveAssignment(cost, n));
 
   TransitionPlan plan;
   plan.source_of.assign(new_n, -1);
@@ -50,11 +43,12 @@ Result<TransitionPlan> PhysicalAllocator::Plan(
     const size_t u = matching.assignment[v];
     if (v < new_n) {
       plan.source_of[v] = u < old_n ? static_cast<int>(u) : -1;
-      plan.move_bytes[v] = cost[v][u];
-      plan.total_bytes += cost[v][u];
+      const double bytes = cost[v * n + u];
+      plan.move_bytes[v] = bytes;
+      plan.total_bytes += bytes;
       plan.duration_seconds =
           std::max(plan.duration_seconds,
-                   cost_model_.BackendSeconds(cost[v][u], needs_fragmentation));
+                   cost_model_.BackendSeconds(bytes, needs_fragmentation));
     } else if (u < old_n) {
       plan.decommissioned.push_back(u);
     }

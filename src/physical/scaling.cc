@@ -18,20 +18,19 @@ Result<Allocation> MergeAllocations(const std::vector<Allocation>& segments,
   }
 
   Allocation merged = segments[0];
+  std::vector<double> cost(n * n);
   for (size_t s = 1; s < segments.size(); ++s) {
     // Align segment s's backends to the merged placement: cost of hosting
     // segment-backend v on merged-backend u is the bytes u still lacks.
-    std::vector<std::vector<double>> cost(n, std::vector<double>(n, 0.0));
     for (size_t v = 0; v < n; ++v) {
-      const FragmentSet frags = segments[s].BackendFragments(v);
       for (size_t u = 0; u < n; ++u) {
-        cost[v][u] =
-            catalog.SetBytes(SetDifference(frags, merged.BackendFragments(u)));
+        cost[v * n + u] = catalog.DifferenceBytes(segments[s].RowBits(v),
+                                                  merged.RowBits(u));
       }
     }
-    QCAP_ASSIGN_OR_RETURN(AssignmentResult matching, SolveAssignment(cost));
+    QCAP_ASSIGN_OR_RETURN(AssignmentResult matching, SolveAssignment(cost, n));
     for (size_t v = 0; v < n; ++v) {
-      merged.PlaceSet(matching.assignment[v], segments[s].BackendFragments(v));
+      merged.PlaceBits(matching.assignment[v], segments[s].RowBits(v));
     }
   }
   return merged;

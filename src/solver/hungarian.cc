@@ -1,5 +1,7 @@
 #include "solver/hungarian.h"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace qcap {
@@ -7,12 +9,30 @@ namespace qcap {
 Result<AssignmentResult> SolveAssignment(
     const std::vector<std::vector<double>>& cost) {
   const size_t n = cost.size();
-  if (n == 0) {
-    return Status::InvalidArgument("empty cost matrix");
-  }
+  std::vector<double> flat;
+  flat.reserve(n * n);
   for (const auto& row : cost) {
     if (row.size() != n) {
       return Status::InvalidArgument("cost matrix is not square");
+    }
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  return SolveAssignment(flat, n);
+}
+
+Result<AssignmentResult> SolveAssignment(std::span<const double> cost,
+                                         size_t n) {
+  if (n == 0) {
+    return Status::InvalidArgument("empty cost matrix");
+  }
+  if (cost.size() != n * n) {
+    return Status::InvalidArgument("cost matrix is not square");
+  }
+  // A NaN or infinite cell never wins a strict comparison against the
+  // potentials, so the augmenting-path search below would never end.
+  for (double c : cost) {
+    if (!std::isfinite(c)) {
+      return Status::InvalidArgument("cost matrix has a non-finite cell");
     }
   }
 
@@ -21,12 +41,14 @@ Result<AssignmentResult> SolveAssignment(
   const double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
   std::vector<size_t> p(n + 1, 0), way(n + 1, 0);
+  std::vector<double> minv(n + 1);
+  std::vector<bool> used(n + 1);
 
   for (size_t i = 1; i <= n; ++i) {
     p[0] = i;
     size_t j0 = 0;
-    std::vector<double> minv(n + 1, kInf);
-    std::vector<bool> used(n + 1, false);
+    std::fill(minv.begin(), minv.end(), kInf);
+    std::fill(used.begin(), used.end(), false);
     do {
       used[j0] = true;
       const size_t i0 = p[j0];
@@ -34,7 +56,7 @@ Result<AssignmentResult> SolveAssignment(
       size_t j1 = 0;
       for (size_t j = 1; j <= n; ++j) {
         if (used[j]) continue;
-        const double cur = cost[i0 - 1][j - 1] - u[i0] - v[j];
+        const double cur = cost[(i0 - 1) * n + (j - 1)] - u[i0] - v[j];
         if (cur < minv[j]) {
           minv[j] = cur;
           way[j] = j0;
@@ -67,7 +89,7 @@ Result<AssignmentResult> SolveAssignment(
     result.assignment[p[j] - 1] = j - 1;
   }
   for (size_t i = 0; i < n; ++i) {
-    result.total_cost += cost[i][result.assignment[i]];
+    result.total_cost += cost[i * n + result.assignment[i]];
   }
   return result;
 }

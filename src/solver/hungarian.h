@@ -5,6 +5,7 @@
 // the currently installed allocation, in O(n^3).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -19,8 +20,13 @@ struct AssignmentResult {
 
 /// Solves the min-cost perfect assignment for the square \p cost matrix
 /// (cost[i][j] = cost of assigning row i to column j). Fails if the matrix
-/// is empty or not square.
+/// is empty, not square or has a non-finite cell.
 Result<AssignmentResult> SolveAssignment(
     const std::vector<std::vector<double>>& cost);
+
+/// Same for an \p n x \p n matrix stored row-major in \p cost
+/// (cost[i * n + j]); \p cost must hold exactly n * n cells.
+Result<AssignmentResult> SolveAssignment(std::span<const double> cost,
+                                         size_t n);
 
 }  // namespace qcap

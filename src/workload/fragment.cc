@@ -1,6 +1,7 @@
 #include "workload/fragment.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace qcap {
 
@@ -11,6 +12,10 @@ Result<FragmentId> FragmentCatalog::Add(std::string name, std::string table,
   }
   if (size_bytes < 0.0) {
     return Status::InvalidArgument("fragment '" + name + "' has negative size");
+  }
+  if (!std::isfinite(size_bytes)) {
+    return Status::InvalidArgument("fragment '" + name +
+                                   "' has non-finite size");
   }
   if (by_name_.count(name) != 0) {
     return Status::AlreadyExists("fragment '" + name + "' already registered");
@@ -33,6 +38,20 @@ Result<FragmentId> FragmentCatalog::Find(const std::string& name) const {
 double FragmentCatalog::SetBytes(const FragmentSet& set) const {
   double total = 0.0;
   for (FragmentId id : set) total += fragments_[id].size_bytes;
+  return total;
+}
+
+double FragmentCatalog::DifferenceBytes(ConstBitSpan want,
+                                        ConstBitSpan have) const {
+  double total = 0.0;
+  for (size_t w = 0; w < want.num_words(); ++w) {
+    uint64_t bits = want.words()[w];
+    if (w < have.num_words()) bits &= ~have.words()[w];
+    while (bits != 0) {
+      total += fragments_[w * 64 + __builtin_ctzll(bits)].size_bytes;
+      bits &= bits - 1;
+    }
+  }
   return total;
 }
 

@@ -38,11 +38,13 @@ struct Fragment {
   double size_bytes = 0.0; ///< Physical size used by size-aware heuristics.
 };
 
+class ConstBitSpan;
+
 /// \brief Interning registry of fragments with size accounting.
 class FragmentCatalog {
  public:
-  /// Registers a fragment; returns its id. Fails on duplicate names or
-  /// negative sizes.
+  /// Registers a fragment; returns its id. Fails on duplicate names and on
+  /// negative or non-finite sizes.
   Result<FragmentId> Add(std::string name, std::string table, FragmentKind kind,
                          double size_bytes);
 
@@ -60,6 +62,11 @@ class FragmentCatalog {
 
   /// Sum of sizes of the fragments in \p set.
   double SetBytes(const FragmentSet& set) const;
+  /// Sum of sizes of the fragments in \p want but not in \p have, added
+  /// in ascending id order: SetBytes(SetDifference(want, have)) bit for
+  /// bit, with no set materialized. Words past \p have's end read as zero,
+  /// so an empty \p have sums all of \p want.
+  double DifferenceBytes(ConstBitSpan want, ConstBitSpan have) const;
   /// Sum of sizes of all fragments (the unreplicated database size).
   double TotalBytes() const;
 

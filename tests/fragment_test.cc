@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/random.h"
 
 namespace qcap {
@@ -32,6 +35,46 @@ TEST(FragmentCatalogTest, RejectsEmptyNameAndNegativeSize) {
   FragmentCatalog catalog;
   EXPECT_FALSE(catalog.Add("", "t", FragmentKind::kTable, 1.0).ok());
   EXPECT_FALSE(catalog.Add("y", "t", FragmentKind::kTable, -1.0).ok());
+}
+
+TEST(FragmentCatalogTest, RejectsNonFiniteSize) {
+  FragmentCatalog catalog;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(catalog.Add("y", "t", FragmentKind::kTable, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_TRUE(catalog.empty());
+}
+
+TEST(FragmentCatalogTest, DifferenceBytesMatchesSetBytesOfDifference) {
+  // Random sets over 150 fragments (three words, a ragged tail) with
+  // irregular sizes, so a different summation order would show in the bits.
+  Rng rng(3);
+  FragmentCatalog catalog;
+  const size_t F = 150;
+  for (size_t f = 0; f < F; ++f) {
+    ASSERT_TRUE(catalog
+                    .Add("f" + std::to_string(f), "t", FragmentKind::kColumn,
+                         rng.NextDouble() * 1e9 + 0.1)
+                    .ok());
+  }
+  for (int round = 0; round < 50; ++round) {
+    FragmentSet want, have;
+    for (FragmentId f = 0; f < F; ++f) {
+      if (rng.NextBernoulli(0.4)) want.push_back(f);
+      if (rng.NextBernoulli(0.5)) have.push_back(f);
+    }
+    DenseBitset want_bits, have_bits;
+    want_bits.AssignSet(want, F);
+    have_bits.AssignSet(have, F);
+    EXPECT_EQ(catalog.DifferenceBytes(want_bits, have_bits),
+              catalog.SetBytes(SetDifference(want, have)));
+    EXPECT_EQ(catalog.DifferenceBytes(want_bits, ConstBitSpan()),
+              catalog.SetBytes(want));
+  }
 }
 
 TEST(FragmentCatalogTest, FindMissing) {

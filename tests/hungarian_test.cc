@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -59,6 +61,46 @@ TEST(HungarianTest, HandlesNegativeCosts) {
 TEST(HungarianTest, RejectsEmptyAndNonSquare) {
   EXPECT_FALSE(SolveAssignment({}).ok());
   EXPECT_FALSE(SolveAssignment({{1.0, 2.0}}).ok());
+}
+
+TEST(HungarianTest, RejectsNonFiniteCells) {
+  // Non-finite cells used to be accepted: a matching came back from
+  // meaningless comparisons, and a row with no finite cell made the
+  // augmenting-path search loop forever.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_EQ(SolveAssignment({{bad, 1.0}, {1.0, bad}}).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(SolveAssignment({{bad, bad}, {0.0, 1.0}}).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    const std::vector<double> flat = {0.0, 2.0, 3.0, bad};
+    EXPECT_EQ(SolveAssignment(flat, 2).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+TEST(HungarianTest, FlatMatrixMatchesNested) {
+  Rng rng(9);
+  const size_t n = 7;
+  std::vector<std::vector<double>> nested(n, std::vector<double>(n));
+  std::vector<double> flat;
+  for (auto& row : nested) {
+    for (double& c : row) {
+      c = rng.NextDouble() * 100.0;
+      flat.push_back(c);
+    }
+  }
+  const auto a = SolveAssignment(nested);
+  const auto b = SolveAssignment(flat, n);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->assignment, b->assignment);
+  EXPECT_EQ(a->total_cost, b->total_cost);
+  EXPECT_FALSE(SolveAssignment(flat, n - 1).ok());
+  EXPECT_FALSE(SolveAssignment(flat, 0).ok());
 }
 
 /// Random matrices cross-checked against brute-force permutation search.

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+#include "counting_new.h"
 #include "physical/scaling.h"
+#include "solver/hungarian.h"
 #include "test_util.h"
 
 namespace qcap {
@@ -152,6 +161,142 @@ TEST(ScalingTest, MergeRejectsMismatchedSegments) {
   Allocation a(2, 3, 4, 0), b(3, 3, 4, 0);
   EXPECT_FALSE(MergeAllocations({a, b}, cls.catalog).ok());
   EXPECT_FALSE(MergeAllocations({}, cls.catalog).ok());
+}
+
+/// \p n fragments with irregular sizes, so a different summation order
+/// would show in the low bits of a byte total.
+FragmentCatalog RandomCatalog(size_t n, Rng* rng) {
+  FragmentCatalog catalog;
+  for (size_t f = 0; f < n; ++f) {
+    EXPECT_TRUE(catalog
+                    .Add("f" + std::to_string(f), "t", FragmentKind::kColumn,
+                         rng->NextDouble() * 1e9 + 0.1)
+                    .ok());
+  }
+  return catalog;
+}
+
+Allocation RandomPlacement(size_t backends, size_t fragments, Rng* rng) {
+  Allocation a(backends, fragments, 0, 0);
+  for (size_t b = 0; b < backends; ++b) {
+    const double density = rng->NextDouble();
+    for (FragmentId f = 0; f < fragments; ++f) {
+      if (rng->NextBernoulli(density)) a.Place(b, f);
+    }
+  }
+  return a;
+}
+
+/// Plan as Eq. 27 states it, from materialized fragment sets.
+TransitionPlan ReferencePlan(const Allocation& old_alloc,
+                             const Allocation& new_alloc,
+                             const FragmentCatalog& catalog) {
+  const size_t new_n = new_alloc.num_backends();
+  const size_t old_n = old_alloc.num_backends();
+  const size_t n = std::max(new_n, old_n);
+  std::vector<std::vector<double>> cost(n, std::vector<double>(n, 0.0));
+  for (size_t v = 0; v < new_n; ++v) {
+    for (size_t u = 0; u < n; ++u) {
+      cost[v][u] =
+          u < old_n ? catalog.SetBytes(SetDifference(
+                          new_alloc.BackendFragments(v),
+                          old_alloc.BackendFragments(u)))
+                    : catalog.SetBytes(new_alloc.BackendFragments(v));
+    }
+  }
+  const auto matching = SolveAssignment(cost);
+  EXPECT_TRUE(matching.ok());
+  TransitionPlan plan;
+  const EtlCostModel model;
+  for (size_t v = 0; v < n; ++v) {
+    const size_t u = matching->assignment[v];
+    if (v < new_n) {
+      plan.source_of.push_back(u < old_n ? static_cast<int>(u) : -1);
+      plan.move_bytes.push_back(cost[v][u]);
+      plan.total_bytes += cost[v][u];
+      plan.duration_seconds = std::max(plan.duration_seconds,
+                                       model.BackendSeconds(cost[v][u], true));
+    } else if (u < old_n) {
+      plan.decommissioned.push_back(u);
+    }
+  }
+  std::sort(plan.decommissioned.begin(), plan.decommissioned.end());
+  return plan;
+}
+
+TEST(PhysicalTest, PlanMatchesSetDifferenceCostsBitForBit) {
+  Rng rng(17);
+  const FragmentCatalog catalog = RandomCatalog(150, &rng);
+  // Same, more and fewer backends than before.
+  for (const auto& [old_n, new_n] :
+       std::vector<std::pair<size_t, size_t>>{{5, 5}, {3, 7}, {8, 2}}) {
+    for (int round = 0; round < 10; ++round) {
+      const Allocation old_alloc = RandomPlacement(old_n, 150, &rng);
+      const Allocation new_alloc = RandomPlacement(new_n, 150, &rng);
+      const auto plan = PhysicalAllocator().Plan(old_alloc, new_alloc, catalog);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      const TransitionPlan want = ReferencePlan(old_alloc, new_alloc, catalog);
+      EXPECT_EQ(plan->source_of, want.source_of);
+      EXPECT_EQ(plan->decommissioned, want.decommissioned);
+      EXPECT_EQ(plan->move_bytes, want.move_bytes);  // Exact doubles.
+      EXPECT_EQ(plan->total_bytes, want.total_bytes);
+      EXPECT_EQ(plan->duration_seconds, want.duration_seconds);
+    }
+  }
+}
+
+TEST(ScalingTest, MergeMatchesSetDifferenceAlignment) {
+  Rng rng(23);
+  const FragmentCatalog catalog = RandomCatalog(130, &rng);
+  std::vector<Allocation> segments;
+  for (int s = 0; s < 4; ++s) segments.push_back(RandomPlacement(5, 130, &rng));
+  // The merge as specified: align each segment by SetBytes(SetDifference)
+  // costs, then union its fragment sets into the matched backends.
+  Allocation want = segments[0];
+  for (size_t s = 1; s < segments.size(); ++s) {
+    std::vector<std::vector<double>> cost(5, std::vector<double>(5));
+    for (size_t v = 0; v < 5; ++v) {
+      for (size_t u = 0; u < 5; ++u) {
+        cost[v][u] = catalog.SetBytes(SetDifference(
+            segments[s].BackendFragments(v), want.BackendFragments(u)));
+      }
+    }
+    const auto matching = SolveAssignment(cost);
+    ASSERT_TRUE(matching.ok());
+    for (size_t v = 0; v < 5; ++v) {
+      want.PlaceSet(matching->assignment[v], segments[s].BackendFragments(v));
+    }
+  }
+  const auto merged = MergeAllocations(segments, catalog);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(testutil::AllocationDigest(*merged),
+            testutil::AllocationDigest(want));
+}
+
+/// Heap allocations of one Plan between two random 16-backend allocations
+/// over \p fragments fragments.
+uint64_t PlanAllocations(size_t fragments) {
+  Rng rng(fragments);
+  const FragmentCatalog catalog = RandomCatalog(fragments, &rng);
+  const Allocation old_alloc = RandomPlacement(16, fragments, &rng);
+  const Allocation new_alloc = RandomPlacement(16, fragments, &rng);
+  const PhysicalAllocator physical;
+  const uint64_t before = testutil::heap_allocations.load();
+  const auto plan = physical.Plan(old_alloc, new_alloc, catalog);
+  const uint64_t allocations = testutil::heap_allocations.load() - before;
+  EXPECT_TRUE(plan.ok());
+  return allocations;
+}
+
+TEST(PhysicalTest, PlanAllocationsDoNotGrowWithFragments) {
+  // The cost cells come straight from the placement rows: no fragment set
+  // is materialized, so the allocation count depends on the backend count
+  // alone (cost matrix, solver arrays, plan vectors).
+  const uint64_t at700 = PlanAllocations(700);
+  const uint64_t at1400 = PlanAllocations(1400);
+  EXPECT_GT(at700, 0u);
+  EXPECT_EQ(at700, at1400);
+  EXPECT_LT(at700, 50u);
 }
 
 }  // namespace
