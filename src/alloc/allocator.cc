@@ -1,5 +1,6 @@
 #include "alloc/allocator.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace qcap::alloc_internal {
@@ -14,10 +15,15 @@ double CloseUpdatesOnBackend(const Classification& cls, size_t b,
     for (size_t u = 0; u < cls.updates.size(); ++u) {
       if (alloc->update_assign(b, u) > 0.0) continue;
       if (Intersects(cls.updates[u].fragments, frags)) {
+        const double w = cls.updates[u].weight;
+        // A zero-weight class still reads as unpinned after this pin, so
+        // only new fragments or a positive pin call for another pass.
+        if (w > 0.0 || !alloc->HoldsAll(b, cls.updates[u].fragments)) {
+          changed = true;
+        }
         alloc->PlaceSet(b, cls.updates[u].fragments);
-        alloc->set_update_assign(b, u, cls.updates[u].weight);
-        added += cls.updates[u].weight;
-        changed = true;
+        alloc->set_update_assign(b, u, w);
+        added += w;
       }
     }
   }
@@ -35,10 +41,13 @@ double CloseUpdatesOnBackend(const Classification& cls,
     for (size_t u = 0; u < cls.updates.size(); ++u) {
       if (alloc->update_assign(b, u) > 0.0) continue;
       if (Intersects(index.update_bits(u), *row_scratch)) {
+        const double w = cls.updates[u].weight;
+        if (w > 0.0 || !alloc->HoldsAllBits(b, index.update_bits(u))) {
+          changed = true;
+        }
         alloc->PlaceBits(b, index.update_bits(u));
-        alloc->set_update_assign(b, u, cls.updates[u].weight);
-        added += cls.updates[u].weight;
-        changed = true;
+        alloc->set_update_assign(b, u, w);
+        added += w;
       }
     }
   }
@@ -76,6 +85,81 @@ void PlaceOrphanFragments(const Classification& cls, Allocation* alloc) {
       CloseUpdatesOnBackend(cls, target, alloc);
     }
   }
+}
+
+void BundleScores::Score(const Allocation& alloc, ConstBitSpan bundle) {
+  const size_t n = missing_.size();
+  std::fill(missing_.begin(), missing_.end(), 0.0);
+  std::fill(holds_.begin(), holds_.end(), uint8_t{1});
+  const double* size = alloc.FragmentSizes().data();
+  const uint64_t* want = bundle.words();
+  for (size_t i = 0; i < bundle.num_words(); ++i) {
+    if (want[i] == 0) continue;
+    const double* word_size = size + i * 64;
+    for (size_t b = 0; b < n; ++b) {
+      uint64_t lack = want[i] & ~alloc.RowBits(b).words()[i];
+      if (lack == 0) continue;
+      holds_[b] = 0;
+      double sum = missing_[b];
+      do {
+        sum += word_size[__builtin_ctzll(lack)];
+        lack &= lack - 1;
+      } while (lack != 0);
+      missing_[b] = sum;
+    }
+  }
+}
+
+UpdateCloser::UpdateCloser(const Classification& cls,
+                           const ClassificationIndex& index)
+    : cls_(cls), index_(index), fresh_((index.num_fragments() + 63) / 64) {
+  due_.reserve(cls.updates.size());
+}
+
+bool UpdateCloser::MarkFresh(const Allocation& alloc, size_t b,
+                             ConstBitSpan bits) {
+  const uint64_t* row = alloc.RowBits(b).words();
+  const uint64_t* w = bits.words();
+  uint64_t any = 0;
+  for (size_t i = 0; i < fresh_.size(); ++i) {
+    const uint64_t fresh = w[i] & ~row[i];
+    fresh_[i] |= fresh;
+    any |= fresh;
+  }
+  return any != 0;
+}
+
+double UpdateCloser::PlaceAndClose(size_t b, ConstBitSpan bits,
+                                   Allocation* alloc) {
+  std::fill(fresh_.begin(), fresh_.end(), uint64_t{0});
+  bool grew = MarkFresh(*alloc, b, bits);
+  alloc->PlaceBits(b, bits);
+  double added = 0.0;
+  while (grew) {
+    // The row was closed before this round's bits arrived, so a class that
+    // overlaps the row now and is unpinned overlaps those bits.
+    for (size_t i = 0; i < fresh_.size(); ++i) {
+      for (uint64_t word = fresh_[i]; word != 0; word &= word - 1) {
+        const auto f =
+            static_cast<FragmentId>(i * 64 + __builtin_ctzll(word));
+        for (size_t u : index_.updates_of_fragment(f)) {
+          if (alloc->update_assign(b, u) <= 0.0) due_.push_back(u);
+        }
+      }
+    }
+    std::sort(due_.begin(), due_.end());
+    due_.erase(std::unique(due_.begin(), due_.end()), due_.end());
+    std::fill(fresh_.begin(), fresh_.end(), uint64_t{0});
+    grew = false;
+    for (size_t u : due_) {
+      grew |= MarkFresh(*alloc, b, index_.update_bits(u));
+      alloc->PlaceBits(b, index_.update_bits(u));
+      alloc->set_update_assign(b, u, cls_.updates[u].weight);
+      added += cls_.updates[u].weight;
+    }
+    due_.clear();
+  }
+  return added;
 }
 
 }  // namespace qcap::alloc_internal

@@ -37,17 +37,6 @@ Result<Allocation> GreedyAllocator::Allocate(
   const ClassificationIndex index(cls);
   Allocation alloc(n, cls.catalog, cls.reads.size(), cls.updates.size());
 
-  // Line 1: C* = CQ ∪ {CU with no overlapping read class}.
-  std::vector<Pending> queue;
-  for (size_t r = 0; r < cls.reads.size(); ++r) {
-    queue.push_back(Pending{r, false});
-  }
-  for (size_t u = 0; u < cls.updates.size(); ++u) {
-    if (index.reads_overlapping_update(u).empty()) {
-      queue.push_back(Pending{u, true});
-    }
-  }
-
   auto class_of = [&](const Pending& p) -> const QueryClass& {
     return p.is_update ? cls.updates[p.index] : cls.reads[p.index];
   };
@@ -58,13 +47,6 @@ Result<Allocation> GreedyAllocator::Allocate(
     return p.is_update ? index.update_overlapping_update_weight(p.index)
                        : index.read_overlapping_update_weight(p.index);
   };
-  auto bundle_weight = [&](const Pending& p) {
-    // weight(C ∪ updates(C)): the class's own weight plus all overlapping
-    // update classes (for an update class this includes itself once).
-    double w = overlap_weight(p);
-    if (!p.is_update) w += class_of(p).weight;
-    return w;
-  };
   auto bundle_size = [&](const Pending& p) {
     return p.is_update ? index.update_bundle_bytes(p.index)
                        : index.read_bundle_bytes(p.index);
@@ -74,13 +56,6 @@ Result<Allocation> GreedyAllocator::Allocate(
                        : index.read_bundle_bits(p.index);
   };
 
-  // Line 2: initial sort, descending weight x size.
-  std::stable_sort(queue.begin(), queue.end(),
-                   [&](const Pending& a, const Pending& b) {
-                     return bundle_weight(a) * bundle_size(a) >
-                            bundle_weight(b) * bundle_size(b);
-                   });
-
   // Lines 3-5: auxiliary state.
   std::vector<double> current_load(n, 0.0);
   std::vector<double> scaled_load(n);
@@ -89,34 +64,43 @@ Result<Allocation> GreedyAllocator::Allocate(
   for (size_t r = 0; r < cls.reads.size(); ++r) {
     rest_weight[r] = cls.reads[r].weight;
   }
-  DenseBitset row_scratch(cls.catalog.size());
+
+  // Lines 2 and 33 order the pending classes by descending remaining
+  // weight, including co-allocated updates (weight(C ∪ updates(C)); an
+  // update class's overlap weight counts itself once), x size. Before any
+  // split rest_weight is the weight, so this is Line 2's key bit for bit;
+  // a placement changes only the popped class's key, so pushing a split
+  // class back with its new key gives Line 33's re-sort order
+  // (alloc_internal::PendingQueue).
+  const auto key = [&](const Pending& p) {
+    const double w = p.is_update ? overlap_weight(p)
+                                 : rest_weight[p.index] + overlap_weight(p);
+    return w * bundle_size(p);
+  };
+
+  // Line 1: C* = CQ ∪ {CU with no overlapping read class}.
+  alloc_internal::PendingQueue<Pending> queue;
+  queue.Reserve(cls.reads.size() + cls.updates.size());
+  const auto push = [&](const Pending& p) { queue.Push(key(p), p); };
+  for (size_t r = 0; r < cls.reads.size(); ++r) push(Pending{r, false});
+  for (size_t u = 0; u < cls.updates.size(); ++u) {
+    if (index.reads_overlapping_update(u).empty()) push(Pending{u, true});
+  }
 
   // Hard cap on main-loop iterations (guards against pathological inputs).
   const size_t max_iters = 64 * (queue.size() + 1) * (n + 1) + 1024;
   size_t iters = 0;
 
-  // Line 33 re-sorts the pending classes after every placement, descending
-  // remaining weight (including co-allocated updates) x size. Before any
-  // split this is Line 2's key bit for bit (rest_weight is the weight), and
-  // a placement changes only the popped class's key, so the rest of the
-  // queue stays sorted: a re-pushed class is requeued at its place
-  // (alloc_internal::RequeueOrdered), which is the re-sort's order.
-  const auto heavier = [&](const Pending& a, const Pending& b) {
-    const double wa = a.is_update ? bundle_weight(a)
-                                  : rest_weight[a.index] + overlap_weight(a);
-    const double wb = b.is_update ? bundle_weight(b)
-                                  : rest_weight[b.index] + overlap_weight(b);
-    return wa * bundle_size(a) > wb * bundle_size(b);
-  };
   std::vector<double> difference(n);
-  size_t head = 0;  // queue[0, head) has been popped
+  alloc_internal::BundleScores scores(n);
+  alloc_internal::UpdateCloser closer(cls, index);
 
   // Line 6: main loop.
-  while (head < queue.size()) {
+  while (!queue.empty()) {
     if (++iters > max_iters) {
       return Status::Internal("greedy allocation did not converge");
     }
-    const Pending p = queue[head++];
+    const Pending p = queue.Pop();
     const QueryClass& c = class_of(p);
 
     // Lines 7-9: if all backends are full, scale every backend so it can
@@ -144,11 +128,13 @@ Result<Allocation> GreedyAllocator::Allocate(
     // This repairs the misplacement corner case the paper reports for
     // small classes with heavy updates (Section 4.2) without hurting large
     // classes that must spread.
-    const ConstBitSpan bundle = bundle_bits(p);
+    // One pass scores the bundle against every backend; the holder rule,
+    // the differences and the fallback below all read it.
+    scores.Score(alloc, bundle_bits(p));
     double best_holder_rel = kInf;
     if (!p.is_update) {
       for (size_t b = 0; b < n; ++b) {
-        if (alloc.HoldsAllBits(b, bundle)) {
+        if (scores.holds(b)) {
           best_holder_rel = std::min(
               best_holder_rel, (current_load[b] + rest_weight[p.index]) /
                                    backends[b].relative_load);
@@ -178,7 +164,7 @@ Result<Allocation> GreedyAllocator::Allocate(
       if (current_load[b] <= kEpsilon) {
         difference[b] = 0.0;
       } else {
-        difference[b] = alloc.MissingBytes(b, bundle);
+        difference[b] = scores.missing(b);
       }
     }
 
@@ -201,7 +187,7 @@ Result<Allocation> GreedyAllocator::Allocate(
       double best_missing = kInf;
       double best_rel = kInf;
       for (size_t b = 0; b < n; ++b) {
-        const double missing = alloc.MissingBytes(b, bundle);
+        const double missing = scores.missing(b);
         const double rel = current_load[b] / backends[b].relative_load;
         // Relative tolerance: byte sizes are large and "equal" candidates
         // must tie so the load comparison can break the tie.
@@ -217,9 +203,8 @@ Result<Allocation> GreedyAllocator::Allocate(
     }
 
     // Lines 18-19: place fragments; add not-yet-allocated update load.
-    alloc.PlaceBits(target, class_bits(p));
-    const double added_updates = alloc_internal::CloseUpdatesOnBackend(
-        cls, index, target, &alloc, &row_scratch);
+    const double added_updates =
+        closer.PlaceAndClose(target, class_bits(p), &alloc);
     current_load[target] += added_updates;
 #ifdef QCAP_GREEDY_TRACE
     std::fprintf(stderr, "pick %s -> B%zu (cur=%.3f scaled=%.3f addUpd=%.3f)\n",
@@ -259,7 +244,7 @@ Result<Allocation> GreedyAllocator::Allocate(
         rest_weight[r] -= room;
         current_load[target] = scaled_load[target];
         // Still pending (Line 33).
-        alloc_internal::RequeueOrdered(&queue, head, p, heavier);
+        push(p);
       } else {
         alloc.add_read_assign(target, r, rest_weight[r]);
         current_load[target] += rest_weight[r];

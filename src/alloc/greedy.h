@@ -19,6 +19,15 @@ namespace qcap {
 /// bytes among those with spare scaled capacity (Eq. 15/16), updates are
 /// pinned per ROWA (Eq. 10), and capacity is relaxed only when every
 /// backend is saturated.
+///
+/// Each iteration pops the heaviest pending class from a heap keyed by
+/// (remaining weight x bundle size, push order), scores the class's bundle
+/// against every backend in one pass over its words, and places it with
+/// the delta update closure, which visits only the update classes on the
+/// bits the placement newly set (alloc_internal::PendingQueue,
+/// BundleScores, UpdateCloser). Each piece is exact: the allocation is the
+/// one a re-sort after every placement, a MissingBytes per backend and a
+/// full closure rescan give, bit for bit.
 class GreedyAllocator : public Allocator {
  public:
   /// Runs Algorithm 1 on \p cls over \p backends.

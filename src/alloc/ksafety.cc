@@ -41,21 +41,6 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
   const ClassificationIndex index(cls);
   Allocation alloc(n, cls.catalog, cls.reads.size(), cls.updates.size());
 
-  // Lines 1-2: C* plus the initial replica multiset Ck (update classes not
-  // covered by any read class need k extra explicit copies).
-  std::vector<Pending> queue;
-  for (size_t r = 0; r < cls.reads.size(); ++r) {
-    queue.push_back(Pending{r, false, false});
-  }
-  for (size_t u = 0; u < cls.updates.size(); ++u) {
-    if (index.reads_overlapping_update(u).empty()) {
-      queue.push_back(Pending{u, true, false});
-      for (int copy = 0; copy < k; ++copy) {
-        queue.push_back(Pending{u, true, true});
-      }
-    }
-  }
-
   auto class_of = [&](const Pending& p) -> const QueryClass& {
     return p.is_update ? cls.updates[p.index] : cls.reads[p.index];
   };
@@ -66,11 +51,6 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
     return p.is_update ? index.update_overlapping_update_weight(p.index)
                        : index.read_overlapping_update_weight(p.index);
   };
-  auto bundle_weight = [&](const Pending& p) {
-    double w = overlap_weight(p);
-    if (!p.is_update && !p.is_replica) w += class_of(p).weight;
-    return w;
-  };
   auto bundle_size = [&](const Pending& p) {
     return p.is_update ? index.update_bundle_bytes(p.index)
                        : index.read_bundle_bytes(p.index);
@@ -79,7 +59,6 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
     return p.is_update ? index.update_bundle_bits(p.index)
                        : index.read_bundle_bits(p.index);
   };
-  DenseBitset row_scratch(cls.catalog.size());
 
   std::vector<double> current_load(n, 0.0);
   std::vector<double> scaled_load(n);
@@ -90,6 +69,34 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
   }
   std::vector<bool> replicas_added(cls.reads.size(), false);
 
+  // Descending remaining weight (a read class's remaining share plus its
+  // updates' weight; update classes and zero-weight replicas carry only
+  // the overlap weight) x size. Only
+  // the popped class's key can change, so pushing a split read class, or
+  // the replicas of a finished one, with its key at that moment gives the
+  // order a re-sort after every step would (alloc_internal::PendingQueue).
+  const auto key = [&](const Pending& p) {
+    const double w = (!p.is_update && !p.is_replica)
+                         ? rest_weight[p.index] + overlap_weight(p)
+                         : overlap_weight(p);
+    return w * bundle_size(p);
+  };
+
+  // Lines 1-2: C* plus the initial replica multiset Ck (update classes not
+  // covered by any read class need k extra explicit copies).
+  alloc_internal::PendingQueue<Pending> queue;
+  queue.Reserve(cls.NumClasses() * (static_cast<size_t>(k) + 1));
+  const auto push = [&](const Pending& p) { queue.Push(key(p), p); };
+  for (size_t r = 0; r < cls.reads.size(); ++r) {
+    push(Pending{r, false, false});
+  }
+  for (size_t u = 0; u < cls.updates.size(); ++u) {
+    if (index.reads_overlapping_update(u).empty()) {
+      push(Pending{u, true, false});
+      for (int copy = 0; copy < k; ++copy) push(Pending{u, true, true});
+    }
+  }
+
   size_t max_iters = options_.max_iterations;
   if (max_iters == 0) {
     max_iters = 64 * (queue.size() + static_cast<size_t>(k + 1)) *
@@ -97,28 +104,16 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
   }
   size_t iters = 0;
 
-  // Descending remaining weight x size. Only the popped class's key can
-  // change, so the queue is sorted once and re-pushed classes (a split read
-  // class, or the replicas of a finished one) are requeued in push order at
-  // their place, which is the order a re-sort after every step would give.
-  const auto heavier = [&](const Pending& a, const Pending& b) {
-    const double wa = (!a.is_update && !a.is_replica)
-                          ? rest_weight[a.index] + overlap_weight(a)
-                          : bundle_weight(a);
-    const double wb = (!b.is_update && !b.is_replica)
-                          ? rest_weight[b.index] + overlap_weight(b)
-                          : bundle_weight(b);
-    return wa * bundle_size(a) > wb * bundle_size(b);
-  };
-  std::stable_sort(queue.begin(), queue.end(), heavier);
   std::vector<double> difference(n);
-  size_t head = 0;  // queue[0, head) has been popped
+  std::vector<uint8_t> already_holds(n, 0);
+  alloc_internal::BundleScores scores(n);
+  alloc_internal::UpdateCloser closer(cls, index);
 
-  while (head < queue.size()) {
+  while (!queue.empty()) {
     if (++iters > max_iters) {
       return Status::Internal("k-safe greedy allocation did not converge");
     }
-    const Pending p = queue[head++];
+    const Pending p = queue.Pop();
     const QueryClass& c = class_of(p);
 
     // Scale every backend if all are full (Lines 8-10).
@@ -138,17 +133,18 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
 
     // Differences (Lines 11-17); replicas must not land on a backend that
     // already holds the class (Line 12).
-    const ConstBitSpan bundle = bundle_bits(p);
+    scores.Score(alloc, bundle_bits(p));
+    for (size_t b = 0; b < n; ++b) {
+      already_holds[b] = p.is_replica && alloc.HoldsAllBits(b, class_bits(p));
+    }
     for (size_t b = 0; b < n; ++b) {
       const bool full = current_load[b] >= scaled_load[b] - eps;
-      const bool already_holds =
-          p.is_replica && alloc.HoldsAllBits(b, class_bits(p));
-      if (full || already_holds) {
+      if (full || already_holds[b]) {
         difference[b] = kInf;
       } else if (current_load[b] <= eps) {
         difference[b] = 0.0;
       } else {
-        difference[b] = alloc.MissingBytes(b, bundle);
+        difference[b] = scores.missing(b);
       }
     }
 
@@ -165,7 +161,7 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
       // not already holding the class (for replicas).
       double best = kInf;
       for (size_t b = 0; b < n; ++b) {
-        if (p.is_replica && alloc.HoldsAllBits(b, class_bits(p))) continue;
+        if (already_holds[b]) continue;
         const double rel = current_load[b] / backends[b].relative_load;
         if (rel < best) {
           best = rel;
@@ -175,9 +171,8 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
       if (target == n) continue;  // Class already everywhere; nothing to add.
     }
 
-    alloc.PlaceBits(target, class_bits(p));
-    const double added_updates = alloc_internal::CloseUpdatesOnBackend(
-        cls, index, target, &alloc, &row_scratch);
+    const double added_updates =
+        closer.PlaceAndClose(target, class_bits(p), &alloc);
     current_load[target] += added_updates;
 
     if (p.is_update || p.is_replica) {
@@ -206,7 +201,7 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
         alloc.add_read_assign(target, r, room);
         rest_weight[r] -= room;
         current_load[target] = scaled_load[target];
-        alloc_internal::RequeueOrdered(&queue, head, p, heavier);
+        push(p);
       } else {
         alloc.add_read_assign(target, r, rest_weight[r]);
         current_load[target] += rest_weight[r];
@@ -221,8 +216,7 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
           }
           for (size_t copy = holders; copy < static_cast<size_t>(k) + 1;
                ++copy) {
-            alloc_internal::RequeueOrdered(&queue, head,
-                                           Pending{r, false, true}, heavier);
+            push(Pending{r, false, true});
           }
         }
       }
@@ -232,6 +226,7 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
   // Eq. 46 for everything not covered by class replication (unreferenced
   // fragments): top up to k+1 copies on the least-loaded backends.
   alloc_internal::PlaceOrphanFragments(cls, &alloc);
+  DenseBitset single(cls.catalog.size());
   for (FragmentId f = 0; f < alloc.num_fragments(); ++f) {
     while (alloc.ReplicaCount(f) < static_cast<size_t>(k) + 1) {
       size_t target = n;
@@ -245,9 +240,9 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
         }
       }
       if (target == n) break;  // Already everywhere.
-      alloc.Place(target, f);
-      alloc_internal::CloseUpdatesOnBackend(cls, index, target, &alloc,
-                                            &row_scratch);
+      single.Set(f);
+      closer.PlaceAndClose(target, single, &alloc);
+      single.Clear(f);
     }
   }
 

@@ -24,6 +24,11 @@ struct KSafetyOptions {
 /// split between them) and consequently every fragment has at least k+1
 /// replicas. The paper's Algorithm 3 (checking k-safety of an existing
 /// allocation) lives in model/validation.h.
+///
+/// Runs on the same pieces as GreedyAllocator: a heap of pending classes
+/// (split read classes and zero-weight replicas are pushed back with their
+/// key at that moment), one scoring pass per pop and the delta update
+/// closure for every placement, the final k+1 top-up included.
 class KSafeGreedyAllocator : public Allocator {
  public:
   explicit KSafeGreedyAllocator(KSafetyOptions options = {})

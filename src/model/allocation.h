@@ -99,6 +99,11 @@ class Allocation {
   /// Bytes of \p want's fragments missing from backend \p b, summed in
   /// ascending fragment id order. Requires bound sizes.
   double MissingBytes(size_t b, ConstBitSpan want) const;
+  /// The bound fragment sizes, indexed by fragment id. Requires bound
+  /// sizes.
+  std::span<const double> FragmentSizes() const {
+    return std::span<const double>(frag_bytes_->data(), frag_bytes_->size());
+  }
 
   // --- Load assignment (matrices LQ / LU) ---
 

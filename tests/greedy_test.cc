@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <vector>
+
+#include "common/random.h"
+
 #include "model/metrics.h"
 #include "model/validation.h"
 #include "test_util.h"
@@ -197,6 +204,17 @@ TEST(GreedyTest, EqualRemainingKeysKeepFifoOrder) {
   EXPECT_EQ(a.read_assign(3, 1), 0.125);
 }
 
+TEST(GreedyTest, ZeroWeightUpdateClassTerminates) {
+  // Validate accepts weight 0. The closure used to treat an update class as
+  // pinned only when its assignment was positive, so it never settled.
+  const Classification cls = testutil::ZeroWeightUpdateClassification();
+  const auto backends = HomogeneousBackends(2);
+  auto result = GreedyAllocator().Allocate(cls, backends);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Status valid = ValidateAllocation(cls, result.value(), backends);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+}
+
 /// Allocations of seeded synthetic instances, pinned bit for bit: any
 /// change to the placement order or the float arithmetic shows up here.
 TEST(GreedyTest, GoldenDigests) {
@@ -209,6 +227,11 @@ TEST(GreedyTest, GoldenDigests) {
       {700, 16, 0.6, 2, 0x945b60ded25048baULL},
       {700, 16, 1.1, 1, 0x905a2d9f3e6afbd0ULL},
       {700, 16, 1.1, 2, 0xbe74f8aa4ebbd0f2ULL},
+      {1000, 16, 0.6, 1, 0x71e160cb4951c5fdULL},
+      {1000, 16, 1.1, 1, 0x18bb1a4efb08a109ULL},
+      // 70 backends: per-backend flags span more than one 64-bit word.
+      {700, 70, 0.6, 1, 0x400787f86ef5e87aULL},
+      {700, 70, 1.1, 1, 0x38b57abb28ac2a8eULL},
   };
   for (const testutil::GoldenCase& g : cases) {
     const Classification cls = testutil::GoldenInstance(g);
@@ -220,6 +243,169 @@ TEST(GreedyTest, GoldenDigests) {
         << std::hex << "0x" << testutil::AllocationDigest(result.value())
         << std::dec << " for " << g.fragments << " fragments, zipf " << g.zipf
         << ", seed " << g.seed;
+  }
+}
+
+/// CloseUpdatesOnBackend's indexed rescan: each pass tests every unpinned
+/// update class, ascending, against a snapshot of the row and pins the
+/// ones that overlap it. A pass that adds no fragment and pins no positive
+/// weight ends the loop (a zero-weight class never reads as pinned).
+double RescanClose(const Classification& cls, const ClassificationIndex& index,
+                   size_t b, Allocation* alloc) {
+  double added = 0.0;
+  DenseBitset row;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    alloc->SnapshotRow(b, &row);
+    for (size_t u = 0; u < cls.updates.size(); ++u) {
+      if (alloc->update_assign(b, u) > 0.0) continue;
+      if (!Intersects(index.update_bits(u), row)) continue;
+      const double w = cls.updates[u].weight;
+      if (w > 0.0 || !alloc->HoldsAllBits(b, index.update_bits(u))) {
+        changed = true;
+      }
+      alloc->PlaceBits(b, index.update_bits(u));
+      alloc->set_update_assign(b, u, w);
+      added += w;
+    }
+  }
+  return added;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Rows, pins, replica counts and stored bytes, compared bit for bit.
+void ExpectSameRows(const Allocation& got, const Allocation& want,
+                    const FragmentCatalog& catalog) {
+  for (size_t b = 0; b < want.num_backends(); ++b) {
+    const ConstBitSpan g = got.RowBits(b), w = want.RowBits(b);
+    EXPECT_EQ(std::memcmp(g.words(), w.words(),
+                          w.num_words() * sizeof(uint64_t)),
+              0)
+        << "row " << b;
+    EXPECT_EQ(Bits(got.BackendBytes(b, catalog)),
+              Bits(want.BackendBytes(b, catalog)))
+        << "bytes " << b;
+    for (size_t u = 0; u < want.num_updates(); ++u) {
+      EXPECT_EQ(Bits(got.update_assign(b, u)), Bits(want.update_assign(b, u)))
+          << "pin " << b << "," << u;
+    }
+  }
+  for (FragmentId f = 0; f < want.num_fragments(); ++f) {
+    EXPECT_EQ(got.ReplicaCount(f), want.ReplicaCount(f)) << "fragment " << f;
+  }
+}
+
+/// The delta closure against the rescan on random placement sequences
+/// over closed rows: class rows, single fragments and scattered fragments,
+/// with and without zero-weight update classes.
+TEST(UpdateCloserTest, MatchesRescanOnRandomPlacements) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    for (const bool zero_weights : {false, true}) {
+      Classification cls = testutil::GoldenInstance({160, 8, 1.1, seed, 0});
+      if (zero_weights) {
+        for (size_t u = 0; u < cls.updates.size(); u += 3) {
+          cls.updates[u].weight = 0.0;
+        }
+      }
+      const ClassificationIndex index(cls);
+      const size_t n = 6, frags = cls.catalog.size();
+      Allocation delta(n, cls.catalog, cls.reads.size(), cls.updates.size());
+      Allocation rescan = delta;
+      alloc_internal::UpdateCloser closer(cls, index);
+      Rng rng(seed);
+      DenseBitset bits(frags);
+      for (int step = 0; step < 400; ++step) {
+        const size_t b = rng.NextBounded(n);
+        bits.ClearAll();
+        switch (rng.NextBounded(3)) {
+          case 0:
+            bits.UnionWith(index.read_bits(rng.NextBounded(cls.reads.size())));
+            break;
+          case 1:
+            bits.Set(rng.NextBounded(frags));
+            break;
+          default:
+            for (int j = 0; j < 6; ++j) bits.Set(rng.NextBounded(frags));
+        }
+        const double got = closer.PlaceAndClose(b, bits, &delta);
+        rescan.PlaceBits(b, bits);
+        const double want = RescanClose(cls, index, b, &rescan);
+        ASSERT_EQ(Bits(got), Bits(want))
+            << "seed " << seed << ", zero weights " << zero_weights
+            << ", step " << step;
+      }
+      ExpectSameRows(delta, rescan, cls.catalog);
+    }
+  }
+}
+
+/// One scoring pass gives MissingBytes and HoldsAllBits for every backend,
+/// bit for bit, also with more than 64 backends and a partial last word.
+TEST(BundleScoresTest, MatchesPerBackendScans) {
+  const Classification cls = testutil::GoldenInstance({150, 70, 0.6, 4, 0});
+  const ClassificationIndex index(cls);
+  const size_t n = 70, frags = cls.catalog.size();
+  Allocation alloc(n, cls.catalog, cls.reads.size(), cls.updates.size());
+  Rng rng(9);
+  for (size_t b = 0; b < n; ++b) {
+    const size_t placed = rng.NextBounded(frags);  // 0 .. most fragments
+    for (size_t j = 0; j < placed; ++j) {
+      alloc.Place(b, static_cast<FragmentId>(rng.NextBounded(frags)));
+    }
+  }
+  // A few rows that hold a bundle whole.
+  for (size_t r = 0; r < 5; ++r) alloc.PlaceBits(r * 11, index.read_bundle_bits(r));
+  alloc_internal::BundleScores scores(n);
+  for (size_t r = 0; r < cls.reads.size(); ++r) {
+    const ConstBitSpan bundle = index.read_bundle_bits(r);
+    scores.Score(alloc, bundle);
+    for (size_t b = 0; b < n; ++b) {
+      ASSERT_EQ(Bits(scores.missing(b)), Bits(alloc.MissingBytes(b, bundle)))
+          << "read " << r << ", backend " << b;
+      ASSERT_EQ(scores.holds(b), alloc.HoldsAllBits(b, bundle))
+          << "read " << r << ", backend " << b;
+    }
+  }
+}
+
+/// The heap pops in the order of a stable sort by descending key, with
+/// every later push inserted after the queued keys that are not lower.
+TEST(PendingQueueTest, MatchesStableSortAndUpperBoundInsert) {
+  struct Item {
+    double key;
+    int id;
+  };
+  const auto before = [](const Item& a, const Item& b) { return a.key > b.key; };
+  Rng rng(5);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Item> sorted;
+    alloc_internal::PendingQueue<int> queue;
+    int next_id = 0;
+    const auto random_key = [&] {
+      return 0.25 * static_cast<double>(rng.NextBounded(6));  // many ties
+    };
+    for (int i = 0; i < 50; ++i) {
+      const Item item{random_key(), next_id++};
+      sorted.push_back(item);
+      queue.Push(item.key, item.id);
+    }
+    std::stable_sort(sorted.begin(), sorted.end(), before);
+    size_t head = 0;
+    while (head < sorted.size()) {
+      ASSERT_FALSE(queue.empty());
+      ASSERT_EQ(queue.Pop(), sorted[head].id) << "trial " << trial;
+      ++head;
+      for (uint64_t j = rng.NextBounded(3); j > 0 && next_id < 400; --j) {
+        const Item item{random_key(), next_id++};
+        sorted.insert(std::upper_bound(sorted.begin() + static_cast<std::ptrdiff_t>(head),
+                                       sorted.end(), item, before),
+                      item);
+        queue.Push(item.key, item.id);
+      }
+    }
+    EXPECT_TRUE(queue.empty());
   }
 }
 

@@ -85,6 +85,17 @@ TEST(KSafetyTest, NameReflectsK) {
   EXPECT_EQ(KSafeGreedyAllocator({2, 1e-12, 0}).name(), "greedy-k2");
 }
 
+TEST(KSafetyTest, ZeroWeightUpdateClassTerminates) {
+  const Classification cls = testutil::ZeroWeightUpdateClassification();
+  const auto backends = HomogeneousBackends(2);
+  auto result = KSafeGreedyAllocator({1, 1e-12, 0}).Allocate(cls, backends);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ValidationOptions opts;
+  opts.k_safety = 1;
+  const Status valid = ValidateAllocation(cls, result.value(), backends, opts);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+}
+
 class KSafetyPropertySweep
     : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
 
@@ -132,6 +143,8 @@ TEST(KSafetyTest, GoldenDigests) {
       {{700, 16, 1.1, 1, 0x612d6d7864dba0a2ULL}, 2},
       {{700, 16, 1.1, 2, 0x10ab3cbbe3422cc6ULL}, 1},
       {{700, 16, 1.1, 2, 0x06f49acc9cdc24c5ULL}, 2},
+      {{1000, 16, 0.6, 1, 0xf918dcbcaae7df86ULL}, 1},
+      {{700, 70, 0.6, 1, 0x69d381b3de692631ULL}, 1},
   };
   for (const KCase& c : cases) {
     const Classification cls = testutil::GoldenInstance(c.g);

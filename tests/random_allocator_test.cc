@@ -25,6 +25,15 @@ TEST(RandomAllocatorTest, ValidAndDeterministicPerSeed) {
   }
 }
 
+TEST(RandomAllocatorTest, ZeroWeightUpdateClassTerminates) {
+  const Classification cls = testutil::ZeroWeightUpdateClassification();
+  const auto backends = HomogeneousBackends(2);
+  auto result = RandomAllocator(7).Allocate(cls, backends);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Status valid = ValidateAllocation(cls, result.value(), backends);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+}
+
 TEST(RandomAllocatorTest, DifferentSeedsUsuallyDiffer) {
   const engine::Catalog catalog = workloads::TpchCatalog(1.0);
   Classifier classifier(catalog, {Granularity::kColumn, 4, true});

@@ -58,6 +58,19 @@ inline std::vector<BackendSpec> AppendixABackends() {
   return r.value();
 }
 
+/// Fragments {0, 1}, read {0} with weight 1, and update {0, 1} with weight
+/// 0: the smallest input with a zero-weight update class, which Validate
+/// accepts.
+inline Classification ZeroWeightUpdateClassification() {
+  Classification cls;
+  EXPECT_TRUE(cls.catalog.Add("A", "A", FragmentKind::kTable, 1.0).ok());
+  EXPECT_TRUE(cls.catalog.Add("B", "B", FragmentKind::kTable, 1.0).ok());
+  cls.reads = {QueryClass{{0}, 1.0, 1.0, false, "Q1", {}}};
+  cls.updates = {QueryClass{{0, 1}, 0.0, 1.0, true, "U1", {}}};
+  EXPECT_TRUE(cls.Validate().ok());
+  return cls;
+}
+
 /// FNV-1a over the backend count and, per backend, the placement row, the
 /// read-assignment row and every update assignment: a bitwise fingerprint
 /// of an allocation (the same hash the benchmark harness compares).
