@@ -20,13 +20,18 @@ namespace qcap {
 namespace {
 
 using alloc_internal::SearchKernel;
+using alloc_internal::ShareCounts;
 using alloc_internal::SolutionCost;
 
 /// Maximum local-search sweeps per LocalImprove() call.
 constexpr size_t kImprovePasses = 2;
 
+/// A population member: a garbage-collected allocation, its share counts
+/// (kept exact through every share edit, so a mutation or trial collects
+/// from them instead of re-deriving the closure unions), and its cost.
 struct Member {
   Allocation alloc;
+  ShareCounts counts;
   SolutionCost cost;
 };
 
@@ -48,7 +53,6 @@ class Evolver {
         kernel_(cls, index, backends, opts.progress),
         rng_(opts.seed + island_id) {
     collect_scratch_.resize(cls.reads.size());
-    share_count_.resize(cls.reads.size());
     holders_.reserve(backends.size());
     touched_.reserve(backends.size());
   }
@@ -56,66 +60,63 @@ class Evolver {
   SolutionCost Evaluate(const Allocation& a) const { return kernel_.Evaluate(a); }
 
   // Everything from here to EvolveGenerations' end runs once per generation
-  // or per trial. Trials edit trial_, a mirror of the allocation being
-  // improved, and copy back only the backends they touched; offspring are
-  // written into recycled population buffers. Past the first generations no
-  // path below allocates.
+  // or per trial. Trials edit trial_, a mirror of the member being improved,
+  // and copy back only the backends they touched; offspring are written
+  // into recycled population buffers. Every share edit goes through the
+  // kernel against the edited member's counts, so collections read the
+  // counts instead of re-deriving closure unions. Past the first
+  // generations no path below allocates.
   // qcap-lint: hot-path begin
 
   /// Writes into \p child a copy of \p parent with one random (read class,
   /// backend) share moved to another backend. \p child's buffers are reused.
-  void Mutate(const Allocation& parent, Allocation* child) {
+  void Mutate(const Member& parent, Member* child) {
     *child = parent;
-    // The candidates are the (read class, backend) pairs with a positive
-    // share, in r-major, b-ascending order; the draw below indexes that
-    // sequence, so its order is part of the deterministic trace. Per-read
-    // counts locate the k-th pair without materializing the list.
-    const size_t R = cls_.reads.size();
-    const size_t B = child->num_backends();
-    std::fill(share_count_.begin(), share_count_.end(), 0);
-    for (size_t b = 0; b < B; ++b) {
-      const double* row = child->ReadAssignRow(b).data();
-      for (size_t r = 0; r < R; ++r) share_count_[r] += row[r] > 1e-12;
-    }
-    size_t total = 0;
-    for (size_t r = 0; r < R; ++r) total += share_count_[r];
+    // The candidates are the (read class, backend) pairs with a share above
+    // 1e-12, in r-major, b-ascending order; the draw indexes that sequence,
+    // so its order is part of the deterministic trace. The counts hold how
+    // many candidates each read has, so the draw needs no scan of the
+    // assignment matrix.
+    Allocation* a = &child->alloc;
+    const size_t B = a->num_backends();
+    const size_t total = child->counts.draw_total;
     if (total == 0 || B < 2) return;
-    size_t k = rng_.NextBounded(total);
-    size_t r = 0;
-    while (k >= share_count_[r]) k -= share_count_[r++];
-    size_t b1 = 0;
-    for (;; ++b1) {
-      if (child->read_assign(b1, r) > 1e-12 && k-- == 0) break;
-    }
+    size_t r = 0, b1 = 0;
+    kernel_.NthShare(*a, child->counts, rng_.NextBounded(total), &r, &b1);
     size_t b2 = static_cast<size_t>(rng_.NextBounded(B - 1));
     if (b2 >= b1) ++b2;
-    const double have = child->read_assign(b1, r);
+    const double have = a->read_assign(b1, r);
     const double share =
         rng_.NextBernoulli(0.5) ? have : have * rng_.NextDouble(0.25, 1.0);
-    child->add_read_assign(b1, r, -share);
-    child->add_read_assign(b2, r, share);
-    child->PlaceBits(b2, index_.read_bits(r));
-    kernel_.CloseUpdates(child, b2);
+    kernel_.AddShare(a, &child->counts, b1, r, -share);
+    kernel_.AddShare(a, &child->counts, b2, r, share);
+    a->PlaceBits(b2, index_.read_bits(r));
+    kernel_.CloseUpdates(a, b2);
     // The parent is garbage-collected (population invariant), so only the
-    // two modified rows can hold junk.
+    // two modified rows can hold junk; the counts say what they keep.
     const size_t touched[2] = {b1, b2};
-    kernel_.GarbageCollectBackends(child, touched, 2, &touched_);
+    kernel_.CollectCounted(a, child->counts, touched, 2, &touched_);
   }
 
-  /// Scores trial_, which differs from \p a on the backends in touched_,
-  /// against \p before. An improving trial is copied into \p a; a losing one
-  /// is reverted. Either way trial_, and the kernel's counts of it, match
-  /// \p a again afterwards.
-  bool Settle(Allocation* a, const SolutionCost& before) {
-    if (kernel_.EvaluateDelta(trial_, touched_).Better(before)) {
-      a->CopyBackendsFrom(trial_, touched_);
-      kernel_.AcceptTrial();
+  /// Scores trial_, which differs from \p m on the backends in touched_,
+  /// against \p before. An improving trial is copied into \p m; a losing
+  /// one is reverted. Either way trial_ and its counts match \p m's again
+  /// afterwards.
+  bool Settle(Member* m, const SolutionCost& before) {
+    if (kernel_.EvaluateDelta(trial_.alloc, touched_).Better(before)) {
+      m->alloc.CopyBackendsFrom(trial_.alloc, touched_);
+      kernel_.AcceptTrial(&m->counts);
       RecordImprovement();
       return true;
     }
-    trial_.CopyBackendsFrom(*a, touched_);
-    kernel_.RejectTrial();
+    trial_.alloc.CopyBackendsFrom(m->alloc, touched_);
+    kernel_.RejectTrial(&trial_.counts);
     return false;
+  }
+
+  /// trial_.alloc's share of read \p r on backend \p b += \p delta.
+  void EditTrial(size_t b, size_t r, double delta) {
+    kernel_.AddTrialShare(&trial_.alloc, &trial_.counts, b, r, delta);
   }
 
   /// Local search strategy 1 (Eq. 21/22): consolidate pairs of read classes
@@ -123,7 +124,8 @@ class Evolver {
   /// sets, freeing update replicas. The `before` cost is computed lazily,
   /// only once a candidate pair actually exists; each trial edits trial_
   /// and is scored via the O(|touched|) delta form.
-  bool ImproveSharedPairs(Allocation* a) {
+  bool ImproveSharedPairs(Member* m) {
+    const Allocation* a = &m->alloc;
     bool have_before = false;
     SolutionCost before;
     for (size_t b1 = 0; b1 < a->num_backends(); ++b1) {
@@ -154,13 +156,14 @@ class Evolver {
               kernel_.BeginDelta(*a, before);
               have_before = true;
             }
-            kernel_.AddTrialShare(b2, r1, -delta);
-            kernel_.AddTrialShare(b1, r1, delta);
-            kernel_.AddTrialShare(b1, r2, -delta);
-            kernel_.AddTrialShare(b2, r2, delta);
+            EditTrial(b2, r1, -delta);
+            EditTrial(b1, r1, delta);
+            EditTrial(b1, r2, -delta);
+            EditTrial(b2, r2, delta);
             const size_t touched[2] = {b1, b2};
-            kernel_.CollectTrial(touched, 2, &touched_);
-            if (Settle(a, before)) return true;
+            kernel_.CollectCounted(&trial_.alloc, trial_.counts, touched, 2,
+                                   &touched_);
+            if (Settle(m, before)) return true;
           }
         }
       }
@@ -171,7 +174,9 @@ class Evolver {
   /// Local search strategy 2 (Eq. 23-26): evacuate the read load that pins a
   /// replicated (heavy) update class on one backend over to another backend
   /// already carrying the class, trading lighter replication for it.
-  bool ImproveUpdateReplicas(Allocation* a) {
+  bool ImproveUpdateReplicas(Member* m) {
+    const Allocation* a = &m->alloc;
+    Allocation* trial = &trial_.alloc;
     bool have_before = false;
     SolutionCost before;
     for (size_t u = 0; u < cls_.updates.size(); ++u) {
@@ -191,35 +196,33 @@ class Evolver {
           }
           bool moved = false;
           for (size_t r = 0; r < cls_.reads.size(); ++r) {
-            if (trial_.read_assign(b1, r) <= 1e-12) continue;
+            if (trial->read_assign(b1, r) <= 1e-12) continue;
             if (!Intersects(index_.read_bits(r), index_.update_bits(u))) {
               continue;
             }
-            const double w = trial_.read_assign(b1, r);
-            kernel_.AddTrialShare(b1, r, -w);
-            kernel_.AddTrialShare(b2, r, w);
-            trial_.PlaceBits(b2, index_.read_bits(r));
-            kernel_.CloseUpdates(&trial_, b2);
+            const double w = trial->read_assign(b1, r);
+            EditTrial(b1, r, -w);
+            EditTrial(b2, r, w);
+            trial->PlaceBits(b2, index_.read_bits(r));
+            kernel_.CloseUpdates(trial, b2);
             moved = true;
           }
           if (!moved) continue;  // trial_ is untouched.
           const size_t touched[2] = {b1, b2};
-          kernel_.CollectTrial(touched, 2, &touched_);
-          if (Settle(a, before)) return true;
+          kernel_.CollectCounted(trial, trial_.counts, touched, 2, &touched_);
+          if (Settle(m, before)) return true;
         }
       }
     }
     return false;
   }
 
-  void LocalImprove(Allocation* a) {
-    // The one full copy per call; every trial after it restores only the
-    // rows it touched. The kernel's counts for the mirror are rebuilt per
-    // backend before the call's first share edit there.
-    trial_ = *a;
-    kernel_.Track(&trial_);
+  void LocalImprove(Member* m) {
+    // The one full copy per call, counts included; every trial after it
+    // restores only the rows it touched and undoes only its own crossings.
+    trial_ = *m;
     for (size_t pass = 0; pass < kImprovePasses; ++pass) {
-      const bool improved = ImproveSharedPairs(a) || ImproveUpdateReplicas(a);
+      const bool improved = ImproveSharedPairs(m) || ImproveUpdateReplicas(m);
       if (!improved) break;
     }
   }
@@ -243,7 +246,7 @@ class Evolver {
       for (Member& kid : offspring_) {
         const Member& parent =
             (*population)[rng_.NextBounded(population->size())];
-        Mutate(parent.alloc, &kid.alloc);
+        Mutate(parent, &kid);
         kid.cost = Evaluate(kid.alloc);
       }
       // (λ+µ) selection: best 2/3 of parents + best 1/3 of offspring.
@@ -269,7 +272,7 @@ class Evolver {
       const size_t improve_count = std::max<size_t>(1, population->size() / 3);
       for (size_t i = 0; i < improve_count; ++i) {
         Member& m = (*population)[rng_.NextBounded(population->size())];
-        LocalImprove(&m.alloc);
+        LocalImprove(&m);
         m.cost = Evaluate(m.alloc);
       }
       if (opts_.progress != nullptr) {
@@ -295,10 +298,9 @@ class Evolver {
 
   // Reused scratch, sized in the constructor or on first use.
   std::vector<uint32_t> collect_scratch_;  // CollectBothAbove output, |reads|.
-  std::vector<uint32_t> share_count_;      // Positive shares per read class.
   std::vector<size_t> holders_;
   std::vector<size_t> touched_;
-  Allocation trial_;               // Mirror of the member LocalImprove edits.
+  Member trial_;  // Mirror of the member LocalImprove edits (cost unused).
   std::vector<Member> offspring_;  // One generation's children, recycled.
 };
 
@@ -323,11 +325,12 @@ class IslandModel {
     populations_.resize(n);
   }
 
-  Allocation Run(const Allocation& seed, ThreadPool* pool) {
+  Allocation Run(const Allocation& seed, const ShareCounts& seed_counts,
+                 ThreadPool* pool) {
     const size_t n = evolvers_.size();
     for (size_t i = 0; i < n; ++i) {
       populations_[i].push_back(
-          Member{seed, evolvers_[i]->Evaluate(seed)});
+          Member{seed, seed_counts, evolvers_[i]->Evaluate(seed)});
     }
     const size_t epoch = opts_.migration_interval == 0
                              ? opts_.iterations
@@ -412,6 +415,7 @@ Result<Allocation> MemeticAllocator::Improve(
   QCAP_RETURN_NOT_OK(cls.Validate());
   QCAP_RETURN_NOT_OK(
       ValidateAllocationShape(cls, seed_allocation, backends.size()));
+  QCAP_RETURN_NOT_OK(ValidateReadShares(cls, seed_allocation));
   ThreadPool* pool = options_.pool;
   std::unique_ptr<ThreadPool> owned;
   if (pool == nullptr) {
@@ -423,17 +427,20 @@ Result<Allocation> MemeticAllocator::Improve(
     }
   }
   const ClassificationIndex index(cls);
-  // Bind fragment sizes (O(1) cost accounting) and garbage-collect the seed
-  // once: every population member descends from it, and the search assumes
-  // members are collected so trials only need to re-collect touched rows.
+  // Bind fragment sizes (O(1) cost accounting), garbage-collect the seed
+  // and count its shares once: every population member descends from it,
+  // the search assumes members are collected so trials only need to
+  // re-collect touched rows, and the counts travel with every copy.
   Allocation seed = seed_allocation;
   if (!seed.sizes_bound()) seed.BindSizes(cls.catalog);
+  ShareCounts seed_counts;
   {
     SearchKernel kernel(cls, index, backends, options_.progress);
     kernel.GarbageCollect(&seed);
+    kernel.CountShares(seed, &seed_counts);
   }
   IslandModel model(cls, index, backends, options_);
-  return model.Run(seed, pool);
+  return model.Run(seed, seed_counts, pool);
 }
 
 }  // namespace qcap

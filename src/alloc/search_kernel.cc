@@ -1,7 +1,9 @@
 #include "alloc/search_kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <span>
 
@@ -16,6 +18,8 @@ namespace {
 /// A read "needs" a backend's copy of its closure while its share there is
 /// above this (strict >, as in the collection scans).
 constexpr double kPositiveShare = 1e-15;
+/// A mutation draws among the shares above this (strict >).
+constexpr double kDrawShare = 1e-12;
 
 bool ContainsBackend(const std::vector<size_t>& list, size_t b) {
   for (size_t x : list) {
@@ -36,6 +40,46 @@ void PrefetchAhead(const ClassificationIndex& index, const uint32_t* reads,
   }
 }
 
+// qcap-lint: hot-path begin
+/// Adds (\p up) or removes one reference to each of \p ids in \p refs,
+/// setting or clearing its bit in \p bits when the count leaves or
+/// reaches zero.
+template <typename Count>
+void CountIds(Count* refs, BitSpan bits, std::span<const uint32_t> ids,
+              bool up) {
+  if (up) {
+    for (uint32_t id : ids) {
+      if (refs[id]++ == 0) bits.Set(id);
+    }
+  } else {
+    for (uint32_t id : ids) {
+      assert(refs[id] > 0);
+      if (--refs[id] == 0) bits.Clear(id);
+    }
+  }
+}
+
+/// Adds (\p up) or removes one at \p count.
+template <typename Count>
+void AddOne(Count* count, bool up) {
+  if (up) {
+    ++*count;
+  } else {
+    assert(*count > 0);
+    --*count;
+  }
+}
+
+/// The read class holding the \p k-th draw candidate, given the per-read
+/// \p draw counts; leaves in \p k the candidate's rank within that read.
+template <typename Count>
+size_t NthRead(const Count* draw, size_t* k) {
+  size_t r = 0;
+  while (*k >= draw[r]) *k -= draw[r++];
+  return r;
+}
+// qcap-lint: hot-path end
+
 }  // namespace
 
 SearchKernel::SearchKernel(const Classification& cls,
@@ -55,17 +99,8 @@ SearchKernel::SearchKernel(const Classification& cls,
   upd_sparse_limit_ = 4 * ((cls.updates.size() + 63) / 64);
   base_norm_.resize(backends.size());
   base_bytes_.resize(backends.size());
-  const size_t B = backends.size();
   frag_words_ = (cls.catalog.size() + 63) / 64;
   upd_words_ = (cls.updates.size() + 63) / 64;
-  frag_refs_.resize(B * cls.catalog.size());
-  upd_refs_.resize(B * cls.updates.size());
-  needed_rows_.resize(B * frag_words_);
-  pinned_rows_.resize(B * upd_words_);
-  counted_.resize(B);
-  // A memetic trial edits each read at most once on each of its two
-  // backends, so 2R entries log any of them.
-  crossings_.resize(2 * cls.reads.size());
   relative_load_.reserve(backends.size());
   for (const BackendSpec& spec : backends) {
     relative_load_.push_back(spec.relative_load);
@@ -139,9 +174,19 @@ void SearchKernel::ApplyCollected(Allocation* a, size_t b, ConstBitSpan needed,
                                   ConstBitSpan pinned) {
   a->RetainFragments(b, needed);
   a->PlaceBits(b, needed);
+  // Only pins whose stored value changes bit for bit are written. A skipped
+  // write would have added w - w = +0.0 (w a finite class weight or 0.0) to
+  // the backend's update load, a no-op unless the load is -0.0; it never
+  // is: it starts at +0.0, and in round-to-nearest x + y is -0.0 only when
+  // x and y both are.
+  assert(!(a->AssignedUpdateLoad(b) == 0.0 &&
+           std::signbit(a->AssignedUpdateLoad(b))));
   for (size_t u = 0; u < cls_.updates.size(); ++u) {
-    a->set_update_assign(b, u,
-                         pinned.Test(u) ? cls_.updates[u].weight : 0.0);
+    const double w = pinned.Test(u) ? cls_.updates[u].weight : 0.0;
+    if (std::bit_cast<uint64_t>(w) !=
+        std::bit_cast<uint64_t>(a->update_assign(b, u))) {
+      a->set_update_assign(b, u, w);
+    }
   }
 }
 
@@ -153,17 +198,23 @@ void SearchKernel::GarbageCollect(Allocation* a) {
 void SearchKernel::GarbageCollectBackends(Allocation* a, const size_t* bs,
                                           size_t count,
                                           std::vector<size_t>* touched) {
-  CollectBackends(a, bs, count, /*use_counts=*/false, touched);
+  CollectBackends(a, nullptr, bs, count, touched);
 }
 
-void SearchKernel::CollectBackends(Allocation* a, const size_t* bs,
-                                   size_t count, bool use_counts,
+void SearchKernel::CollectCounted(Allocation* a, const ShareCounts& counts,
+                                  const size_t* bs, size_t count,
+                                  std::vector<size_t>* touched) {
+  CollectBackends(a, &counts, bs, count, touched);
+}
+
+void SearchKernel::CollectBackends(Allocation* a, const ShareCounts* counts,
+                                   const size_t* bs, size_t count,
                                    std::vector<size_t>* touched) {
   touched->clear();
   for (size_t i = 0; i < count; ++i) {
     const size_t b = bs[i];
-    if (use_counts && counted_[b] != 0) {
-      ApplyCollected(a, b, NeededBits(b), PinnedBits(b));
+    if (counts != nullptr) {
+      ApplyCollected(a, b, NeededBits(*counts, b), PinnedBits(*counts, b));
     } else {
       CollectBackend(a, b);
     }
@@ -173,105 +224,95 @@ void SearchKernel::CollectBackends(Allocation* a, const size_t* bs,
   PlaceOrphans(a, touched);
 }
 
-void SearchKernel::Track(Allocation* mirror) {
-  trial_ = mirror;
-  std::fill(counted_.begin(), counted_.end(), 0);
-  num_crossings_ = 0;
-  crossings_overflowed_ = false;
+void SearchKernel::AddShare(Allocation* a, ShareCounts* counts, size_t b,
+                            size_t r, double delta) {
+  EditShare(a, counts, b, r, delta);
 }
 
-void SearchKernel::AddTrialShare(size_t b, size_t r, double delta) {
-  assert(trial_ != nullptr);
-  if (counted_[b] == 0) CountBackend(b);
-  const bool was = trial_->read_assign(b, r) > kPositiveShare;
-  trial_->add_read_assign(b, r, delta);
-  const bool now = trial_->read_assign(b, r) > kPositiveShare;
-  if (was == now) return;
-  CountRead(b, r, now);
-  if (num_crossings_ < crossings_.size()) {
-    crossings_[num_crossings_++] = Crossing{static_cast<uint32_t>(b),
-                                            static_cast<uint32_t>(r), now};
-  } else {
-    crossings_overflowed_ = true;
+void SearchKernel::AddTrialShare(Allocation* a, ShareCounts* counts,
+                                 size_t b, size_t r, double delta) {
+  const Crossing c = EditShare(a, counts, b, r, delta);
+  if (c.refs == 0 && c.draw == 0) return;
+  if (crossings_.capacity() == 0) {
+    // qcap-lint: allow(hot-path-growth) -- one-time sizing on the kernel's first trial edit
+    crossings_.reserve(2 * cls_.reads.size());
+  }
+  // qcap-lint: allow(hot-path-growth) -- a memetic trial logs at most 2R crossings, the reserved capacity; the log is cleared, not freed, per trial
+  crossings_.push_back(c);
+}
+
+SearchKernel::Crossing SearchKernel::EditShare(Allocation* a,
+                                               ShareCounts* counts, size_t b,
+                                               size_t r, double delta) {
+  const double was = a->read_assign(b, r);
+  a->add_read_assign(b, r, delta);
+  const double now = a->read_assign(b, r);
+  const Crossing c{
+      static_cast<uint32_t>(b), static_cast<uint32_t>(r),
+      static_cast<int8_t>((now > kPositiveShare) - (was > kPositiveShare)),
+      static_cast<int8_t>((now > kDrawShare) - (was > kDrawShare))};
+  if (c.refs != 0 || c.draw != 0) ApplyCrossing(counts, c, /*undo=*/false);
+  return c;
+}
+
+void SearchKernel::ApplyCrossing(ShareCounts* counts, const Crossing& c,
+                                 bool undo) {
+  if (c.refs != 0) CountRead(counts, c.backend, c.read, (c.refs > 0) != undo);
+  if (c.draw != 0) {
+    const bool up = (c.draw > 0) != undo;
+    if (counts->counts32.empty()) {
+      AddOne(counts->counts16.data() + DrawAt(c.read), up);
+    } else {
+      AddOne(counts->counts32.data() + DrawAt(c.read), up);
+    }
+    if (up) {
+      ++counts->draw_total;
+    } else {
+      --counts->draw_total;
+    }
   }
 }
 
-void SearchKernel::CollectTrial(const size_t* bs, size_t count,
-                                std::vector<size_t>* touched) {
-  assert(trial_ != nullptr);
-  CollectBackends(trial_, bs, count, /*use_counts=*/true, touched);
+void SearchKernel::AcceptTrial(ShareCounts* member) {
+  for (const Crossing& c : crossings_) ApplyCrossing(member, c, false);
+  crossings_.clear();
 }
 
-void SearchKernel::AcceptTrial() {
-  num_crossings_ = 0;
-  crossings_overflowed_ = false;
-}
-
-void SearchKernel::RejectTrial() {
-  if (crossings_overflowed_) {
-    // Part of the trial went unlogged: recount from the restored rows.
-    std::fill(counted_.begin(), counted_.end(), 0);
-  } else {
-    for (size_t i = num_crossings_; i > 0; --i) {
-      const Crossing& c = crossings_[i - 1];
-      CountRead(c.backend, c.read, !c.up);
-    }
+void SearchKernel::RejectTrial(ShareCounts* counts) {
+  for (size_t i = crossings_.size(); i > 0; --i) {
+    ApplyCrossing(counts, crossings_[i - 1], /*undo=*/true);
   }
-  num_crossings_ = 0;
-  crossings_overflowed_ = false;
+  crossings_.clear();
 }
 
-void SearchKernel::CountBackend(size_t b) {
-  const size_t F = cls_.catalog.size();
-  const size_t U = cls_.updates.size();
-  uint32_t* frag_refs = frag_refs_.data() + b * F;
-  uint32_t* upd_refs = upd_refs_.data() + b * U;
-  std::fill_n(frag_refs, F, 0u);
-  std::fill_n(upd_refs, U, 0u);
-  BitSpan needed = NeededBits(b);
-  BitSpan pinned = PinnedBits(b);
-  needed.ClearAll();
-  pinned.ClearAll();
-  const std::span<const double> assign_row = trial_->ReadAssignRow(b);
-  const size_t positives = simd::CollectAbove(
-      assign_row.data(), assign_row.size(), kPositiveShare,
-      positive_scratch_.data());
-  for (size_t i = 0; i < positives; ++i) {
-    const size_t r = positive_scratch_[i];
-    PrefetchAhead(index_, positive_scratch_.data(), i, positives);
-    for (uint32_t f : index_.read_closure_fragment_ids(r)) {
-      ++frag_refs[f];
-      needed.Set(f);
-    }
-    for (uint32_t u : index_.read_closure_update_ids(r)) {
-      ++upd_refs[u];
-      pinned.Set(u);
-    }
+void SearchKernel::NthShare(const Allocation& a, const ShareCounts& counts,
+                            size_t k, size_t* r, size_t* b) const {
+  assert(k < counts.draw_total);
+  const size_t read =
+      counts.counts32.empty()
+          ? NthRead(counts.counts16.data() + DrawAt(0), &k)
+          : NthRead(counts.counts32.data() + DrawAt(0), &k);
+  size_t backend = 0;
+  for (;; ++backend) {
+    if (a.read_assign(backend, read) > kDrawShare && k-- == 0) break;
   }
-  counted_[b] = 1;
+  *r = read;
+  *b = backend;
 }
 
-void SearchKernel::CountRead(size_t b, size_t r, bool up) {
-  uint32_t* frag_refs = frag_refs_.data() + b * cls_.catalog.size();
-  uint32_t* upd_refs = upd_refs_.data() + b * cls_.updates.size();
-  BitSpan needed = NeededBits(b);
-  BitSpan pinned = PinnedBits(b);
-  if (up) {
-    for (uint32_t f : index_.read_closure_fragment_ids(r)) {
-      if (frag_refs[f]++ == 0) needed.Set(f);
-    }
-    for (uint32_t u : index_.read_closure_update_ids(r)) {
-      if (upd_refs[u]++ == 0) pinned.Set(u);
-    }
+void SearchKernel::CountRead(ShareCounts* counts, size_t b, size_t r,
+                             bool up) {
+  const std::span<const uint32_t> frag_ids =
+      index_.read_closure_fragment_ids(r);
+  const std::span<const uint32_t> upd_ids = index_.read_closure_update_ids(r);
+  if (counts->counts32.empty()) {
+    uint16_t* refs = counts->counts16.data();
+    CountIds(refs + FragRefsAt(b), NeededBits(counts, b), frag_ids, up);
+    CountIds(refs + UpdRefsAt(b), PinnedBits(counts, b), upd_ids, up);
   } else {
-    for (uint32_t f : index_.read_closure_fragment_ids(r)) {
-      assert(frag_refs[f] > 0);
-      if (--frag_refs[f] == 0) needed.Clear(f);
-    }
-    for (uint32_t u : index_.read_closure_update_ids(r)) {
-      assert(upd_refs[u] > 0);
-      if (--upd_refs[u] == 0) pinned.Clear(u);
-    }
+    uint32_t* refs = counts->counts32.data();
+    CountIds(refs + FragRefsAt(b), NeededBits(counts, b), frag_ids, up);
+    CountIds(refs + UpdRefsAt(b), PinnedBits(counts, b), upd_ids, up);
   }
 }
 
@@ -381,5 +422,38 @@ SolutionCost SearchKernel::EvaluateDelta(
 }
 
 // qcap-lint: hot-path end
+
+void SearchKernel::CountShares(const Allocation& a, ShareCounts* counts) {
+  const size_t B = a.num_backends();
+  const size_t R = cls_.reads.size();
+  assert(B == backends_.size());
+  const size_t size = DrawAt(R);
+  if (std::max(R, B) < (size_t{1} << 16)) {
+    counts->counts16.assign(size, 0);
+    counts->counts32.clear();
+  } else {
+    counts->counts16.clear();
+    counts->counts32.assign(size, 0);
+  }
+  counts->bits.assign(PinnedAt(B), 0);
+  counts->draw_total = 0;
+  for (size_t b = 0; b < B; ++b) {
+    const std::span<const double> assign_row = a.ReadAssignRow(b);
+    const size_t positives = simd::CollectAbove(
+        assign_row.data(), assign_row.size(), kPositiveShare,
+        positive_scratch_.data());
+    for (size_t i = 0; i < positives; ++i) {
+      PrefetchAhead(index_, positive_scratch_.data(), i, positives);
+      CountRead(counts, b, positive_scratch_[i], /*up=*/true);
+    }
+    for (size_t r = 0; r < R; ++r) {
+      if (assign_row[r] > kDrawShare) {
+        ApplyCrossing(counts, Crossing{static_cast<uint32_t>(b),
+                                       static_cast<uint32_t>(r), 0, 1},
+                      /*undo=*/false);
+      }
+    }
+  }
+}
 
 }  // namespace qcap::alloc_internal

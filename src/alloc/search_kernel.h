@@ -10,13 +10,15 @@
 //    B rows per backend (O(B²·(F+R+U))) with an O(U²) fixpoint each,
 //  - BeginDelta/EvaluateDelta score a trial that differs from a base
 //    allocation on a few backends in O(|touched|),
-//  - for one tracked trial mirror (Track), per-backend reference counts of
-//    how many positive-share reads need each fragment and update class let
-//    CollectTrial skip the closure unions: a share edit that crosses the
-//    positivity threshold walks that read's closure ids, and a rejected
-//    trial undoes its logged crossings instead of recounting,
+//  - a counted allocation carries its own ShareCounts: per-backend
+//    reference counts of how many positive-share reads need each fragment
+//    and update class, plus per-read counts of the shares a mutation may
+//    draw. Every share edit goes through AddShare/AddTrialShare, which walk
+//    the edited read's closure ids only when its share crosses a threshold,
+//    so CollectCounted skips the closure unions, NthShare skips the O(B·R)
+//    candidate scan, and a rejected trial undoes its logged crossings,
 // and none of it heap-allocates on the steady-state path (scratch is sized
-// in the constructor and reused).
+// in the constructor or on first use and reused).
 //
 // A kernel instance is NOT thread-safe (it owns scratch); give each search
 // thread / island its own kernel over the same shared ClassificationIndex.
@@ -46,6 +48,31 @@ struct SolutionCost {
     if (scale > other.scale + 1e-9) return false;
     return bytes < other.bytes - 1e-6;
   }
+};
+
+/// The collection state of one allocation, which the allocation itself
+/// does not hold: which fragments and update pins its positive read shares
+/// force onto each backend, and which shares a mutation may draw. It
+/// depends on the read shares alone, so placements, update pins and orphan
+/// repairs never disturb it. SearchKernel::CountShares builds it; it stays
+/// exact as long as every share edit goes through SearchKernel::AddShare or
+/// AddTrialShare. Copies (a member's copy-assignment) reuse the target's
+/// buffers once they have the size.
+struct ShareCounts {
+  /// Every count, in one array: B x F fragment reference counts (reads
+  /// with a share above 1e-15 on b whose closure holds fragment f), then
+  /// B x U update reference counts (such reads whose closure pins update
+  /// u), then R draw counts (backends with a share above 1e-12 per read
+  /// class: the mutation draw's candidates). No count exceeds max(R, B), so
+  /// they are 16-bit (counts16) while that is below 65536 and 32-bit
+  /// (counts32) otherwise; the other vector stays empty.
+  std::vector<uint16_t> counts16;
+  std::vector<uint32_t> counts32;
+  /// B rows of frag_words bits (fragment count > 0), then B rows of
+  /// upd_words bits (update count > 0).
+  std::vector<uint64_t> bits;
+  /// The sum of the draw counts.
+  size_t draw_total = 0;
 };
 
 class SearchKernel {
@@ -87,56 +114,102 @@ class SearchKernel {
   /// accumulation order as alloc_internal::CloseUpdatesOnBackend).
   double CloseUpdates(Allocation* a, size_t b);
 
-  // --- Reference-counted collection of one trial mirror ---
+  // --- Counted allocations ---
   //
-  // A local search copies a member into a mirror once, then runs many
-  // trials on it; each trial edits a few read shares, is collected and
-  // scored, and is then accepted or rolled back. For the tracked mirror the
-  // kernel keeps per-backend counts, rebuilt from the backend's row before
-  // its first share edit after Track, and then kept current by every share
-  // edit that crosses the > 1e-15 threshold GarbageCollect uses. Counts
-  // depend only on read shares, so placements, update pins and orphan
-  // repairs never disturb them.
+  // A search keeps a ShareCounts next to each allocation it evolves. A
+  // mutation edits a member's shares with AddShare and collects the edited
+  // backends from the counts. A local search copies a member, counts
+  // included, into a mirror once, then runs many trials on it; each trial
+  // edits a few shares with AddTrialShare, is collected and scored, and is
+  // then accepted (the member takes the mirror's touched rows and
+  // AcceptTrial replays the logged crossings onto the member's counts) or
+  // rejected (the mirror takes the member's rows back and RejectTrial
+  // undoes the crossings on the mirror's counts).
 
-  /// Starts tracking \p mirror (unowned; must outlive the tracking) and
-  /// drops every backend's counts.
-  void Track(Allocation* mirror);
-  /// The one way a trial edits a share of the tracked mirror:
-  /// add_read_assign(b, r, delta), counting b first if it is not yet
-  /// counted and logging the edit if r's share on b crossed the threshold.
-  void AddTrialShare(size_t b, size_t r, double delta);
-  /// GarbageCollectBackends on the tracked mirror. Counted backends keep
-  /// the fragments and update pins their counts mark, which is the same set
-  /// the closure union yields, so the result is bit-identical; a backend
-  /// with no counts is collected by the union.
-  void CollectTrial(const size_t* bs, size_t count,
-                    std::vector<size_t>* touched);
-  /// The trial's share edits stand: forgets the crossing log.
-  void AcceptTrial();
-  /// The caller restored the mirror's touched rows to their state before
-  /// the trial: undoes the logged crossings so the counts match it again.
-  void RejectTrial();
+  /// Counts \p a's shares from scratch into \p counts (sized on first
+  /// use). O(B·R + closures of the positive reads).
+  void CountShares(const Allocation& a, ShareCounts* counts);
+  /// a->add_read_assign(b, r, delta), keeping \p counts exact: when r's
+  /// share on b crosses a threshold, walks r's closure ids once.
+  void AddShare(Allocation* a, ShareCounts* counts, size_t b, size_t r,
+                double delta);
+  /// AddShare that also logs the edit's crossings for the trial's
+  /// AcceptTrial or RejectTrial.
+  void AddTrialShare(Allocation* a, ShareCounts* counts, size_t b, size_t r,
+                     double delta);
+  /// GarbageCollectBackends from \p counts (which must be \p a's): every
+  /// backend of \p bs keeps the fragments and update pins its counts mark,
+  /// the same sets the closure union yields, so the result is
+  /// bit-identical to it.
+  void CollectCounted(Allocation* a, const ShareCounts& counts,
+                      const size_t* bs, size_t count,
+                      std::vector<size_t>* touched);
+  /// The \p k-th (read class, backend) pair with a share > 1e-12 on \p a,
+  /// in r-major, b-ascending order; \p k < counts.draw_total. O(R + B).
+  void NthShare(const Allocation& a, const ShareCounts& counts, size_t k,
+                size_t* r, size_t* b) const;
+  /// The trial's shares stand: replays its logged crossings onto
+  /// \p member's counts, whose rows the caller made equal to the mirror's.
+  void AcceptTrial(ShareCounts* member);
+  /// The caller restored the mirror's touched rows to the member's: undoes
+  /// the logged crossings on the mirror's \p counts.
+  void RejectTrial(ShareCounts* counts);
 
  private:
+  /// One share edit's threshold crossings: +1 the share rose above the
+  /// threshold, -1 it fell to or below it, 0 neither.
+  struct Crossing {
+    uint32_t backend;
+    uint32_t read;
+    int8_t refs;  // Threshold 1e-15: the reference counts.
+    int8_t draw;  // Threshold 1e-12: the draw counts.
+  };
+
   void CollectBackend(Allocation* a, size_t b);
-  void CollectBackends(Allocation* a, const size_t* bs, size_t count,
-                       bool use_counts, std::vector<size_t>* touched);
+  void CollectBackends(Allocation* a, const ShareCounts* counts,
+                       const size_t* bs, size_t count,
+                       std::vector<size_t>* touched);
   /// Makes backend \p b hold exactly \p needed (row) and pin exactly
   /// \p pinned (update classes, ascending).
   void ApplyCollected(Allocation* a, size_t b, ConstBitSpan needed,
                       ConstBitSpan pinned);
-  /// Rebuilds backend \p b's counts from the tracked mirror's row.
-  void CountBackend(size_t b);
+  /// add_read_assign plus the count update; returns the crossings.
+  Crossing EditShare(Allocation* a, ShareCounts* counts, size_t b, size_t r,
+                     double delta);
+  /// Applies \p c to \p counts, or its inverse when \p undo.
+  void ApplyCrossing(ShareCounts* counts, const Crossing& c, bool undo);
   /// Adds (\p up) or removes read \p r's closure from backend \p b's
   /// counts, keeping the needed/pinned bits in step.
-  void CountRead(size_t b, size_t r, bool up);
-  BitSpan NeededBits(size_t b) {
-    return BitSpan(needed_rows_.data() + b * frag_words_, frag_words_,
+  void CountRead(ShareCounts* counts, size_t b, size_t r, bool up);
+  /// Offsets into ShareCounts' count array.
+  size_t FragRefsAt(size_t b) const { return b * cls_.catalog.size(); }
+  size_t UpdRefsAt(size_t b) const {
+    return backends_.size() * cls_.catalog.size() + b * cls_.updates.size();
+  }
+  size_t DrawAt(size_t r) const {
+    return backends_.size() * (cls_.catalog.size() + cls_.updates.size()) +
+           r;
+  }
+  /// Offsets into ShareCounts' bits.
+  size_t NeededAt(size_t b) const { return b * frag_words_; }
+  size_t PinnedAt(size_t b) const {
+    return backends_.size() * frag_words_ + b * upd_words_;
+  }
+  BitSpan NeededBits(ShareCounts* counts, size_t b) const {
+    return BitSpan(counts->bits.data() + NeededAt(b), frag_words_,
                    cls_.catalog.size());
   }
-  BitSpan PinnedBits(size_t b) {
-    return BitSpan(pinned_rows_.data() + b * upd_words_, upd_words_,
+  BitSpan PinnedBits(ShareCounts* counts, size_t b) const {
+    return BitSpan(counts->bits.data() + PinnedAt(b), upd_words_,
                    cls_.updates.size());
+  }
+  ConstBitSpan NeededBits(const ShareCounts& counts, size_t b) const {
+    return ConstBitSpan(counts.bits.data() + NeededAt(b), frag_words_,
+                        cls_.catalog.size());
+  }
+  ConstBitSpan PinnedBits(const ShareCounts& counts, size_t b) const {
+    return ConstBitSpan(counts.bits.data() + PinnedAt(b), upd_words_,
+                        cls_.updates.size());
   }
   /// Restores data completeness like alloc_internal::PlaceOrphanFragments
   /// (same target choice), recording modified backends in \p touched when
@@ -154,27 +227,12 @@ class SearchKernel {
   DenseBitset row_scratch_;
   std::vector<uint32_t> positive_scratch_;  // CollectAbove output, |reads|.
 
-  // Reference counts of the tracked mirror (see Track). Row b of each
-  // table is meaningful only while counted_[b] is set.
-  struct Crossing {
-    uint32_t backend;
-    uint32_t read;
-    bool up;  // The share became positive.
-  };
-  Allocation* trial_ = nullptr;
   size_t frag_words_ = 0;
   size_t upd_words_ = 0;
-  std::vector<uint32_t> frag_refs_;    // B x F: positive reads needing f.
-  std::vector<uint32_t> upd_refs_;     // B x U: positive reads pinning u.
-  std::vector<uint64_t> needed_rows_;  // B x frag_words: frag_refs_ > 0.
-  std::vector<uint64_t> pinned_rows_;  // B x upd_words: upd_refs_ > 0.
-  std::vector<uint8_t> counted_;       // Per backend.
-  // The current trial's crossings, in edit order. A trial that crosses
-  // more often than the log holds drops every backend's counts on
-  // rejection instead (they are rebuilt before the next edit).
+  // The current trial's crossings, in edit order (AddTrialShare). Sized on
+  // the first trial edit to 2R, which holds any memetic trial: each moves a
+  // read's share off one backend and onto another at most once.
   std::vector<Crossing> crossings_;
-  size_t num_crossings_ = 0;
-  bool crossings_overflowed_ = false;
 
   // CollectBackend unions a read's closure by scattering its sparse id list
   // when the list is short, and by streaming the dense row otherwise; these

@@ -9,7 +9,46 @@ namespace {
 /// Numerical tolerance for weight comparisons.
 constexpr double kEpsilon = 1e-6;
 
+/// The read loop of ValidateAllocation (Eq. 8 + Eq. 9): for each read
+/// class, for each backend, the share's finiteness and sign and, when
+/// \p check_placement, that a positive share's backend holds the class's
+/// data; then the class's sum. Every comparison is phrased so that NaN
+/// fails it.
+Status CheckReadShares(const Classification& cls, const Allocation& alloc,
+                       bool check_placement) {
+  for (size_t r = 0; r < cls.reads.size(); ++r) {
+    const QueryClass& c = cls.reads[r];
+    double assigned = 0.0;
+    for (size_t b = 0; b < alloc.num_backends(); ++b) {
+      const double a = alloc.read_assign(b, r);
+      if (!std::isfinite(a)) {
+        return Status::InvalidArgument("non-finite assignment of " + c.label +
+                                       " on backend " + std::to_string(b + 1));
+      }
+      if (!(a >= -kEpsilon)) {
+        return Status::InvalidArgument("negative assignment of " + c.label);
+      }
+      if (check_placement && a > kEpsilon && !alloc.HoldsAll(b, c.fragments)) {
+        return Status::InvalidArgument(
+            "read class " + c.label + " assigned to backend " +
+            std::to_string(b + 1) + " which lacks referenced fragments");
+      }
+      assigned += a;
+    }
+    if (!(std::abs(assigned - c.weight) <= kEpsilon)) {
+      return Status::InvalidArgument(
+          "read class " + c.label + " assigned " + std::to_string(assigned) +
+          " of weight " + std::to_string(c.weight));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+Status ValidateReadShares(const Classification& cls, const Allocation& alloc) {
+  return CheckReadShares(cls, alloc, /*check_placement=*/false);
+}
 
 Status ValidateAllocationShape(const Classification& cls,
                                const Allocation& alloc, size_t num_backends) {
@@ -33,30 +72,9 @@ Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
   QCAP_RETURN_NOT_OK(ValidateBackends(backends));
   QCAP_RETURN_NOT_OK(ValidateAllocationShape(cls, alloc, backends.size()));
 
-
   // Eq. 8 + Eq. 9: read classes fully assigned, only to backends holding
   // their data.
-  for (size_t r = 0; r < cls.reads.size(); ++r) {
-    const QueryClass& c = cls.reads[r];
-    double assigned = 0.0;
-    for (size_t b = 0; b < alloc.num_backends(); ++b) {
-      const double a = alloc.read_assign(b, r);
-      if (a < -kEpsilon) {
-        return Status::InvalidArgument("negative assignment of " + c.label);
-      }
-      if (a > kEpsilon && !alloc.HoldsAll(b, c.fragments)) {
-        return Status::InvalidArgument(
-            "read class " + c.label + " assigned to backend " +
-            std::to_string(b + 1) + " which lacks referenced fragments");
-      }
-      assigned += a;
-    }
-    if (std::abs(assigned - c.weight) > kEpsilon) {
-      return Status::InvalidArgument(
-          "read class " + c.label + " assigned " + std::to_string(assigned) +
-          " of weight " + std::to_string(c.weight));
-    }
-  }
+  QCAP_RETURN_NOT_OK(CheckReadShares(cls, alloc, /*check_placement=*/true));
 
   // Eq. 10 + Eq. 11: update classes pinned to every backend with
   // overlapping data; at least one replica.
@@ -67,7 +85,7 @@ Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
       const double a = alloc.update_assign(b, u);
       const bool overlaps = alloc.HoldsAny(b, c.fragments);
       if (overlaps) {
-        if (std::abs(a - c.weight) > kEpsilon) {
+        if (!(std::abs(a - c.weight) <= kEpsilon)) {
           return Status::InvalidArgument(
               "update class " + c.label + " must carry weight " +
               std::to_string(c.weight) + " on backend " + std::to_string(b + 1) +
@@ -81,7 +99,7 @@ Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
               c.label + "'s data but not all of it");
         }
         ++replicas;
-      } else if (a > kEpsilon) {
+      } else if (!(std::abs(a) <= kEpsilon)) {
         return Status::InvalidArgument(
             "update class " + c.label + " assigned to backend " +
             std::to_string(b + 1) + " without overlapping data");

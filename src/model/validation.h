@@ -28,16 +28,25 @@ struct ValidationOptions {
 Status ValidateAllocationShape(const Classification& cls,
                                const Allocation& alloc, size_t num_backends);
 
+/// \brief Checks \p alloc's read shares (Eq. 9 and the sign of Eq. 8's
+/// assign): every share is finite and not negative, and every read class's
+/// shares sum to its weight, within 1e-6. One pass over the read
+/// assignments; placements are not looked at. \p alloc must have \p cls's
+/// shape (ValidateAllocationShape). The errors are ValidateAllocation's.
+Status ValidateReadShares(const Classification& cls, const Allocation& alloc);
+
 /// \brief Checks that \p alloc is a valid allocation of \p cls onto
 /// \p backends:
 ///  - dimensions match;
 ///  - assign(C,B) > 0 implies C ⊆ fragments(B)           (Eq. 8)
-///  - every read class is fully assigned: Σ_B = weight   (Eq. 9)
+///  - every read class is fully assigned: Σ_B = weight   (Eq. 9), with
+///    finite, non-negative shares (ValidateReadShares)
 ///  - every update class is assigned with weight(C) to exactly the backends
 ///    storing overlapping data, and to no others          (Eq. 10)
 ///  - every update class is assigned at least once        (Eq. 11)
 ///  - optionally: data completeness and k-safety          (Eq. 46/47)
-/// Weight comparisons tolerate an absolute error of 1e-6.
+/// Weight comparisons tolerate an absolute error of 1e-6; a NaN assignment
+/// fails every check it takes part in.
 Status ValidateAllocation(const Classification& cls, const Allocation& alloc,
                           const std::vector<BackendSpec>& backends,
                           const ValidationOptions& options = {});

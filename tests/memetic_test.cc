@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "alloc/greedy.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -247,6 +250,65 @@ TEST(MemeticTest, ImproveRejectsSeedWithOtherBackendCount) {
       << result.status().ToString();
 }
 
+/// A greedy seed of a small synthetic instance with one zero read share set
+/// to \p share. Returns that share's read class.
+size_t SeedWithExtraShare(const Classification& cls,
+                          const std::vector<BackendSpec>& backends,
+                          double share, Allocation* seed) {
+  auto greedy = GreedyAllocator().Allocate(cls, backends);
+  EXPECT_TRUE(greedy.ok()) << greedy.status().ToString();
+  *seed = greedy.value();
+  for (size_t r = 0; r < cls.reads.size(); ++r) {
+    for (size_t b = 0; b < backends.size(); ++b) {
+      if (seed->read_assign(b, r) == 0.0) {
+        seed->set_read_assign(b, r, share);
+        return r;
+      }
+    }
+  }
+  ADD_FAILURE() << "every read class has a share on every backend";
+  return 0;
+}
+
+TEST(MemeticTest, ImproveRejectsSeedWithNegativeShare) {
+  const Classification cls = testutil::GoldenInstance({40, 4, 0.6, 1, 0});
+  const auto backends = HomogeneousBackends(4);
+  Allocation seed;
+  const size_t r = SeedWithExtraShare(cls, backends, -0.3, &seed);
+  auto result = MemeticAllocator(FastOptions()).Improve(cls, backends, seed);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().ToString().find("negative assignment of " +
+                                            cls.reads[r].label),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(MemeticTest, ImproveRejectsSeedWithOverAssignedRead) {
+  const Classification cls = testutil::GoldenInstance({40, 4, 0.6, 1, 0});
+  const auto backends = HomogeneousBackends(4);
+  Allocation seed;
+  const size_t r = SeedWithExtraShare(cls, backends, 5.0, &seed);
+  auto result = MemeticAllocator(FastOptions()).Improve(cls, backends, seed);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().ToString().find("read class " +
+                                            cls.reads[r].label + " assigned"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(MemeticTest, ImproveRejectsSeedWithNaNShare) {
+  const Classification cls = testutil::GoldenInstance({40, 4, 0.6, 1, 0});
+  const auto backends = HomogeneousBackends(4);
+  Allocation seed;
+  SeedWithExtraShare(cls, backends, std::nan(""), &seed);
+  auto result = MemeticAllocator(FastOptions()).Improve(cls, backends, seed);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().ToString();
+}
+
 /// One pinned search: the allocation the memetic search returns, and how
 /// many cost evaluations and accepted local-search moves it took to get
 /// there. Any change to a mutation draw, a selection tie or a trial's
@@ -310,6 +372,52 @@ TEST(MemeticTest, GoldenTrajectoryTpcApp) {
   ASSERT_TRUE(cls.ok()) << cls.status().ToString();
   ExpectTrajectory(cls.value(), HomogeneousBackends(10), MemeticOptions{},
                    {42, 0x6918e0fbdad9f5d7ULL, 5685, 221});
+}
+
+/// The advise-synth shape at 1,000 fragments: 2,500 read and 100 update
+/// classes, 16 backends.
+TEST(MemeticTest, GoldenTrajectoryThousandFragments) {
+  const Classification cls = testutil::GoldenInstance({1000, 16, 0.6, 4, 0});
+  MemeticOptions opts;
+  opts.population_size = 18;
+  opts.num_islands = 4;
+  opts.iterations = 30;
+  opts.seed = 4;
+  ExpectTrajectory(cls, HomogeneousBackends(16), opts,
+                   {4, 0xa63594317a82f712ULL, 11898, 240});
+}
+
+/// Fragments A, B, C; reads Q1 = {A} (0.6) and Q0 = {A, C} (weight 0);
+/// updates U1 = {A, B} (weight 0) and U2 = {B} (0.4). No positive read
+/// needs C, so every collection leaves it an orphan to re-place, and the
+/// zero-weight classes never read as positive or pinned.
+Classification OrphanAndZeroWeightClassification() {
+  Classification cls;
+  EXPECT_TRUE(cls.catalog.Add("A", "A", FragmentKind::kTable, 1.0).ok());
+  EXPECT_TRUE(cls.catalog.Add("B", "B", FragmentKind::kTable, 2.0).ok());
+  EXPECT_TRUE(cls.catalog.Add("C", "C", FragmentKind::kTable, 3.0).ok());
+  cls.reads = {
+      QueryClass{{0}, 0.6, 1.0, false, "Q1", {}},
+      QueryClass{{0, 2}, 0.0, 1.0, false, "Q0", {}},
+  };
+  cls.updates = {
+      QueryClass{{0, 1}, 0.0, 1.0, true, "U1", {}},
+      QueryClass{{1}, 0.4, 1.0, true, "U2", {}},
+  };
+  EXPECT_TRUE(cls.Validate().ok());
+  return cls;
+}
+
+TEST(MemeticTest, GoldenTrajectoryOrphanAndZeroWeights) {
+  const Classification cls = OrphanAndZeroWeightClassification();
+  const auto backends = HomogeneousBackends(3);
+  MemeticOptions opts = FastOptions(9);
+  opts.num_islands = 3;
+  opts.migration_interval = 4;
+  ExpectTrajectory(cls, backends, opts, {9, 0x23937734e7bc73e5ULL, 183, 0});
+  auto result = MemeticAllocator(opts).Allocate(cls, backends);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GE(result->ReplicaCount(2), 1u);  // C survives as an orphan.
 }
 
 class MemeticPropertySweep : public ::testing::TestWithParam<uint64_t> {};

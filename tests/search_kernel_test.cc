@@ -1,16 +1,19 @@
-// SearchKernel's reference-counted trial collection against the closure
-// union it replaces. Every test drives two identical allocations through
-// the same share edits: a tracked mirror collected from its counts
-// (AddTrialShare/CollectTrial) and a reference collected from scratch
-// (add_read_assign/GarbageCollectBackends). After every collect the two must
-// agree bit for bit: placement rows, update pins, replica counts and the
-// running byte/load aggregates. Trials are then accepted or rejected the way
-// the memetic search settles them, so a stale count shows up as a diverging
-// collect on a later trial.
+// SearchKernel's counted collection against the closure union it replaces.
+// Every test drives two identical allocations through the same share edits:
+// a counted mirror, edited with AddTrialShare/AddShare and collected from
+// its ShareCounts (CollectCounted), and a reference edited with
+// add_read_assign and collected from scratch (GarbageCollectBackends).
+// After every collect the two must agree bit for bit: placement rows,
+// update pins, replica counts and the running byte/load aggregates. Trials
+// are then accepted or rejected the way the memetic search settles them,
+// and the counts of both the member and its mirror are compared with an
+// in-test recount, so a stale count shows up at once.
 #include "alloc/search_kernel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -26,11 +29,89 @@ namespace qcap {
 namespace {
 
 using alloc_internal::SearchKernel;
+using alloc_internal::ShareCounts;
 
 template <typename T>
 bool SameBits(std::span<const T> x, std::span<const T> y) {
   return x.size() == y.size() &&
          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+/// An independent recount of \p a's share counts, in ShareCounts' layout:
+/// the closure id lists of the reads above 1e-15 per backend, and the
+/// candidates above 1e-12 per read by the O(B·R) scan the mutation draw
+/// used to run. The counts come back 32-bit whatever width ShareCounts
+/// stores.
+ShareCounts Recount(const Classification& cls,
+                    const ClassificationIndex& index, const Allocation& a) {
+  const size_t B = a.num_backends();
+  const size_t F = cls.catalog.size();
+  const size_t U = cls.updates.size();
+  const size_t R = cls.reads.size();
+  const size_t frag_words = (F + 63) / 64;
+  const size_t upd_words = (U + 63) / 64;
+  const auto set_bit = [](uint64_t* words, size_t i) {
+    words[i / 64] |= uint64_t{1} << (i % 64);
+  };
+  ShareCounts c;
+  c.counts32.assign(B * (F + U) + R, 0);
+  c.bits.assign(B * (frag_words + upd_words), 0);
+  for (size_t b = 0; b < B; ++b) {
+    uint32_t* frag_refs = c.counts32.data() + b * F;
+    uint32_t* upd_refs = c.counts32.data() + B * F + b * U;
+    uint64_t* needed = c.bits.data() + b * frag_words;
+    uint64_t* pinned = c.bits.data() + B * frag_words + b * upd_words;
+    for (size_t r = 0; r < R; ++r) {
+      const double share = a.read_assign(b, r);
+      if (share > 1e-12) {
+        ++c.counts32[B * (F + U) + r];
+        ++c.draw_total;
+      }
+      if (!(share > 1e-15)) continue;
+      for (uint32_t f : index.read_closure_fragment_ids(r)) {
+        ++frag_refs[f];
+        set_bit(needed, f);
+      }
+      for (uint32_t u : index.read_closure_update_ids(r)) {
+        ++upd_refs[u];
+        set_bit(pinned, u);
+      }
+    }
+  }
+  return c;
+}
+
+/// True iff \p counts are \p a's, by the independent recount, and are
+/// stored 16-bit exactly when there are fewer than 65536 read classes and
+/// backends.
+::testing::AssertionResult CountsMatch(const Classification& cls,
+                                       const ClassificationIndex& index,
+                                       const Allocation& a,
+                                       const ShareCounts& counts) {
+  const ShareCounts want = Recount(cls, index, a);
+  const bool narrow =
+      std::max(cls.reads.size(), a.num_backends()) < 65536;
+  if (narrow != counts.counts32.empty() ||
+      narrow == counts.counts16.empty()) {
+    return ::testing::AssertionFailure() << "counts have the wrong width";
+  }
+  const std::vector<uint32_t> got =
+      narrow ? std::vector<uint32_t>(counts.counts16.begin(),
+                                     counts.counts16.end())
+             : counts.counts32;
+  const size_t draw_at =
+      a.num_backends() * (cls.catalog.size() + cls.updates.size());
+  if (!std::equal(got.begin(), got.begin() + draw_at,
+                  want.counts32.begin(), want.counts32.begin() + draw_at)) {
+    return ::testing::AssertionFailure() << "reference counts differ";
+  }
+  if (counts.bits != want.bits) {
+    return ::testing::AssertionFailure() << "needed/pinned bits differ";
+  }
+  if (got != want.counts32 || counts.draw_total != want.draw_total) {
+    return ::testing::AssertionFailure() << "draw counts differ";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 /// True iff \p x and \p y are equal bit for bit, aggregates included.
@@ -57,21 +138,24 @@ class SearchKernelTest : public ::testing::Test {
     cls_ = testutil::GoldenInstance({120, 8, 0.6, 7, 0});
     backends_ = HomogeneousBackends(6);
     index_ = std::make_unique<ClassificationIndex>(cls_);
-    tracked_kernel_ = std::make_unique<SearchKernel>(cls_, *index_, backends_);
+    counted_kernel_ = std::make_unique<SearchKernel>(cls_, *index_, backends_);
     union_kernel_ = std::make_unique<SearchKernel>(cls_, *index_, backends_);
     auto seed = GreedyAllocator().Allocate(cls_, backends_);
     ASSERT_TRUE(seed.ok()) << seed.status().ToString();
     base_ = seed.value();
     base_.BindSizes(cls_.catalog);
     union_kernel_->GarbageCollect(&base_);
+    counted_kernel_->CountShares(base_, &base_counts_);
+    ASSERT_TRUE(CountsMatch(cls_, *index_, base_, base_counts_));
     Restart();
   }
 
-  /// A new local-search call: both copies equal the base, counts dropped.
+  /// A new local-search call: both copies equal the base, and the mirror
+  /// carries the base's counts.
   void Restart() {
     mirror_ = base_;
+    mirror_counts_ = base_counts_;
     reference_ = base_;
-    tracked_kernel_->Track(&mirror_);
   }
 
   size_t B() const { return backends_.size(); }
@@ -79,7 +163,7 @@ class SearchKernelTest : public ::testing::Test {
 
   /// The same share edit on both copies.
   void Edit(size_t b, size_t r, double delta) {
-    tracked_kernel_->AddTrialShare(b, r, delta);
+    counted_kernel_->AddTrialShare(&mirror_, &mirror_counts_, b, r, delta);
     reference_.add_read_assign(b, r, delta);
   }
 
@@ -87,19 +171,21 @@ class SearchKernelTest : public ::testing::Test {
   /// sends load there does before collecting.
   void Receive(size_t b, size_t r) {
     mirror_.PlaceBits(b, index_->read_bits(r));
-    tracked_kernel_->CloseUpdates(&mirror_, b);
+    counted_kernel_->CloseUpdates(&mirror_, b);
     reference_.PlaceBits(b, index_->read_bits(r));
     union_kernel_->CloseUpdates(&reference_, b);
   }
 
   /// Collects \p bs on both copies and checks they agree.
   void CollectAndCompare(std::span<const size_t> bs) {
-    tracked_kernel_->CollectTrial(bs.data(), bs.size(), &touched_);
+    counted_kernel_->CollectCounted(&mirror_, mirror_counts_, bs.data(),
+                                    bs.size(), &touched_);
     std::vector<size_t> reference_touched;
     union_kernel_->GarbageCollectBackends(&reference_, bs.data(), bs.size(),
                                           &reference_touched);
     ASSERT_EQ(touched_, reference_touched);
     ASSERT_TRUE(Identical(mirror_, reference_));
+    ASSERT_TRUE(CountsMatch(cls_, *index_, mirror_, mirror_counts_));
   }
 
   /// Settles the trial like the memetic search: an accepted trial becomes
@@ -107,13 +193,15 @@ class SearchKernelTest : public ::testing::Test {
   void Settle(bool accept) {
     if (accept) {
       base_.CopyBackendsFrom(mirror_, touched_);
-      tracked_kernel_->AcceptTrial();
+      counted_kernel_->AcceptTrial(&base_counts_);
     } else {
       mirror_.CopyBackendsFrom(base_, touched_);
       reference_.CopyBackendsFrom(base_, touched_);
-      tracked_kernel_->RejectTrial();
+      counted_kernel_->RejectTrial(&mirror_counts_);
     }
     ASSERT_TRUE(Identical(mirror_, base_));
+    ASSERT_TRUE(CountsMatch(cls_, *index_, base_, base_counts_));
+    ASSERT_TRUE(CountsMatch(cls_, *index_, mirror_, mirror_counts_));
   }
 
   /// Re-collects every backend of both copies and compares, then puts
@@ -231,10 +319,12 @@ class SearchKernelTest : public ::testing::Test {
   Classification cls_;
   std::vector<BackendSpec> backends_;
   std::unique_ptr<ClassificationIndex> index_;
-  std::unique_ptr<SearchKernel> tracked_kernel_;
+  std::unique_ptr<SearchKernel> counted_kernel_;
   std::unique_ptr<SearchKernel> union_kernel_;
   Allocation base_;       // The member the trials start from.
-  Allocation mirror_;     // Tracked: collected from counts.
+  ShareCounts base_counts_;
+  Allocation mirror_;     // Counted: collected from mirror_counts_.
+  ShareCounts mirror_counts_;
   Allocation reference_;  // Collected by the closure union.
   std::vector<size_t> touched_;
 };
@@ -289,9 +379,10 @@ TEST_F(SearchKernelTest, SeveralTrialsBeforeOneSettle) {
   CheckAllCounts();
 }
 
-TEST_F(SearchKernelTest, RejectAfterCrossingLogOverflows) {
-  // One trial flips a share across the threshold more often than the
-  // crossing log holds; rejecting it must still leave exact counts.
+TEST_F(SearchKernelTest, RejectAfterMoreCrossingsThanTheLogReserves) {
+  // One trial flips a share across the thresholds more often than the
+  // crossing log reserves (2R entries); rejecting it must still leave exact
+  // counts, and accepting the next trials must carry them to the member.
   Rng rng(5);
   size_t r = 0, b = 0;
   ASSERT_TRUE(PickPositive(&rng, &r, &b));
@@ -316,11 +407,12 @@ TEST_F(SearchKernelTest, RejectAfterCrossingLogOverflows) {
   CheckAllCounts();
 }
 
-TEST_F(SearchKernelTest, TrackingAnotherMemberRecounts) {
-  // Each local-search call tracks another member in the same mirror; the
-  // previous member's counts must not carry over.
+TEST_F(SearchKernelTest, CopyingAnotherMemberCarriesItsCounts) {
+  // Each local-search call copies another member, counts included, into
+  // the same mirror; the previous member's counts must not carry over.
   Rng rng(13);
   const Allocation first = base_;
+  const ShareCounts first_counts = base_counts_;
   for (int round = 0; round < 6; ++round) {
     for (int trial = 0; trial < 10; ++trial) {
       MutateShapedTrial(&rng);
@@ -328,17 +420,246 @@ TEST_F(SearchKernelTest, TrackingAnotherMemberRecounts) {
       Settle(/*accept=*/true);
       if (HasFatalFailure()) return;
     }
-    if (round % 2 == 1) base_ = first;
+    if (round % 2 == 1) {
+      base_ = first;
+      base_counts_ = first_counts;
+    }
     Restart();
   }
   CheckAllCounts();
 }
 
-TEST_F(SearchKernelTest, UncountedBackendCollectsByUnion) {
-  // A backend with no share edit since Track has no counts; collecting it
-  // falls back to the union.
+TEST_F(SearchKernelTest, UneditedBackendCollectsLikeTheUnion) {
+  // A backend no trial has edited collects from the seed's counts.
   const size_t bs[1] = {B() - 1};
   CollectAndCompare(bs);
+}
+
+/// Mutations of members that each carry their own counts, interleaved with
+/// local-search trials on a mirror of one of them, as the memetic search
+/// runs them: after every step each member's counts equal a recount, the
+/// counted collection equals the union, and the draw picks the same pair as
+/// the materialized candidate list.
+TEST_F(SearchKernelTest, MembersKeepExactCountsThroughMutationsAndTrials) {
+  struct Counted {
+    Allocation alloc;
+    ShareCounts counts;
+  };
+  for (const uint64_t seed : {21, 22, 23}) {
+    Rng rng(seed);
+    std::vector<Counted> population(4, Counted{base_, base_counts_});
+    std::vector<size_t> union_touched;
+    for (int step = 0; step < 150; ++step) {
+      Counted& parent = population[rng.NextBounded(population.size())];
+      Counted& child = population[rng.NextBounded(population.size())];
+      if (&parent != &child) child = parent;
+      if (rng.NextBernoulli(0.7)) {
+        // A mutation: the draw, a count-aware move, the counted collect.
+        ASSERT_GT(child.counts.draw_total, 0u);
+        const size_t k = rng.NextBounded(child.counts.draw_total);
+        size_t r = 0, b1 = 0;
+        counted_kernel_->NthShare(child.alloc, child.counts, k, &r, &b1);
+        size_t want = k;
+        bool found = false;
+        for (size_t rr = 0; rr < R() && !found; ++rr) {
+          for (size_t bb = 0; bb < B() && !found; ++bb) {
+            if (child.alloc.read_assign(bb, rr) > 1e-12 && want-- == 0) {
+              ASSERT_EQ(rr, r);
+              ASSERT_EQ(bb, b1);
+              found = true;
+            }
+          }
+        }
+        ASSERT_TRUE(found);
+        const size_t b2 = OtherBackend(&rng, b1);
+        const double have = child.alloc.read_assign(b1, r);
+        const double share =
+            rng.NextBernoulli(0.5) ? have : have * rng.NextDouble(0.25, 1.0);
+        Allocation reference = child.alloc;
+        for (Allocation* a : {&child.alloc, &reference}) {
+          if (a == &child.alloc) {
+            counted_kernel_->AddShare(a, &child.counts, b1, r, -share);
+            counted_kernel_->AddShare(a, &child.counts, b2, r, share);
+          } else {
+            a->add_read_assign(b1, r, -share);
+            a->add_read_assign(b2, r, share);
+          }
+          a->PlaceBits(b2, index_->read_bits(r));
+          union_kernel_->CloseUpdates(a, b2);
+        }
+        const size_t bs[2] = {b1, b2};
+        counted_kernel_->CollectCounted(&child.alloc, child.counts, bs, 2,
+                                        &touched_);
+        union_kernel_->GarbageCollectBackends(&reference, bs, 2,
+                                              &union_touched);
+        ASSERT_EQ(touched_, union_touched);
+        ASSERT_TRUE(Identical(child.alloc, reference));
+      } else {
+        // A local-search call on the child: trials on a mirror.
+        base_ = child.alloc;
+        base_counts_ = child.counts;
+        Restart();
+        for (int trial = 0; trial < 4; ++trial) {
+          switch (rng.NextBounded(3)) {
+            case 0:
+              SharedPairTrial(&rng);
+              break;
+            case 1:
+              EvacuationTrial(&rng);
+              break;
+            default:
+              ThresholdTrial(&rng);
+              break;
+          }
+          if (HasFatalFailure()) return;
+          Settle(/*accept=*/rng.NextBernoulli(0.4));
+          if (HasFatalFailure()) return;
+        }
+        child.alloc = base_;
+        child.counts = base_counts_;
+      }
+      for (const Counted& m : population) {
+        ASSERT_TRUE(CountsMatch(cls_, *index_, m.alloc, m.counts))
+            << "seed " << seed << " step " << step;
+      }
+    }
+  }
+}
+
+/// A -0.0 class weight: collecting writes only the pins whose bits change,
+/// which must leave the same pins and update loads as writing every pin
+/// (set_update_assign of w over w adds +0.0, over -0.0 it would not).
+TEST(SearchKernelNegativeZeroTest, CollectKeepsSignedZeroPinsExact) {
+  Classification cls;
+  ASSERT_TRUE(cls.catalog.Add("A", "A", FragmentKind::kTable, 1.0).ok());
+  ASSERT_TRUE(cls.catalog.Add("B", "B", FragmentKind::kTable, 2.0).ok());
+  cls.reads = {QueryClass{{0}, 0.7, 1.0, false, "Q1", {}},
+               QueryClass{{1}, 0.3, 1.0, false, "Q2", {}}};
+  cls.updates = {QueryClass{{0, 1}, -0.0, 1.0, true, "U1", {}},
+                 QueryClass{{1}, 0.0, 1.0, true, "U2", {}}};
+  ASSERT_TRUE(cls.Validate().ok());
+  const auto backends = HomogeneousBackends(3);
+  const ClassificationIndex index(cls);
+  SearchKernel kernel(cls, index, backends);
+  Allocation a(3, cls.catalog, 2, 2);
+  a.PlaceBits(0, index.read_bits(0));
+  a.set_read_assign(0, 0, 0.7);
+  a.PlaceBits(1, index.read_bits(1));
+  a.set_read_assign(1, 1, 0.3);
+  a.set_update_assign(2, 1, -0.0);  // Stale: backend 2 holds nothing.
+  for (int round = 0; round < 2; ++round) {
+    kernel.GarbageCollect(&a);
+    for (size_t b = 0; b < 3; ++b) {
+      // Every pin write adds w - stored to the load, so writing them all
+      // from +0.0 leaves +0.0: the load must be +0.0, never -0.0.
+      EXPECT_EQ(std::bit_cast<uint64_t>(a.AssignedUpdateLoad(b)), 0u)
+          << "backend " << b << " round " << round;
+    }
+    // U1 covers A and B, so its -0.0 weight is written wherever A or B
+    // lives; U2 is written as +0.0 only where B lives, and backend 2's
+    // stale -0.0 is cleared to +0.0.
+    EXPECT_TRUE(std::signbit(a.update_assign(0, 0)));
+    EXPECT_TRUE(std::signbit(a.update_assign(1, 0)));
+    EXPECT_FALSE(std::signbit(a.update_assign(2, 0)));
+    EXPECT_FALSE(std::signbit(a.update_assign(1, 1)));
+    EXPECT_FALSE(std::signbit(a.update_assign(2, 1)));
+  }
+  ShareCounts counts;
+  kernel.CountShares(a, &counts);
+  ASSERT_TRUE(CountsMatch(cls, index, a, counts));
+  Allocation reference = a;
+  std::vector<size_t> touched, reference_touched;
+  kernel.AddShare(&a, &counts, 0, 0, -0.7);
+  kernel.AddShare(&a, &counts, 2, 0, 0.7);
+  reference.add_read_assign(0, 0, -0.7);
+  reference.add_read_assign(2, 0, 0.7);
+  for (Allocation* x : {&a, &reference}) {
+    x->PlaceBits(2, index.read_bits(0));
+    kernel.CloseUpdates(x, 2);
+  }
+  const size_t bs[2] = {0, 2};
+  kernel.CollectCounted(&a, counts, bs, 2, &touched);
+  kernel.GarbageCollectBackends(&reference, bs, 2, &reference_touched);
+  EXPECT_EQ(touched, reference_touched);
+  EXPECT_TRUE(Identical(a, reference));
+  EXPECT_TRUE(CountsMatch(cls, index, a, counts));
+}
+
+/// 65,536 read classes: a count can exceed 16 bits, so the counts are
+/// 32-bit. Every read is on backend 0 and needs fragment A, so A's count
+/// there is 65,536; moving reads away and back must keep it exact.
+TEST(SearchKernelWideCountsTest, CountsAbove16BitsStayExact) {
+  constexpr size_t kReads = size_t{1} << 16;
+  Classification cls;
+  ASSERT_TRUE(cls.catalog.Add("A", "A", FragmentKind::kTable, 1.0).ok());
+  ASSERT_TRUE(cls.catalog.Add("B", "B", FragmentKind::kTable, 1.0).ok());
+  const double w = 1.0 / static_cast<double>(kReads + 1);
+  cls.reads.assign(kReads, QueryClass{{0}, w, 1.0, false, "Q", {}});
+  cls.reads[kReads - 1].fragments = {0, 1};
+  cls.updates = {QueryClass{{1}, w, 1.0, true, "U1", {}}};
+  const auto backends = HomogeneousBackends(2);
+  const ClassificationIndex index(cls);
+  SearchKernel kernel(cls, index, backends);
+  Allocation a(2, cls.catalog, kReads, 1);
+  a.PlaceBits(0, index.read_bits(kReads - 1));
+  a.set_update_assign(0, 0, w);
+  for (size_t r = 0; r < kReads; ++r) a.set_read_assign(0, r, w);
+  kernel.GarbageCollect(&a);
+  ShareCounts counts;
+  kernel.CountShares(a, &counts);
+  ASSERT_TRUE(CountsMatch(cls, index, a, counts));
+  ASSERT_EQ(counts.counts32[0], kReads);  // Fragment A on backend 0.
+  Allocation reference = a;
+  std::vector<size_t> touched, reference_touched;
+  const size_t bs[2] = {0, 1};
+  for (const size_t r : {size_t{0}, kReads - 1, size_t{7}}) {
+    for (const double delta : {-w, w}) {
+      kernel.AddShare(&a, &counts, 0, r, delta);
+      kernel.AddShare(&a, &counts, 1, r, -delta);
+      reference.add_read_assign(0, r, delta);
+      reference.add_read_assign(1, r, -delta);
+      const size_t to = delta < 0 ? 1 : 0;
+      for (Allocation* x : {&a, &reference}) {
+        x->PlaceBits(to, index.read_bits(r));
+        kernel.CloseUpdates(x, to);
+      }
+      kernel.CollectCounted(&a, counts, bs, 2, &touched);
+      kernel.GarbageCollectBackends(&reference, bs, 2, &reference_touched);
+      ASSERT_EQ(touched, reference_touched);
+      ASSERT_TRUE(Identical(a, reference));
+      ASSERT_TRUE(CountsMatch(cls, index, a, counts));
+    }
+  }
+}
+
+/// 65,536 backends: a read's draw count can exceed 16 bits too.
+TEST(SearchKernelWideCountsTest, DrawCountsAbove16BitsStayExact) {
+  constexpr size_t kBackends = size_t{1} << 16;
+  Classification cls;
+  ASSERT_TRUE(cls.catalog.Add("A", "A", FragmentKind::kTable, 1.0).ok());
+  cls.reads = {QueryClass{{0}, 1.0, 1.0, false, "Q", {}}};
+  const auto backends = HomogeneousBackends(kBackends);
+  const ClassificationIndex index(cls);
+  SearchKernel kernel(cls, index, backends);
+  Allocation a(kBackends, cls.catalog, 1, 0);
+  const double w = 1.0 / static_cast<double>(kBackends);
+  for (size_t b = 0; b < kBackends; ++b) {
+    a.Place(b, 0);
+    a.set_read_assign(b, 0, w);
+  }
+  ShareCounts counts;
+  kernel.CountShares(a, &counts);
+  ASSERT_TRUE(CountsMatch(cls, index, a, counts));
+  ASSERT_EQ(counts.draw_total, kBackends);
+  size_t r = 1, b = 0;
+  kernel.NthShare(a, counts, kBackends - 1, &r, &b);
+  EXPECT_EQ(r, 0u);
+  EXPECT_EQ(b, kBackends - 1);
+  kernel.AddShare(&a, &counts, 3, 0, -w);
+  kernel.AddShare(&a, &counts, 5, 0, w);
+  ASSERT_TRUE(CountsMatch(cls, index, a, counts));
+  kernel.NthShare(a, counts, 3, &r, &b);
+  EXPECT_EQ(b, 4u);  // Backend 3 is no longer a candidate.
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
+#include "alloc/greedy.h"
 #include "test_util.h"
 
 namespace qcap {
@@ -80,6 +84,47 @@ TEST(ValidationTest, RejectsUpdateAssignedWithoutOverlap) {
   const Classification cls = testutil::AppendixAClassification();
   Allocation a = ValidTwoBackend(cls);
   a.set_update_assign(1, 0, 0.04);  // B2 has no fragment of U1.
+  EXPECT_FALSE(ValidateAllocation(cls, a, HomogeneousBackends(2)).ok());
+}
+
+// Every comparison with NaN is false, so each check must be phrased to
+// fail, not pass, on a NaN assignment.
+TEST(ValidationTest, RejectsNaNReadAssignment) {
+  const Classification cls = testutil::AppendixAClassification();
+  Allocation a = ValidTwoBackend(cls);
+  a.set_read_assign(0, 0, std::nan(""));  // B1 holds Q1's data.
+  const Status st = ValidateAllocation(cls, a, HomogeneousBackends(2));
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("non-finite assignment of Q1 on backend 1"),
+            std::string::npos)
+      << st.ToString();
+  Allocation b = ValidTwoBackend(cls);
+  b.set_read_assign(1, 0, std::nan(""));  // B2 lacks it; Q1 also on B1.
+  EXPECT_FALSE(ValidateAllocation(cls, b, HomogeneousBackends(2)).ok());
+}
+
+TEST(ValidationTest, RejectsNaNReadAssignmentOfGreedySynthetic) {
+  const Classification cls = testutil::GoldenInstance({60, 4, 0.6, 1, 0});
+  const auto backends = HomogeneousBackends(4);
+  auto greedy = GreedyAllocator().Allocate(cls, backends);
+  ASSERT_TRUE(greedy.ok()) << greedy.status().ToString();
+  Allocation a = greedy.value();
+  ASSERT_TRUE(ValidateAllocation(cls, a, backends).ok());
+  a.set_read_assign(0, 0, std::nan(""));
+  EXPECT_FALSE(ValidateAllocation(cls, a, backends).ok());
+}
+
+TEST(ValidationTest, RejectsNaNUpdateAssignmentWhereDataLives) {
+  const Classification cls = testutil::AppendixAClassification();
+  Allocation a = ValidTwoBackend(cls);
+  a.set_update_assign(0, 0, std::nan(""));  // B1 holds A: U1 must be 0.04.
+  EXPECT_FALSE(ValidateAllocation(cls, a, HomogeneousBackends(2)).ok());
+}
+
+TEST(ValidationTest, RejectsNaNUpdateAssignmentWithoutOverlap) {
+  const Classification cls = testutil::AppendixAClassification();
+  Allocation a = ValidTwoBackend(cls);
+  a.set_update_assign(1, 0, std::nan(""));  // B2 has no fragment of U1.
   EXPECT_FALSE(ValidateAllocation(cls, a, HomogeneousBackends(2)).ok());
 }
 
