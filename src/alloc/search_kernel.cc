@@ -44,8 +44,7 @@ void PrefetchAhead(const ClassificationIndex& index, const uint32_t* reads,
 /// Adds (\p up) or removes one reference to each of \p ids in \p refs,
 /// setting or clearing its bit in \p bits when the count leaves or
 /// reaches zero.
-template <typename Count>
-void CountIds(Count* refs, BitSpan bits, std::span<const uint32_t> ids,
+void CountIds(uint32_t* refs, BitSpan bits, std::span<const uint32_t> ids,
               bool up) {
   if (up) {
     for (uint32_t id : ids) {
@@ -60,8 +59,7 @@ void CountIds(Count* refs, BitSpan bits, std::span<const uint32_t> ids,
 }
 
 /// Adds (\p up) or removes one at \p count.
-template <typename Count>
-void AddOne(Count* count, bool up) {
+void AddOne(uint32_t* count, bool up) {
   if (up) {
     ++*count;
   } else {
@@ -72,8 +70,7 @@ void AddOne(Count* count, bool up) {
 
 /// The read class holding the \p k-th draw candidate, given the per-read
 /// \p draw counts; leaves in \p k the candidate's rank within that read.
-template <typename Count>
-size_t NthRead(const Count* draw, size_t* k) {
+size_t NthRead(const uint32_t* draw, size_t* k) {
   size_t r = 0;
   while (*k >= draw[r]) *k -= draw[r++];
   return r;
@@ -260,11 +257,7 @@ void SearchKernel::ApplyCrossing(ShareCounts* counts, const Crossing& c,
   if (c.refs != 0) CountRead(counts, c.backend, c.read, (c.refs > 0) != undo);
   if (c.draw != 0) {
     const bool up = (c.draw > 0) != undo;
-    if (counts->counts32.empty()) {
-      AddOne(counts->counts16.data() + DrawAt(c.read), up);
-    } else {
-      AddOne(counts->counts32.data() + DrawAt(c.read), up);
-    }
+    AddOne(counts->counts.data() + DrawAt(c.read), up);
     if (up) {
       ++counts->draw_total;
     } else {
@@ -288,10 +281,7 @@ void SearchKernel::RejectTrial(ShareCounts* counts) {
 void SearchKernel::NthShare(const Allocation& a, const ShareCounts& counts,
                             size_t k, size_t* r, size_t* b) const {
   assert(k < counts.draw_total);
-  const size_t read =
-      counts.counts32.empty()
-          ? NthRead(counts.counts16.data() + DrawAt(0), &k)
-          : NthRead(counts.counts32.data() + DrawAt(0), &k);
+  const size_t read = NthRead(counts.counts.data() + DrawAt(0), &k);
   size_t backend = 0;
   for (;; ++backend) {
     if (a.read_assign(backend, read) > kDrawShare && k-- == 0) break;
@@ -305,15 +295,9 @@ void SearchKernel::CountRead(ShareCounts* counts, size_t b, size_t r,
   const std::span<const uint32_t> frag_ids =
       index_.read_closure_fragment_ids(r);
   const std::span<const uint32_t> upd_ids = index_.read_closure_update_ids(r);
-  if (counts->counts32.empty()) {
-    uint16_t* refs = counts->counts16.data();
-    CountIds(refs + FragRefsAt(b), NeededBits(counts, b), frag_ids, up);
-    CountIds(refs + UpdRefsAt(b), PinnedBits(counts, b), upd_ids, up);
-  } else {
-    uint32_t* refs = counts->counts32.data();
-    CountIds(refs + FragRefsAt(b), NeededBits(counts, b), frag_ids, up);
-    CountIds(refs + UpdRefsAt(b), PinnedBits(counts, b), upd_ids, up);
-  }
+  uint32_t* refs = counts->counts.data();
+  CountIds(refs + FragRefsAt(b), NeededBits(counts, b), frag_ids, up);
+  CountIds(refs + UpdRefsAt(b), PinnedBits(counts, b), upd_ids, up);
 }
 
 void SearchKernel::PlaceOrphans(Allocation* a, std::vector<size_t>* touched) {
@@ -427,14 +411,7 @@ void SearchKernel::CountShares(const Allocation& a, ShareCounts* counts) {
   const size_t B = a.num_backends();
   const size_t R = cls_.reads.size();
   assert(B == backends_.size());
-  const size_t size = DrawAt(R);
-  if (std::max(R, B) < (size_t{1} << 16)) {
-    counts->counts16.assign(size, 0);
-    counts->counts32.clear();
-  } else {
-    counts->counts16.clear();
-    counts->counts32.assign(size, 0);
-  }
+  counts->counts.assign(DrawAt(R), 0);
   counts->bits.assign(PinnedAt(B), 0);
   counts->draw_total = 0;
   for (size_t b = 0; b < B; ++b) {

@@ -63,11 +63,8 @@ struct ShareCounts {
   /// with a share above 1e-15 on b whose closure holds fragment f), then
   /// B x U update reference counts (such reads whose closure pins update
   /// u), then R draw counts (backends with a share above 1e-12 per read
-  /// class: the mutation draw's candidates). No count exceeds max(R, B), so
-  /// they are 16-bit (counts16) while that is below 65536 and 32-bit
-  /// (counts32) otherwise; the other vector stays empty.
-  std::vector<uint16_t> counts16;
-  std::vector<uint32_t> counts32;
+  /// class: the mutation draw's candidates). No count exceeds max(R, B).
+  std::vector<uint32_t> counts;
   /// B rows of frag_words bits (fragment count > 0), then B rows of
   /// upd_words bits (update count > 0).
   std::vector<uint64_t> bits;

@@ -40,8 +40,7 @@ bool SameBits(std::span<const T> x, std::span<const T> y) {
 /// An independent recount of \p a's share counts, in ShareCounts' layout:
 /// the closure id lists of the reads above 1e-15 per backend, and the
 /// candidates above 1e-12 per read by the O(B·R) scan the mutation draw
-/// used to run. The counts come back 32-bit whatever width ShareCounts
-/// stores.
+/// used to run.
 ShareCounts Recount(const Classification& cls,
                     const ClassificationIndex& index, const Allocation& a) {
   const size_t B = a.num_backends();
@@ -54,17 +53,17 @@ ShareCounts Recount(const Classification& cls,
     words[i / 64] |= uint64_t{1} << (i % 64);
   };
   ShareCounts c;
-  c.counts32.assign(B * (F + U) + R, 0);
+  c.counts.assign(B * (F + U) + R, 0);
   c.bits.assign(B * (frag_words + upd_words), 0);
   for (size_t b = 0; b < B; ++b) {
-    uint32_t* frag_refs = c.counts32.data() + b * F;
-    uint32_t* upd_refs = c.counts32.data() + B * F + b * U;
+    uint32_t* frag_refs = c.counts.data() + b * F;
+    uint32_t* upd_refs = c.counts.data() + B * F + b * U;
     uint64_t* needed = c.bits.data() + b * frag_words;
     uint64_t* pinned = c.bits.data() + B * frag_words + b * upd_words;
     for (size_t r = 0; r < R; ++r) {
       const double share = a.read_assign(b, r);
       if (share > 1e-12) {
-        ++c.counts32[B * (F + U) + r];
+        ++c.counts[B * (F + U) + r];
         ++c.draw_total;
       }
       if (!(share > 1e-15)) continue;
@@ -81,34 +80,23 @@ ShareCounts Recount(const Classification& cls,
   return c;
 }
 
-/// True iff \p counts are \p a's, by the independent recount, and are
-/// stored 16-bit exactly when there are fewer than 65536 read classes and
-/// backends.
+/// True iff \p counts are \p a's, by the independent recount.
 ::testing::AssertionResult CountsMatch(const Classification& cls,
                                        const ClassificationIndex& index,
                                        const Allocation& a,
                                        const ShareCounts& counts) {
   const ShareCounts want = Recount(cls, index, a);
-  const bool narrow =
-      std::max(cls.reads.size(), a.num_backends()) < 65536;
-  if (narrow != counts.counts32.empty() ||
-      narrow == counts.counts16.empty()) {
-    return ::testing::AssertionFailure() << "counts have the wrong width";
-  }
-  const std::vector<uint32_t> got =
-      narrow ? std::vector<uint32_t>(counts.counts16.begin(),
-                                     counts.counts16.end())
-             : counts.counts32;
+  const std::vector<uint32_t>& got = counts.counts;
   const size_t draw_at =
       a.num_backends() * (cls.catalog.size() + cls.updates.size());
   if (!std::equal(got.begin(), got.begin() + draw_at,
-                  want.counts32.begin(), want.counts32.begin() + draw_at)) {
+                  want.counts.begin(), want.counts.begin() + draw_at)) {
     return ::testing::AssertionFailure() << "reference counts differ";
   }
   if (counts.bits != want.bits) {
     return ::testing::AssertionFailure() << "needed/pinned bits differ";
   }
-  if (got != want.counts32 || counts.draw_total != want.draw_total) {
+  if (got != want.counts || counts.draw_total != want.draw_total) {
     return ::testing::AssertionFailure() << "draw counts differ";
   }
   return ::testing::AssertionSuccess();
@@ -585,9 +573,9 @@ TEST(SearchKernelNegativeZeroTest, CollectKeepsSignedZeroPinsExact) {
   EXPECT_TRUE(CountsMatch(cls, index, a, counts));
 }
 
-/// 65,536 read classes: a count can exceed 16 bits, so the counts are
-/// 32-bit. Every read is on backend 0 and needs fragment A, so A's count
-/// there is 65,536; moving reads away and back must keep it exact.
+/// 65,536 read classes: a count can exceed 16 bits. Every read is on
+/// backend 0 and needs fragment A, so A's count there is 65,536; moving
+/// reads away and back must keep it exact.
 TEST(SearchKernelWideCountsTest, CountsAbove16BitsStayExact) {
   constexpr size_t kReads = size_t{1} << 16;
   Classification cls;
@@ -608,7 +596,7 @@ TEST(SearchKernelWideCountsTest, CountsAbove16BitsStayExact) {
   ShareCounts counts;
   kernel.CountShares(a, &counts);
   ASSERT_TRUE(CountsMatch(cls, index, a, counts));
-  ASSERT_EQ(counts.counts32[0], kReads);  // Fragment A on backend 0.
+  ASSERT_EQ(counts.counts[0], kReads);  // Fragment A on backend 0.
   Allocation reference = a;
   std::vector<size_t> touched, reference_touched;
   const size_t bs[2] = {0, 1};

@@ -87,6 +87,19 @@ TEST(ValidationTest, RejectsUpdateAssignedWithoutOverlap) {
   EXPECT_FALSE(ValidateAllocation(cls, a, HomogeneousBackends(2)).ok());
 }
 
+// An update class is either pinned with its weight or not at all: a
+// negative load is as invalid as a positive one where the data is absent.
+TEST(ValidationTest, RejectsNegativeUpdateAssignedWithoutOverlap) {
+  const Classification cls = testutil::AppendixAClassification();
+  Allocation a = ValidTwoBackend(cls);
+  a.set_update_assign(1, 0, -0.3);  // B2 has no fragment of U1.
+  const Status st = ValidateAllocation(cls, a, HomogeneousBackends(2));
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("assigned to backend 2 without overlapping"),
+            std::string::npos)
+      << st.ToString();
+}
+
 // Every comparison with NaN is false, so each check must be phrased to
 // fail, not pass, on a NaN assignment.
 TEST(ValidationTest, RejectsNaNReadAssignment) {
