@@ -29,12 +29,19 @@ Result<Allocation> GreedyAllocator::Allocate(
     const Classification& cls, const std::vector<BackendSpec>& backends) {
   QCAP_RETURN_NOT_OK(ValidateBackends(backends));
   QCAP_RETURN_NOT_OK(cls.Validate());
-
-  const size_t n = backends.size();
   // The index memoizes overlaps, bundles and their byte sizes with the same
   // accumulation orders as the Classification helpers, so every comparison
-  // below is bitwise identical to the unindexed implementation.
+  // is bitwise identical to the unindexed implementation.
   const ClassificationIndex index(cls);
+  return alloc_internal::GreedyAllocate(cls, index, backends);
+}
+
+namespace alloc_internal {
+
+Result<Allocation> GreedyAllocate(const Classification& cls,
+                                  const ClassificationIndex& index,
+                                  const std::vector<BackendSpec>& backends) {
+  const size_t n = backends.size();
   Allocation alloc(n, cls.catalog, cls.reads.size(), cls.updates.size());
 
   auto class_of = [&](const Pending& p) -> const QueryClass& {
@@ -256,5 +263,7 @@ Result<Allocation> GreedyAllocator::Allocate(
   alloc_internal::PlaceOrphanFragments(cls, &alloc);
   return alloc;
 }
+
+}  // namespace alloc_internal
 
 }  // namespace qcap

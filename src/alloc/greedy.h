@@ -38,4 +38,16 @@ class GreedyAllocator : public Allocator {
   std::string name() const override { return "greedy"; }
 };
 
+namespace alloc_internal {
+
+/// GreedyAllocator::Allocate over an \p index of \p cls the caller already
+/// built, for callers that need the index too (MemeticAllocator::Allocate
+/// reuses it for the search). \p backends and \p cls must have passed
+/// ValidateBackends and Classification::Validate.
+Result<Allocation> GreedyAllocate(const Classification& cls,
+                                  const ClassificationIndex& index,
+                                  const std::vector<BackendSpec>& backends);
+
+}  // namespace alloc_internal
+
 }  // namespace qcap

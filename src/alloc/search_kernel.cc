@@ -230,11 +230,7 @@ void SearchKernel::AddTrialShare(Allocation* a, ShareCounts* counts,
                                  size_t b, size_t r, double delta) {
   const Crossing c = EditShare(a, counts, b, r, delta);
   if (c.refs == 0 && c.draw == 0) return;
-  if (crossings_.capacity() == 0) {
-    // qcap-lint: allow(hot-path-growth) -- one-time sizing on the kernel's first trial edit
-    crossings_.reserve(2 * cls_.reads.size());
-  }
-  // qcap-lint: allow(hot-path-growth) -- a memetic trial logs at most 2R crossings, the reserved capacity; the log is cleared, not freed, per trial
+  // qcap-lint: allow(hot-path-growth) -- a memetic trial logs at most 2R crossings, the capacity ReserveTrialLog reserves; the log is cleared, not freed, per trial
   crossings_.push_back(c);
 }
 
@@ -276,6 +272,27 @@ void SearchKernel::RejectTrial(ShareCounts* counts) {
     ApplyCrossing(counts, crossings_[i - 1], /*undo=*/true);
   }
   crossings_.clear();
+}
+
+void SearchKernel::CopyCountRows(const ShareCounts& src,
+                                 std::span<const size_t> bs,
+                                 ShareCounts* dst) const {
+  assert(dst->counts.size() == src.counts.size() &&
+         dst->bits.size() == src.bits.size());
+  const size_t F = cls_.catalog.size();
+  const size_t U = cls_.updates.size();
+  const uint32_t* from = src.counts.data();
+  uint32_t* to = dst->counts.data();
+  for (const size_t b : bs) {
+    std::copy_n(from + FragRefsAt(b), F, to + FragRefsAt(b));
+    std::copy_n(from + UpdRefsAt(b), U, to + UpdRefsAt(b));
+    std::copy_n(src.bits.data() + NeededAt(b), frag_words_,
+                dst->bits.data() + NeededAt(b));
+    std::copy_n(src.bits.data() + PinnedAt(b), upd_words_,
+                dst->bits.data() + PinnedAt(b));
+  }
+  std::copy(from + DrawAt(0), from + src.counts.size(), to + DrawAt(0));
+  dst->draw_total = src.draw_total;
 }
 
 void SearchKernel::NthShare(const Allocation& a, const ShareCounts& counts,
@@ -406,6 +423,10 @@ SolutionCost SearchKernel::EvaluateDelta(
 }
 
 // qcap-lint: hot-path end
+
+void SearchKernel::ReserveTrialLog() {
+  crossings_.reserve(2 * cls_.reads.size());
+}
 
 void SearchKernel::CountShares(const Allocation& a, ShareCounts* counts) {
   const size_t B = a.num_backends();

@@ -17,6 +17,9 @@
 //    the edited read's closure ids only when its share crosses a threshold,
 //    so CollectCounted skips the closure unions, NthShare skips the O(B·R)
 //    candidate scan, and a rejected trial undoes its logged crossings,
+//  - CopyCountRows copies only chosen backends' count slices (plus the
+//    per-read draw counts), so a search that knows which rows two counted
+//    allocations differ on copies only those,
 // and none of it heap-allocates on the steady-state path (scratch is sized
 // in the constructor or on first use and reused).
 //
@@ -26,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/allocation.h"
@@ -56,8 +60,9 @@ struct SolutionCost {
 /// depends on the read shares alone, so placements, update pins and orphan
 /// repairs never disturb it. SearchKernel::CountShares builds it; it stays
 /// exact as long as every share edit goes through SearchKernel::AddShare or
-/// AddTrialShare. Copies (a member's copy-assignment) reuse the target's
-/// buffers once they have the size.
+/// AddTrialShare. Copy-assignment reuses the target's buffers once they
+/// have the size; SearchKernel::CopyCountRows copies only some backends'
+/// slices.
 struct ShareCounts {
   /// Every count, in one array: B x F fragment reference counts (reads
   /// with a share above 1e-15 on b whose closure holds fragment f), then
@@ -151,6 +156,20 @@ class SearchKernel {
   /// The caller restored the mirror's touched rows to the member's: undoes
   /// the logged crossings on the mirror's \p counts.
   void RejectTrial(ShareCounts* counts);
+  /// Sizes the crossing log for trials to 2R entries, which holds any
+  /// memetic trial; a search calls it before its first AddTrialShare, on
+  /// the thread that sizes its other buffers. Past that capacity the log
+  /// grows.
+  void ReserveTrialLog();
+
+  /// Makes \p dst's counts of backends \p bs, and its draw counts, equal
+  /// to \p src's: the count half of copying one counted allocation's rows
+  /// \p bs into another (Allocation::CopyBackendsFrom is the other half).
+  /// When the two differ only on those backends, \p dst equals \p src
+  /// afterwards. Both must be sized (CountShares or a copy). O(|bs|·(F + U)
+  /// + R); no heap allocation.
+  void CopyCountRows(const ShareCounts& src, std::span<const size_t> bs,
+                     ShareCounts* dst) const;
 
  private:
   /// One share edit's threshold crossings: +1 the share rose above the
@@ -226,8 +245,8 @@ class SearchKernel {
 
   size_t frag_words_ = 0;
   size_t upd_words_ = 0;
-  // The current trial's crossings, in edit order (AddTrialShare). Sized on
-  // the first trial edit to 2R, which holds any memetic trial: each moves a
+  // The current trial's crossings, in edit order (AddTrialShare). Sized to
+  // 2R by ReserveTrialLog, which holds any memetic trial: each moves a
   // read's share off one backend and onto another at most once.
   std::vector<Crossing> crossings_;
 

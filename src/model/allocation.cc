@@ -122,6 +122,27 @@ void Allocation::ClearBackendRow(size_t b) {
 
 void Allocation::CopyBackendsFrom(const Allocation& src,
                                   std::span<const size_t> bs) {
+  CopyAllButReadRowsFrom(src, bs);
+  for (const size_t b : bs) {
+    std::copy_n(src.read_assign_.data() + b * num_reads_, num_reads_,
+                read_assign_.data() + b * num_reads_);
+  }
+}
+
+void Allocation::CopyEditsFrom(const Allocation& src,
+                               std::span<const size_t> bs,
+                               std::span<const ReadCell> cells) {
+  CopyAllButReadRowsFrom(src, bs);
+  for (const ReadCell& cell : cells) {
+    assert(cell.backend < num_backends_ && cell.read < num_reads_);
+    assert(std::find(bs.begin(), bs.end(), cell.backend) != bs.end());
+    const size_t i = cell.backend * num_reads_ + cell.read;
+    read_assign_[i] = src.read_assign_[i];
+  }
+}
+
+void Allocation::CopyAllButReadRowsFrom(const Allocation& src,
+                                        std::span<const size_t> bs) {
   assert(src.num_backends_ == num_backends_ &&
          src.num_fragments_ == num_fragments_ &&
          src.num_reads_ == num_reads_ && src.num_updates_ == num_updates_ &&
@@ -129,8 +150,6 @@ void Allocation::CopyBackendsFrom(const Allocation& src,
   for (const size_t b : bs) {
     assert(b < num_backends_);
     std::copy_n(src.row(b), words_per_backend_, row(b));
-    std::copy_n(src.read_assign_.data() + b * num_reads_, num_reads_,
-                read_assign_.data() + b * num_reads_);
     std::copy_n(src.update_assign_.data() + b * num_updates_, num_updates_,
                 update_assign_.data() + b * num_updates_);
     read_load_[b] = src.read_load_[b];

@@ -23,6 +23,13 @@
 
 namespace qcap {
 
+/// One cell of the read-assignment matrix: read class \p read's share on
+/// backend \p backend.
+struct ReadCell {
+  uint32_t backend = 0;
+  uint32_t read = 0;
+};
+
 /// \brief A partial replication: per-backend fragment placement plus the
 /// per-class load assignment matrices LQ and LU (Appendix B notation).
 class Allocation {
@@ -72,6 +79,16 @@ class Allocation {
   /// afterwards, bit for bit. Both must have the same shape; reuses this
   /// allocation's buffers (no heap allocation).
   void CopyBackendsFrom(const Allocation& src, std::span<const size_t> bs);
+  /// CopyBackendsFrom for an edit that changed, of the read-assignment
+  /// rows, only the cells in \p cells (each on a backend of \p bs): copies
+  /// the placement and update-assignment rows and running aggregates of
+  /// \p bs and the replica-count column as CopyBackendsFrom does, but of
+  /// the read-assignment rows only \p cells. When this and \p src differ
+  /// only there, they are equal afterwards, bit for bit, in
+  /// O(|bs|·(F/64 + U) + |cells| + F) instead of O(|bs|·R + F). A cell
+  /// may repeat. No heap allocation.
+  void CopyEditsFrom(const Allocation& src, std::span<const size_t> bs,
+                     std::span<const ReadCell> cells);
   /// True iff fragment \p f is on backend \p b.
   bool IsPlaced(size_t b, FragmentId f) const;
   /// fragments(B): the sorted fragment set of backend \p b.
@@ -153,6 +170,11 @@ class Allocation {
 
  private:
   double frag_size(FragmentId f) const { return (*frag_bytes_)[f]; }
+  /// The part of CopyBackendsFrom both copies share: everything of
+  /// backends \p bs but their read-assignment rows, and the replica-count
+  /// column.
+  void CopyAllButReadRowsFrom(const Allocation& src,
+                              std::span<const size_t> bs);
   uint64_t* row(size_t b) { return placed_.data() + b * words_per_backend_; }
   const uint64_t* row(size_t b) const {
     return placed_.data() + b * words_per_backend_;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "alloc/greedy.h"
+#include "common/random.h"
 #include "test_util.h"
 
 namespace qcap {
@@ -202,6 +206,122 @@ TEST(AllocationTest, CopyBackendsFromRestoresEditedRows) {
   Allocation forward = original;
   forward.CopyBackendsFrom(edited, bs);
   expect_equal(forward, edited);
+}
+
+template <typename T>
+bool SameBits(std::span<const T> x, std::span<const T> y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+/// True iff \p x and \p y are equal bit for bit: rows, assignments, the
+/// running aggregates and the replica counts.
+::testing::AssertionResult Identical(const Allocation& x, const Allocation& y) {
+  if (testutil::AllocationDigest(x) != testutil::AllocationDigest(y)) {
+    return ::testing::AssertionFailure() << "rows or assignments differ";
+  }
+  if (x.sizes_bound() != y.sizes_bound() ||
+      (x.sizes_bound() &&
+       !SameBits(x.BackendBytesColumn(), y.BackendBytesColumn()))) {
+    return ::testing::AssertionFailure() << "byte aggregates differ";
+  }
+  if (!SameBits(x.ReadLoadColumn(), y.ReadLoadColumn()) ||
+      !SameBits(x.UpdateLoadColumn(), y.UpdateLoadColumn())) {
+    return ::testing::AssertionFailure() << "load aggregates differ";
+  }
+  if (!SameBits(x.ReplicaCounts(), y.ReplicaCounts())) {
+    return ::testing::AssertionFailure() << "replica counts differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// CopyEditsFrom against CopyBackendsFrom over random edits shaped like a
+/// memetic trial's: read cells moved between two backends (a cell may be
+/// edited twice), fragments placed and dropped and update pins rewritten on
+/// those backends, plus an orphan-placement target whose row gains a
+/// fragment but none of whose read cells changes. Copying the edited cells
+/// and rows back, or forward, must give what copying the whole rows gives,
+/// bit for bit, with and without bound fragment sizes.
+TEST(AllocationTest, CopyEditsFromMatchesCopyBackendsFrom) {
+  const Classification cls = testutil::GoldenInstance({120, 8, 0.6, 2, 0});
+  const auto backends = HomogeneousBackends(8);
+  auto greedy = GreedyAllocator().Allocate(cls, backends);
+  ASSERT_TRUE(greedy.ok()) << greedy.status().ToString();
+  const size_t B = backends.size();
+  const size_t F = cls.catalog.size();
+  const size_t R = cls.reads.size();
+  for (const bool bound : {true, false}) {
+    Allocation base = greedy.value();
+    if (bound) {
+      base.BindSizes(cls.catalog);
+    } else {
+      // An unbound copy of the same rows: replay them onto a fresh shape.
+      Allocation unbound(B, F, R, cls.updates.size());
+      for (size_t b = 0; b < B; ++b) {
+        unbound.PlaceBits(b, base.RowBits(b));
+        for (size_t r = 0; r < R; ++r) {
+          unbound.set_read_assign(b, r, base.read_assign(b, r));
+        }
+        for (size_t u = 0; u < cls.updates.size(); ++u) {
+          unbound.set_update_assign(b, u, base.update_assign(b, u));
+        }
+      }
+      base = unbound;
+    }
+    ASSERT_EQ(base.sizes_bound(), bound);
+    Rng rng(bound ? 17 : 18);
+    for (int step = 0; step < 300; ++step) {
+      Allocation edited = base;
+      const size_t b1 = rng.NextBounded(B);
+      size_t b2 = rng.NextBounded(B - 1);
+      if (b2 >= b1) ++b2;
+      size_t orphan_target = rng.NextBounded(B);
+      while (orphan_target == b1 || orphan_target == b2) {
+        orphan_target = rng.NextBounded(B);
+      }
+      std::vector<ReadCell> cells;
+      const size_t moves = 1 + rng.NextBounded(6);
+      for (size_t i = 0; i < moves; ++i) {
+        const size_t r = rng.NextBounded(R);
+        const double w = edited.read_assign(b1, r) * rng.NextDouble(0.0, 1.0);
+        edited.add_read_assign(b1, r, -w);
+        edited.add_read_assign(b2, r, w);
+        cells.push_back(ReadCell{static_cast<uint32_t>(b1),
+                                 static_cast<uint32_t>(r)});
+        cells.push_back(ReadCell{static_cast<uint32_t>(b2),
+                                 static_cast<uint32_t>(r)});
+      }
+      edited.Place(b2, static_cast<FragmentId>(rng.NextBounded(F)));
+      DenseBitset keep(F);
+      for (size_t f = 0; f < F; ++f) {
+        if (rng.NextBernoulli(0.8)) keep.Set(f);
+      }
+      edited.RetainFragments(b1, keep);
+      const size_t u = rng.NextBounded(cls.updates.size());
+      edited.set_update_assign(b1, u, rng.NextBernoulli(0.5)
+                                          ? cls.updates[u].weight
+                                          : 0.0);
+      edited.Place(orphan_target, static_cast<FragmentId>(rng.NextBounded(F)));
+      const size_t bs[] = {b1, b2, orphan_target};
+
+      Allocation back_rows = edited;
+      back_rows.CopyBackendsFrom(base, bs);
+      Allocation back_cells = edited;
+      back_cells.CopyEditsFrom(base, bs, cells);
+      ASSERT_TRUE(Identical(back_cells, back_rows)) << "step " << step;
+      ASSERT_TRUE(Identical(back_cells, base)) << "step " << step;
+
+      Allocation forward_rows = base;
+      forward_rows.CopyBackendsFrom(edited, bs);
+      Allocation forward_cells = base;
+      forward_cells.CopyEditsFrom(edited, bs, cells);
+      ASSERT_TRUE(Identical(forward_cells, forward_rows)) << "step " << step;
+      ASSERT_TRUE(Identical(forward_cells, edited)) << "step " << step;
+
+      // Let the edits accumulate now and then, as accepted trials do.
+      if (step % 3 == 0) base = edited;
+    }
+  }
 }
 
 TEST(AllocationTest, SnapshotRowRoundTrips) {

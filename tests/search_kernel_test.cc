@@ -22,7 +22,9 @@
 #include <vector>
 
 #include "alloc/greedy.h"
+#include "alloc/memetic_island.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "test_util.h"
 
 namespace qcap {
@@ -127,6 +129,7 @@ class SearchKernelTest : public ::testing::Test {
     backends_ = HomogeneousBackends(6);
     index_ = std::make_unique<ClassificationIndex>(cls_);
     counted_kernel_ = std::make_unique<SearchKernel>(cls_, *index_, backends_);
+    counted_kernel_->ReserveTrialLog();
     union_kernel_ = std::make_unique<SearchKernel>(cls_, *index_, backends_);
     auto seed = GreedyAllocator().Allocate(cls_, backends_);
     ASSERT_TRUE(seed.ok()) << seed.status().ToString();
@@ -649,6 +652,151 @@ TEST(SearchKernelWideCountsTest, DrawCountsAbove16BitsStayExact) {
   kernel.NthShare(a, counts, 3, &r, &b);
   EXPECT_EQ(b, 4u);  // Backend 3 is no longer a candidate.
 }
+
+/// True iff \p x and \p y hold bit-identical rows \p b: the allocation
+/// row (placement, read and update assignments, aggregates) and the count
+/// slices (fragment and update reference counts, needed and pinned bits).
+::testing::AssertionResult SameRow(const Classification& cls,
+                                   const alloc_internal::Member& x,
+                                   const alloc_internal::Member& y, size_t b) {
+  const Allocation& xa = x.alloc;
+  const Allocation& ya = y.alloc;
+  const size_t B = xa.num_backends();
+  const size_t F = cls.catalog.size();
+  const size_t U = cls.updates.size();
+  const size_t frag_words = (F + 63) / 64;
+  const size_t upd_words = (U + 63) / 64;
+  const auto at = [](const auto& v, size_t offset, size_t n) {
+    return std::span(v.data() + offset, n);
+  };
+  const auto one = [](std::span<const double> column, size_t i) {
+    return column.subspan(i, 1);
+  };
+  bool same =
+      SameBits(std::span(xa.RowBits(b).words(), xa.RowBits(b).num_words()),
+               std::span(ya.RowBits(b).words(), ya.RowBits(b).num_words())) &&
+      SameBits(xa.ReadAssignRow(b), ya.ReadAssignRow(b)) &&
+      SameBits(one(xa.ReadLoadColumn(), b), one(ya.ReadLoadColumn(), b)) &&
+      SameBits(one(xa.UpdateLoadColumn(), b), one(ya.UpdateLoadColumn(), b)) &&
+      SameBits(one(xa.BackendBytesColumn(), b),
+               one(ya.BackendBytesColumn(), b));
+  for (size_t u = 0; u < U; ++u) {
+    const double xu = xa.update_assign(b, u), yu = ya.update_assign(b, u);
+    same = same && std::memcmp(&xu, &yu, sizeof(double)) == 0;
+  }
+  if (!same) {
+    return ::testing::AssertionFailure() << "allocation rows " << b
+                                         << " differ";
+  }
+  const std::vector<uint32_t>& xc = x.counts.counts;
+  const std::vector<uint32_t>& yc = y.counts.counts;
+  const std::vector<uint64_t>& xb = x.counts.bits;
+  const std::vector<uint64_t>& yb = y.counts.bits;
+  if (!SameBits<uint32_t>(at(xc, b * F, F), at(yc, b * F, F)) ||
+      !SameBits<uint32_t>(at(xc, B * F + b * U, U),
+                          at(yc, B * F + b * U, U)) ||
+      !SameBits<uint64_t>(at(xb, b * frag_words, frag_words),
+                          at(yb, b * frag_words, frag_words)) ||
+      !SameBits<uint64_t>(at(xb, B * frag_words + b * upd_words, upd_words),
+                          at(yb, B * frag_words + b * upd_words, upd_words))) {
+    return ::testing::AssertionFailure() << "count slices " << b << " differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Two islands' members through random mutations, local searches (with
+/// their accepted and rejected trials), whole generations and migrations:
+/// after every step, any two members (the islands' trial mirrors included)
+/// that carry the same stamp for a backend hold bit-identical rows and
+/// count slices for it, and every member's counts are exact. At 120
+/// fragments (300 read classes) a backend row holds about 3 KB and copies
+/// take only the rows whose stamps differ; at 40 (100 read classes) it
+/// holds about 1 KB and copies take every buffer whole.
+class MemberStampTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(MemberStampTest, EqualStampsMeanIdenticalRows) {
+  using alloc_internal::Evolver;
+  using alloc_internal::Member;
+  const Classification cls =
+      testutil::GoldenInstance({GetParam(), 8, 0.6, 3, 0});
+  const auto backends = HomogeneousBackends(6);
+  const ClassificationIndex index(cls);
+  auto greedy = GreedyAllocator().Allocate(cls, backends);
+  ASSERT_TRUE(greedy.ok()) << greedy.status().ToString();
+  SearchProgress progress;
+  MemeticOptions opts;
+  opts.seed = 5;
+  opts.progress = &progress;
+  const Member seed = alloc_internal::MakeSeedMember(
+      cls, index, backends, greedy.value(), nullptr);
+  std::vector<std::unique_ptr<Evolver>> islands;
+  std::vector<std::vector<Member>> populations(2);
+  for (size_t i = 0; i < 2; ++i) {
+    islands.push_back(
+        std::make_unique<Evolver>(cls, index, backends, opts, i));
+    islands[i]->Prepare(seed, 6, &populations[i]);
+    islands[i]->EvolveGenerations(&populations[i], 1);  // Grows to 6.
+    ASSERT_EQ(populations[i].size(), 6u);
+  }
+
+  size_t shared_rows = 0;
+  const auto check = [&](int step) {
+    std::vector<const Member*> all;
+    for (size_t i = 0; i < 2; ++i) {
+      all.push_back(&islands[i]->trial());
+      for (const Member& m : populations[i]) all.push_back(&m);
+    }
+    for (size_t x = 0; x < all.size(); ++x) {
+      ASSERT_TRUE(CountsMatch(cls, index, all[x]->alloc, all[x]->counts))
+          << "step " << step << ", member " << x;
+      for (size_t y = x + 1; y < all.size(); ++y) {
+        for (size_t b = 0; b < backends.size(); ++b) {
+          if (all[x]->stamps[b] != all[y]->stamps[b]) continue;
+          ++shared_rows;
+          ASSERT_TRUE(SameRow(cls, *all[x], *all[y], b))
+              << "step " << step << ", members " << x << " and " << y;
+        }
+      }
+    }
+  };
+
+  Rng rng(29);
+  for (int step = 0; step < 400; ++step) {
+    const size_t i = rng.NextBounded(2);
+    std::vector<Member>& population = populations[i];
+    const size_t k = rng.NextBounded(population.size());
+    switch (rng.NextBounded(4)) {
+      case 0: {  // A mutation into another member's buffers.
+        size_t child = rng.NextBounded(population.size() - 1);
+        if (child >= k) ++child;
+        islands[i]->Mutate(population[k], &population[child]);
+        population[child].cost = islands[i]->Evaluate(population[child].alloc);
+        break;
+      }
+      case 1:  // A local search: accepted and rejected trials.
+        islands[i]->LocalImprove(&population[k]);
+        population[k].cost = islands[i]->Evaluate(population[k].alloc);
+        break;
+      case 2: {  // A migration: a member copied into the other island.
+        std::vector<Member>& target = populations[1 - i];
+        islands[1 - i]->CopyMember(population[k],
+                                   &target[rng.NextBounded(target.size())]);
+        break;
+      }
+      default:  // A whole generation: selection swaps members around.
+        islands[i]->EvolveGenerations(&population, 1);
+        break;
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(progress.improvements.load(), 0u);
+  EXPECT_GT(progress.evaluations.load(), 2 * progress.improvements.load());
+  EXPECT_GT(shared_rows, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fragments, MemberStampTest,
+                         ::testing::Values(size_t{120}, size_t{40}));
 
 }  // namespace
 }  // namespace qcap
