@@ -219,19 +219,19 @@ TEST(GreedyTest, ZeroWeightUpdateClassTerminates) {
 /// change to the placement order or the float arithmetic shows up here.
 TEST(GreedyTest, GoldenDigests) {
   const testutil::GoldenCase cases[] = {
-      {120, 8, 0.6, 1, 0x733b551a268c8f64ULL},
-      {120, 8, 0.6, 2, 0x7f4d2ac1889b7e6aULL},
-      {120, 8, 1.1, 1, 0xf7e2f7e9ad2f2a55ULL},
-      {120, 8, 1.1, 2, 0x999ad81495a8b3b7ULL},
-      {700, 16, 0.6, 1, 0x2d29762ee91b13a3ULL},
-      {700, 16, 0.6, 2, 0x945b60ded25048baULL},
-      {700, 16, 1.1, 1, 0x905a2d9f3e6afbd0ULL},
-      {700, 16, 1.1, 2, 0xbe74f8aa4ebbd0f2ULL},
-      {1000, 16, 0.6, 1, 0x71e160cb4951c5fdULL},
-      {1000, 16, 1.1, 1, 0x18bb1a4efb08a109ULL},
+      {120, 8, 0.6, 1, 0x733b551a268c8f64ULL, 0xb69e989bee697064ULL},
+      {120, 8, 0.6, 2, 0x7f4d2ac1889b7e6aULL, 0x9c716dd60ea02569ULL},
+      {120, 8, 1.1, 1, 0xf7e2f7e9ad2f2a55ULL, 0x90f91b8a42a99d34ULL},
+      {120, 8, 1.1, 2, 0x999ad81495a8b3b7ULL, 0x49f11b0232a8fc5aULL},
+      {700, 16, 0.6, 1, 0x2d29762ee91b13a3ULL, 0x48c8f0ab302d2c03ULL},
+      {700, 16, 0.6, 2, 0x945b60ded25048baULL, 0x43e8a429e21aa240ULL},
+      {700, 16, 1.1, 1, 0x905a2d9f3e6afbd0ULL, 0xfede05ffededef13ULL},
+      {700, 16, 1.1, 2, 0xbe74f8aa4ebbd0f2ULL, 0x37ea6ab4ba1aee36ULL},
+      {1000, 16, 0.6, 1, 0x71e160cb4951c5fdULL, 0xf778dc2cf33c4f17ULL},
+      {1000, 16, 1.1, 1, 0x18bb1a4efb08a109ULL, 0xa777dad8173129a0ULL},
       // 70 backends: per-backend flags span more than one 64-bit word.
-      {700, 70, 0.6, 1, 0x400787f86ef5e87aULL},
-      {700, 70, 1.1, 1, 0x38b57abb28ac2a8eULL},
+      {700, 70, 0.6, 1, 0x400787f86ef5e87aULL, 0x1b7a0ad71cc3c428ULL},
+      {700, 70, 1.1, 1, 0x38b57abb28ac2a8eULL, 0x562e701dd0307405ULL},
   };
   for (const testutil::GoldenCase& g : cases) {
     const Classification cls = testutil::GoldenInstance(g);
@@ -243,6 +243,11 @@ TEST(GreedyTest, GoldenDigests) {
         << std::hex << "0x" << testutil::AllocationDigest(result.value())
         << std::dec << " for " << g.fragments << " fragments, zipf " << g.zipf
         << ", seed " << g.seed;
+    EXPECT_EQ(testutil::AggregateDigest(result.value()), g.aggregate)
+        << std::hex << "aggregate 0x"
+        << testutil::AggregateDigest(result.value()) << std::dec << " for "
+        << g.fragments << " fragments, " << g.backends << " backends, zipf "
+        << g.zipf << ", seed " << g.seed;
   }
 }
 

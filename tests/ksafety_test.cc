@@ -127,24 +127,24 @@ TEST(KSafetyTest, GoldenDigests) {
     int k;
   };
   const KCase cases[] = {
-      {{120, 8, 0.6, 1, 0x9304fd2534d0c836ULL}, 1},
-      {{120, 8, 0.6, 1, 0x54ad8166be21b02cULL}, 2},
-      {{120, 8, 0.6, 2, 0x5739991290c32832ULL}, 1},
-      {{120, 8, 0.6, 2, 0x3aa59f386c8d476cULL}, 2},
-      {{120, 8, 1.1, 1, 0x281841a3e115fd91ULL}, 1},
-      {{120, 8, 1.1, 1, 0xe494a5a44dae0627ULL}, 2},
-      {{120, 8, 1.1, 2, 0x75d3debe96163104ULL}, 1},
-      {{120, 8, 1.1, 2, 0x289c6f880f3904e3ULL}, 2},
-      {{700, 16, 0.6, 1, 0xafca68ee25468de9ULL}, 1},
-      {{700, 16, 0.6, 1, 0x6ba41eee37a68494ULL}, 2},
-      {{700, 16, 0.6, 2, 0x7ffeb07c0435c558ULL}, 1},
-      {{700, 16, 0.6, 2, 0x8484c36fa40cc3cbULL}, 2},
-      {{700, 16, 1.1, 1, 0xeea94e525ab5a6a3ULL}, 1},
-      {{700, 16, 1.1, 1, 0x612d6d7864dba0a2ULL}, 2},
-      {{700, 16, 1.1, 2, 0x10ab3cbbe3422cc6ULL}, 1},
-      {{700, 16, 1.1, 2, 0x06f49acc9cdc24c5ULL}, 2},
-      {{1000, 16, 0.6, 1, 0xf918dcbcaae7df86ULL}, 1},
-      {{700, 70, 0.6, 1, 0x69d381b3de692631ULL}, 1},
+      {{120, 8, 0.6, 1, 0x9304fd2534d0c836ULL, 0x0cd557b40daef66bULL}, 1},
+      {{120, 8, 0.6, 1, 0x54ad8166be21b02cULL, 0x6c4ff9af93d002baULL}, 2},
+      {{120, 8, 0.6, 2, 0x5739991290c32832ULL, 0xe0c85e6082d072e5ULL}, 1},
+      {{120, 8, 0.6, 2, 0x3aa59f386c8d476cULL, 0xcd2369a88266a65dULL}, 2},
+      {{120, 8, 1.1, 1, 0x281841a3e115fd91ULL, 0x9799620bfc07c4bdULL}, 1},
+      {{120, 8, 1.1, 1, 0xe494a5a44dae0627ULL, 0x71817f9f7f6e9d6cULL}, 2},
+      {{120, 8, 1.1, 2, 0x75d3debe96163104ULL, 0x33fba85e1567a138ULL}, 1},
+      {{120, 8, 1.1, 2, 0x289c6f880f3904e3ULL, 0x87d18a0241e210d8ULL}, 2},
+      {{700, 16, 0.6, 1, 0xafca68ee25468de9ULL, 0xe71361de78c814a6ULL}, 1},
+      {{700, 16, 0.6, 1, 0x6ba41eee37a68494ULL, 0xb2cf057cd169d571ULL}, 2},
+      {{700, 16, 0.6, 2, 0x7ffeb07c0435c558ULL, 0x235fa8c175311596ULL}, 1},
+      {{700, 16, 0.6, 2, 0x8484c36fa40cc3cbULL, 0xb93b5da5c49a1ac7ULL}, 2},
+      {{700, 16, 1.1, 1, 0xeea94e525ab5a6a3ULL, 0xae28a5a5f585a5f1ULL}, 1},
+      {{700, 16, 1.1, 1, 0x612d6d7864dba0a2ULL, 0xe422057518f7d563ULL}, 2},
+      {{700, 16, 1.1, 2, 0x10ab3cbbe3422cc6ULL, 0x6c974b6e15f4ec5bULL}, 1},
+      {{700, 16, 1.1, 2, 0x06f49acc9cdc24c5ULL, 0xaea90db5b7519e33ULL}, 2},
+      {{1000, 16, 0.6, 1, 0xf918dcbcaae7df86ULL, 0x7eebfeb86287430fULL}, 1},
+      {{700, 70, 0.6, 1, 0x69d381b3de692631ULL, 0x962cfd3609c088d5ULL}, 1},
   };
   for (const KCase& c : cases) {
     const Classification cls = testutil::GoldenInstance(c.g);
@@ -158,6 +158,11 @@ TEST(KSafetyTest, GoldenDigests) {
     EXPECT_EQ(testutil::AllocationDigest(result.value()), c.g.digest)
         << std::hex << "0x" << testutil::AllocationDigest(result.value())
         << std::dec << " for " << c.g.fragments << " fragments, zipf "
+        << c.g.zipf << ", seed " << c.g.seed << ", k " << c.k;
+    EXPECT_EQ(testutil::AggregateDigest(result.value()), c.g.aggregate)
+        << std::hex << "aggregate 0x"
+        << testutil::AggregateDigest(result.value()) << std::dec << " for "
+        << c.g.fragments << " fragments, " << c.g.backends << " backends, zipf "
         << c.g.zipf << ", seed " << c.g.seed << ", k " << c.k;
   }
 }

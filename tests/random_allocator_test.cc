@@ -105,6 +105,53 @@ TEST(RandomAllocatorTest, PureUpdateClassesGetAHome) {
   EXPECT_GE(alloc->ReplicaCount(1), 1u);
 }
 
+/// Allocations pinned bit for bit, running aggregates included: the
+/// advise-synth instances (700 fragments, 16 backends, zipf 0.6, the
+/// harness's first instance of seeds 1 and 2, each allocated with its
+/// instance seed) and a small shape with zero-weight update classes,
+/// fragments nothing references and update classes no read overlaps.
+TEST(RandomAllocatorTest, GoldenAggregates) {
+  struct Case {
+    testutil::GoldenCase g;
+    bool zero_weights;
+  };
+  const Case cases[] = {
+      {{700, 16, 0.6, 1000003, 0, 0x5f503caa73bd96c0ULL}, false},
+      {{700, 16, 0.6, 2000006, 0, 0x9d07cdb9bceadb21ULL}, false},
+      {{60, 5, 1.1, 1, 0, 0xe2a79272926e4d50ULL}, true},
+      {{60, 5, 1.1, 2, 0, 0x96111ceaa13bfc72ULL}, true},
+  };
+  for (const Case& c : cases) {
+    Classification cls = testutil::GoldenInstance(c.g);
+    if (c.zero_weights) {
+      cls = testutil::WithUnreadData(
+          testutil::WithZeroWeightUpdates(std::move(cls)));
+      const ClassificationIndex index(cls);
+      size_t unreferenced = 0, unread_updates = 0;
+      for (FragmentId f = 0; f < cls.catalog.size(); ++f) {
+        bool updated = false;
+        for (const QueryClass& u : cls.updates) {
+          updated = updated || Contains(u.fragments, f);
+        }
+        if (index.reads_of_fragment(f).empty() && !updated) ++unreferenced;
+      }
+      for (size_t u = 0; u < cls.updates.size(); ++u) {
+        if (index.reads_overlapping_update(u).empty()) ++unread_updates;
+      }
+      EXPECT_GT(unreferenced, 0u);
+      EXPECT_GT(unread_updates, 0u);
+    }
+    const auto backends = HomogeneousBackends(c.g.backends);
+    auto result = RandomAllocator(c.g.seed).Allocate(cls, backends);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(ValidateAllocation(cls, result.value(), backends).ok());
+    EXPECT_EQ(testutil::AggregateDigest(result.value()), c.g.aggregate)
+        << std::hex << "aggregate 0x"
+        << testutil::AggregateDigest(result.value()) << std::dec << " for "
+        << c.g.fragments << " fragments, seed " << c.g.seed;
+  }
+}
+
 TEST(RandomAllocatorTest, RejectsInvalidInput) {
   const Classification cls = testutil::Figure2Classification();
   RandomAllocator random(5);

@@ -114,6 +114,41 @@ TEST(RobustnessTest, RejectsBadIndexAndWeight) {
   EXPECT_FALSE(WeightTolerance(cls, a, backends, 99).ok());
 }
 
+/// Headroom added to greedy allocations, pinned bit for bit with the
+/// running aggregates: each added replica places a read class's data and
+/// closes the backend's update pins, and the order of those pins sets the
+/// update-load and byte sums.
+TEST(RobustnessTest, HeadroomGoldenAggregates) {
+  struct Case {
+    testutil::GoldenCase g;
+    bool zero_weights;
+  };
+  const Case cases[] = {
+      {{40, 3, 0.6, 1, 0, 0x515c2db90ada204dULL}, false},
+      {{40, 3, 0.6, 3, 0, 0xddc0abfa85bc7061ULL}, true},
+  };
+  for (const Case& c : cases) {
+    Classification cls = testutil::GoldenInstance(c.g);
+    if (c.zero_weights) cls = testutil::WithZeroWeightUpdates(std::move(cls));
+    const auto backends = HomogeneousBackends(c.g.backends);
+    auto greedy = GreedyAllocator().Allocate(cls, backends);
+    ASSERT_TRUE(greedy.ok()) << greedy.status().ToString();
+    RobustnessOptions options;
+    options.required_headroom = 0.2;
+    auto robust = AddRobustnessHeadroom(cls, greedy.value(), backends, options);
+    ASSERT_TRUE(robust.ok()) << robust.status().ToString();
+    EXPECT_GT(DegreeOfReplication(robust.value(), cls.catalog),
+              DegreeOfReplication(greedy.value(), cls.catalog));
+    const Status valid = ValidateAllocation(cls, robust.value(), backends);
+    EXPECT_TRUE(valid.ok()) << valid.ToString();
+    EXPECT_EQ(testutil::AggregateDigest(robust.value()), c.g.aggregate)
+        << std::hex << "aggregate 0x"
+        << testutil::AggregateDigest(robust.value()) << std::dec << " for "
+        << c.g.fragments << " fragments, zipf " << c.g.zipf << ", seed "
+        << c.g.seed;
+  }
+}
+
 class RobustnessPropertySweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RobustnessPropertySweep, ToleranceIsHonest) {

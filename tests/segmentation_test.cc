@@ -4,6 +4,9 @@
 
 #include "alloc/greedy.h"
 #include "cluster/scheduler.h"
+#include "common/random.h"
+#include "model/validation.h"
+#include "test_util.h"
 #include "workloads/trace.h"
 
 namespace qcap {
@@ -120,6 +123,53 @@ TEST(SegmentationTest, PlacementReshapeSpreadsReads) {
     EXPECT_NEAR(reshaped->TotalReadAssign(r), cls->reads[r].weight, 1e-9);
     EXPECT_NEAR(reshaped->read_assign(0, r), reshaped->read_assign(1, r),
                 1e-9);
+  }
+}
+
+/// Each read class's fragments on one random backend, and nothing else:
+/// no update closure, and fragments no read references are left out.
+Allocation ReadsOnlyPlacement(const Classification& cls, size_t backends,
+                              uint64_t seed) {
+  Allocation a(backends, cls.catalog.size(), cls.reads.size(),
+               cls.updates.size());
+  Rng rng(seed);
+  for (const QueryClass& r : cls.reads) {
+    a.PlaceSet(static_cast<size_t>(rng.NextBounded(backends)), r.fragments);
+  }
+  return a;
+}
+
+/// Reshaped placements pinned bit for bit, running aggregates included.
+/// The placements lack every update closure and every fragment no read
+/// references, so the reshape pins update classes and places orphans,
+/// some of them updated (and one with a zero-weight update class).
+TEST(SegmentationTest, PlacementGoldenAggregates) {
+  struct Case {
+    testutil::GoldenCase g;
+    bool zero_weights;
+  };
+  const Case cases[] = {
+      {{120, 6, 1.1, 1, 0, 0x58452118e6d2eb03ULL}, false},
+      {{120, 6, 1.1, 2, 0, 0x5dffc5bb1a25c8a1ULL}, true},
+      {{700, 16, 0.6, 1000003, 0, 0xeadfba61a7842412ULL}, false},
+  };
+  for (const Case& c : cases) {
+    Classification cls = testutil::GoldenInstance(c.g);
+    if (c.zero_weights) {
+      cls = testutil::WithUnreadData(
+          testutil::WithZeroWeightUpdates(std::move(cls)));
+    }
+    const Allocation placement =
+        ReadsOnlyPlacement(cls, c.g.backends, c.g.seed);
+    auto reshaped = PlacementForClassification(placement, cls);
+    ASSERT_TRUE(reshaped.ok()) << reshaped.status().ToString();
+    const auto backends = HomogeneousBackends(c.g.backends);
+    const Status valid = ValidateAllocation(cls, reshaped.value(), backends);
+    EXPECT_TRUE(valid.ok()) << valid.ToString();
+    EXPECT_EQ(testutil::AggregateDigest(reshaped.value()), c.g.aggregate)
+        << std::hex << "aggregate 0x"
+        << testutil::AggregateDigest(reshaped.value()) << std::dec << " for "
+        << c.g.fragments << " fragments, seed " << c.g.seed;
   }
 }
 

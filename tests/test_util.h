@@ -71,27 +71,73 @@ inline Classification ZeroWeightUpdateClassification() {
   return cls;
 }
 
+/// \p cls with the weight of every third update class (0, 3, 6, ...) moved
+/// onto read class 0: the weights still sum to one, and some update
+/// classes weigh zero.
+inline Classification WithZeroWeightUpdates(Classification cls) {
+  for (size_t u = 0; u < cls.updates.size(); u += 3) {
+    cls.reads[0].weight += cls.updates[u].weight;
+    cls.updates[u].weight = 0.0;
+  }
+  EXPECT_TRUE(cls.Validate().ok());
+  return cls;
+}
+
+/// \p cls with three fragments appended that no read class references:
+/// one nothing references, and two that only two new update classes touch,
+/// {u1, u2} with weight 0.01 taken from read class 0 and {u2} with weight
+/// zero.
+inline Classification WithUnreadData(Classification cls) {
+  const auto f = static_cast<FragmentId>(cls.catalog.size());
+  EXPECT_TRUE(cls.catalog.Add("x", "x", FragmentKind::kTable, 3e6).ok());
+  EXPECT_TRUE(cls.catalog.Add("u1", "u", FragmentKind::kTable, 2e6).ok());
+  EXPECT_TRUE(cls.catalog.Add("u2", "u", FragmentKind::kTable, 5e6).ok());
+  cls.reads[0].weight -= 0.01;
+  cls.updates.push_back(QueryClass{{f + 1, f + 2}, 0.01, 1.0, true, "UX", {}});
+  cls.updates.push_back(QueryClass{{f + 2}, 0.0, 1.0, true, "UY", {}});
+  EXPECT_TRUE(cls.Validate().ok());
+  return cls;
+}
+
+/// One FNV-1a step over \p n bytes at \p p.
+inline void HashBytes(uint64_t* h, const void* p, size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(p);
+  for (size_t i = 0; i < n; ++i) *h = (*h ^ bytes[i]) * 1099511628211ULL;
+}
+
 /// FNV-1a over the backend count and, per backend, the placement row, the
 /// read-assignment row and every update assignment: a bitwise fingerprint
 /// of an allocation (the same hash the benchmark harness compares).
 inline uint64_t AllocationDigest(const Allocation& a) {
   uint64_t h = 1469598103934665603ULL;
-  const auto add = [&h](const void* p, size_t n) {
-    const auto* bytes = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) h = (h ^ bytes[i]) * 1099511628211ULL;
-  };
   const size_t num_backends = a.num_backends();
-  add(&num_backends, sizeof(num_backends));
+  HashBytes(&h, &num_backends, sizeof(num_backends));
   for (size_t b = 0; b < num_backends; ++b) {
     const ConstBitSpan row = a.RowBits(b);
-    add(row.words(), row.num_words() * sizeof(uint64_t));
+    HashBytes(&h, row.words(), row.num_words() * sizeof(uint64_t));
     const std::span<const double> reads = a.ReadAssignRow(b);
-    add(reads.data(), reads.size() * sizeof(double));
+    HashBytes(&h, reads.data(), reads.size() * sizeof(double));
     for (size_t u = 0; u < a.num_updates(); ++u) {
       const double w = a.update_assign(b, u);
-      add(&w, sizeof(w));
+      HashBytes(&h, &w, sizeof(w));
     }
   }
+  return h;
+}
+
+/// AllocationDigest continued over the per-backend running aggregates:
+/// assigned read load, assigned update load and, when sizes are bound,
+/// stored bytes. They are sums in the order the edits ran, so two
+/// allocations with equal rows, shares and pins differ here when their
+/// pins or placements ran in a different order.
+inline uint64_t AggregateDigest(const Allocation& a) {
+  uint64_t h = AllocationDigest(a);
+  const auto add = [&h](std::span<const double> column) {
+    HashBytes(&h, column.data(), column.size() * sizeof(double));
+  };
+  add(a.ReadLoadColumn());
+  add(a.UpdateLoadColumn());
+  if (a.sizes_bound()) add(a.BackendBytesColumn());
   return h;
 }
 
@@ -103,6 +149,7 @@ struct GoldenCase {
   double zipf;
   uint64_t seed;
   uint64_t digest;
+  uint64_t aggregate = 0;  // AggregateDigest, where a test pins it too.
 };
 
 inline Classification GoldenInstance(const GoldenCase& g) {
