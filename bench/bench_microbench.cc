@@ -163,16 +163,18 @@ void BM_EvaluateDelta(benchmark::State& state) {
   alloc_internal::SearchKernel kernel(fx.cls, fx.index, fx.backends);
   kernel.GarbageCollect(&fx.seed);
   kernel.BeginDelta(fx.seed, kernel.Evaluate(fx.seed));
-  // A representative trial: read share moved between two backends, partial
-  // GC over the touched rows.
+  // A representative trial: read share moved between two backends, counted
+  // collection of the touched rows.
   Allocation trial = fx.seed;
   const double share = trial.read_assign(0, 0);
   trial.add_read_assign(0, 0, -share);
   trial.add_read_assign(1, 0, share);
   trial.PlaceBits(1, fx.index.read_bits(0));
+  alloc_internal::ShareCounts counts;
+  kernel.CountShares(trial, &counts);
   std::vector<size_t> touched;
   const size_t bs[2] = {0, 1};
-  kernel.GarbageCollectBackends(&trial, bs, 2, &touched);
+  kernel.CollectCounted(&trial, counts, bs, 2, &touched);
   uint64_t allocs = 0;
   uint64_t iters = 0;
   for (auto _ : state) {
@@ -396,9 +398,9 @@ const LargeFixture& SearchLargeFixture() {
 }
 
 void BM_EvaluateDeltaLarge(benchmark::State& state) {
-  // One full memetic trial step at B=256 x 10k x 100k: partial GC of the
-  // two touched backends (CollectAbove over a 100k-read row, closure ORs,
-  // place/retain word-skip) + orphan scan + delta scoring.
+  // One full memetic trial step at B=256 x 10k x 100k: counted collection
+  // of the two touched backends (retain/place word-skip from the counts'
+  // needed bits, pin rewrite) + orphan scan + delta scoring.
   const LargeFixture& fx = SearchLargeFixture();
   SimdArgGuard simd_guard(state);
   alloc_internal::SearchKernel kernel(fx.cls, fx.index, fx.backends);
@@ -410,14 +412,16 @@ void BM_EvaluateDeltaLarge(benchmark::State& state) {
   trial.add_read_assign(0, 0, -share);
   trial.add_read_assign(1, 0, share);
   trial.PlaceBits(1, fx.index.read_bits(0));
+  alloc_internal::ShareCounts counts;
+  kernel.CountShares(trial, &counts);
   std::vector<size_t> touched;
   const size_t bs[2] = {0, 1};
-  kernel.GarbageCollectBackends(&trial, bs, 2, &touched);  // Warm scratch.
+  kernel.CollectCounted(&trial, counts, bs, 2, &touched);  // Warm scratch.
   uint64_t allocs = 0;
   uint64_t iters = 0;
   for (auto _ : state) {
     const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    kernel.GarbageCollectBackends(&trial, bs, 2, &touched);
+    kernel.CollectCounted(&trial, counts, bs, 2, &touched);
     auto cost = kernel.EvaluateDelta(trial, touched);
     allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
     ++iters;

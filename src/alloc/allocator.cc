@@ -2,90 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
+
+#include "common/simd.h"
 
 namespace qcap::alloc_internal {
-
-double CloseUpdatesOnBackend(const Classification& cls, size_t b,
-                             Allocation* alloc) {
-  double added = 0.0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    FragmentSet frags = alloc->BackendFragments(b);
-    for (size_t u = 0; u < cls.updates.size(); ++u) {
-      if (alloc->update_assign(b, u) > 0.0) continue;
-      if (Intersects(cls.updates[u].fragments, frags)) {
-        const double w = cls.updates[u].weight;
-        // A zero-weight class still reads as unpinned after this pin, so
-        // only new fragments or a positive pin call for another pass.
-        if (w > 0.0 || !alloc->HoldsAll(b, cls.updates[u].fragments)) {
-          changed = true;
-        }
-        alloc->PlaceSet(b, cls.updates[u].fragments);
-        alloc->set_update_assign(b, u, w);
-        added += w;
-      }
-    }
-  }
-  return added;
-}
-
-double CloseUpdatesOnBackend(const Classification& cls,
-                             const ClassificationIndex& index, size_t b,
-                             Allocation* alloc, DenseBitset* row_scratch) {
-  double added = 0.0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    alloc->SnapshotRow(b, row_scratch);
-    for (size_t u = 0; u < cls.updates.size(); ++u) {
-      if (alloc->update_assign(b, u) > 0.0) continue;
-      if (Intersects(index.update_bits(u), *row_scratch)) {
-        const double w = cls.updates[u].weight;
-        if (w > 0.0 || !alloc->HoldsAllBits(b, index.update_bits(u))) {
-          changed = true;
-        }
-        alloc->PlaceBits(b, index.update_bits(u));
-        alloc->set_update_assign(b, u, w);
-        added += w;
-      }
-    }
-  }
-  return added;
-}
-
-void CloseUpdatesEverywhere(const Classification& cls, Allocation* alloc) {
-  for (size_t b = 0; b < alloc->num_backends(); ++b) {
-    CloseUpdatesOnBackend(cls, b, alloc);
-  }
-}
-
-void PlaceOrphanFragments(const Classification& cls, Allocation* alloc) {
-  for (FragmentId f = 0; f < alloc->num_fragments(); ++f) {
-    if (alloc->ReplicaCount(f) > 0) continue;
-    // Prefer a backend where storing f creates no new update obligation.
-    size_t target = alloc->num_backends();
-    double target_bytes = std::numeric_limits<double>::infinity();
-    bool fragment_updated = false;
-    for (const auto& u : cls.updates) {
-      if (Contains(u.fragments, f)) {
-        fragment_updated = true;
-        break;
-      }
-    }
-    for (size_t b = 0; b < alloc->num_backends(); ++b) {
-      const double bytes = alloc->BackendBytes(b, cls.catalog);
-      if (bytes < target_bytes) {
-        target_bytes = bytes;
-        target = b;
-      }
-    }
-    alloc->Place(target, f);
-    if (fragment_updated) {
-      CloseUpdatesOnBackend(cls, target, alloc);
-    }
-  }
-}
 
 void BundleScores::Score(const Allocation& alloc, ConstBitSpan bundle) {
   const size_t n = missing_.size();
@@ -110,11 +31,35 @@ void BundleScores::Score(const Allocation& alloc, ConstBitSpan bundle) {
   }
 }
 
-UpdateCloser::UpdateCloser(const Classification& cls,
-                           const ClassificationIndex& index)
-    : cls_(cls), index_(index), fresh_((index.num_fragments() + 63) / 64) {
-  due_.reserve(cls.updates.size());
+UpdateCloser::UpdateCloser(const Classification& cls)
+    : cls_(cls),
+      words_((cls.catalog.size() + 63) / 64),
+      update_bits_(cls.updates.size() * words_),
+      updates_off_(cls.catalog.size() + 1),
+      fresh_(words_) {
+  // Fragment -> update classes (ascending): count, prefix sum, fill.
+  const size_t F = cls.catalog.size();
+  for (const QueryClass& u : cls.updates) {
+    for (FragmentId f : u.fragments) ++updates_off_[f + 1];
+  }
+  for (size_t f = 0; f < F; ++f) updates_off_[f + 1] += updates_off_[f];
+  updates_of_.resize(updates_off_[F]);
+  std::vector<size_t> cursor(updates_off_.begin(), updates_off_.end() - 1);
+  for (size_t u = 0; u < cls.updates.size(); ++u) {
+    uint64_t* row = update_bits_.data() + u * words_;
+    for (FragmentId f : cls.updates[u].fragments) {
+      row[f >> 6] |= uint64_t{1} << (f & 63);
+      updates_of_[cursor[f]++] = u;
+    }
+  }
+  // A round queues each (fresh fragment, update class) pair at most once.
+  due_.reserve(updates_of_.size());
 }
+
+// PlaceAndClose runs once per memetic mutation and local-search move, and
+// PlaceOrphans once per collection: no heap allocation here (scratch is
+// sized in the constructor).
+// qcap-lint: hot-path begin
 
 bool UpdateCloser::MarkFresh(const Allocation& alloc, size_t b,
                              ConstBitSpan bits) {
@@ -131,18 +76,23 @@ bool UpdateCloser::MarkFresh(const Allocation& alloc, size_t b,
 
 double UpdateCloser::PlaceAndClose(size_t b, ConstBitSpan bits,
                                    Allocation* alloc) {
-  std::fill(fresh_.begin(), fresh_.end(), uint64_t{0});
-  bool grew = MarkFresh(*alloc, b, bits);
+  const bool grew = MarkFresh(*alloc, b, bits);
   alloc->PlaceBits(b, bits);
+  return grew ? CloseFresh(b, alloc) : 0.0;
+}
+
+double UpdateCloser::CloseFresh(size_t b, Allocation* alloc) {
   double added = 0.0;
+  bool grew = true;
   while (grew) {
     // The row was closed before this round's bits arrived, so a class that
     // overlaps the row now and is unpinned overlaps those bits.
     for (size_t i = 0; i < fresh_.size(); ++i) {
       for (uint64_t word = fresh_[i]; word != 0; word &= word - 1) {
-        const auto f =
-            static_cast<FragmentId>(i * 64 + __builtin_ctzll(word));
-        for (size_t u : index_.updates_of_fragment(f)) {
+        const size_t f = i * 64 + __builtin_ctzll(word);
+        for (size_t k = updates_off_[f]; k < updates_off_[f + 1]; ++k) {
+          const size_t u = updates_of_[k];
+          // qcap-lint: allow(hot-path-growth) -- at most one entry per (fragment, class) pair a round, the capacity the constructor reserves
           if (alloc->update_assign(b, u) <= 0.0) due_.push_back(u);
         }
       }
@@ -152,8 +102,8 @@ double UpdateCloser::PlaceAndClose(size_t b, ConstBitSpan bits,
     std::fill(fresh_.begin(), fresh_.end(), uint64_t{0});
     grew = false;
     for (size_t u : due_) {
-      grew |= MarkFresh(*alloc, b, index_.update_bits(u));
-      alloc->PlaceBits(b, index_.update_bits(u));
+      grew |= MarkFresh(*alloc, b, UpdateBits(u));
+      alloc->PlaceBits(b, UpdateBits(u));
       alloc->set_update_assign(b, u, cls_.updates[u].weight);
       added += cls_.updates[u].weight;
     }
@@ -161,5 +111,47 @@ double UpdateCloser::PlaceAndClose(size_t b, ConstBitSpan bits,
   }
   return added;
 }
+
+void UpdateCloser::PlaceOrphans(Allocation* alloc,
+                                std::vector<size_t>* touched) {
+  // Orphan scan: first zero in the contiguous replica-count column (SIMD
+  // word-skip; ascending like a scalar f-loop). In the common case, no
+  // orphans, this is one streaming pass.
+  const std::span<const uint32_t> replicas = alloc->ReplicaCounts();
+  const size_t F = alloc->num_fragments();
+  const bool bound = alloc->sizes_bound();
+  for (size_t f = simd::FindZeroU32(replicas.data(), 0, F); f < F;
+       f = simd::FindZeroU32(replicas.data(), f + 1, F)) {
+    size_t target = 0;
+    if (bound) {
+      // First-minimum over the byte column: a min reduction plus a
+      // first-equal scan, identical to the scalar first-strict-less pick.
+      target = simd::Argmin(alloc->BackendBytesColumn().data(),
+                            alloc->num_backends());
+    } else {
+      double target_bytes = std::numeric_limits<double>::infinity();
+      for (size_t b = 0; b < alloc->num_backends(); ++b) {
+        const double bytes = alloc->BackendBytes(b, cls_.catalog);
+        if (bytes < target_bytes) {
+          target_bytes = bytes;
+          target = b;
+        }
+      }
+    }
+    alloc->Place(target, static_cast<FragmentId>(f));
+    if (updates_off_[f] != updates_off_[f + 1]) {
+      fresh_[f >> 6] |= uint64_t{1} << (f & 63);
+      CloseFresh(target, alloc);
+    }
+    if (touched != nullptr &&
+        std::find(touched->begin(), touched->end(), target) ==
+            touched->end()) {
+      // qcap-lint: allow(hot-path-growth) -- touched holds <= num_backends entries; capacity is reached on the first call and reused
+      touched->push_back(target);
+    }
+  }
+}
+
+// qcap-lint: hot-path end
 
 }  // namespace qcap::alloc_internal

@@ -33,33 +33,6 @@ class Allocator {
 
 namespace alloc_internal {
 
-/// Places every update class whose fragments overlap backend \p b's current
-/// fragment set fully onto \p b (fragments + pinned assignment, Eq. 10),
-/// iterating to a fixpoint since adding an update's fragments can create
-/// new overlaps. Returns the total update weight newly added to \p b. A
-/// zero-weight class never reads as pinned, so a pass ends the loop when
-/// it adds no fragment and pins no positive weight.
-double CloseUpdatesOnBackend(const Classification& cls, size_t b,
-                             Allocation* alloc);
-
-/// Index-accelerated CloseUpdatesOnBackend: identical fixpoint order (each
-/// round tests against a snapshot of the row taken at round start, ascending
-/// update index) so the accumulated weight is bitwise identical to the
-/// unindexed version, but overlap tests are word-parallel and nothing is
-/// heap-allocated beyond \p row_scratch, which callers size once and reuse.
-double CloseUpdatesOnBackend(const Classification& cls,
-                             const ClassificationIndex& index, size_t b,
-                             Allocation* alloc, DenseBitset* row_scratch);
-
-/// Runs CloseUpdatesOnBackend for every backend.
-void CloseUpdatesEverywhere(const Classification& cls, Allocation* alloc);
-
-/// Ensures data completeness: every fragment not yet stored anywhere is
-/// placed on the backend currently storing the fewest bytes that would not
-/// pick up new update obligations by storing it (any backend if none
-/// qualifies, followed by an update-closure pass).
-void PlaceOrphanFragments(const Classification& cls, Allocation* alloc);
-
 /// \brief One pass that scores a bundle against every backend row.
 ///
 /// Score walks the bundle's words once. For each word it visits every
@@ -85,35 +58,64 @@ class BundleScores {
   std::vector<uint8_t> holds_;
 };
 
-/// \brief Place-then-close for rows that change only through it.
+/// \brief The two validity repairs every allocator runs: the update
+/// closure (Eq. 10, ROWA) and orphan placement (Eq. 11, data completeness).
 ///
 /// PlaceAndClose places \p bits on a row and then pins every update class
-/// the row newly overlaps, to a fixpoint. It requires the row to be closed
-/// beforehand: every update class that overlaps it is pinned there with
-/// all its fragments, as holds for a row that changed only through
-/// PlaceAndClose or CloseUpdatesOnBackend. Then only the bits a placement
-/// newly set can create an overlap, so each round visits just the classes
-/// on those bits (ClassificationIndex::updates_of_fragment) and pins them
-/// in ascending order, and the next round follows the bits this round
-/// added. Those are the rescan's pins, PlaceBits calls and summed weight in
-/// the rescan's order (less re-pins of zero-weight classes, which change
-/// nothing), so the result is bit-identical to PlaceBits followed by
-/// CloseUpdatesOnBackend.
+/// the row newly overlaps, with all its fragments, to a fixpoint. It
+/// requires the row to be closed beforehand: every update class that
+/// overlaps it is pinned there with all its fragments. An empty row is
+/// closed, and so is a row that changed only through PlaceAndClose or a
+/// garbage collection. Then only the bits a placement newly set can create
+/// an overlap, so each round visits just the classes on those bits and pins
+/// them in ascending order, and the next round follows the bits this round
+/// added. Those are the pins, PlaceBits calls and summed weight of the
+/// rescan fixpoint (each round tests every unpinned class, ascending,
+/// against the row as it stood at the round's start), in the rescan's
+/// order, less re-pins of zero-weight classes, which change nothing. So the
+/// rows, pins and running aggregates are bit-identical to PlaceBits
+/// followed by that rescan (tests/alloc_reference.h keeps it as the
+/// oracle).
+///
+/// PlaceOrphans places every fragment stored nowhere, in ascending id, on
+/// the backend storing the fewest bytes at that moment (the first such
+/// backend on ties), then closes that backend's row. It requires closed
+/// rows too.
+///
+/// The closer keeps its own copy of each update class's fragment bitset
+/// and a fragment -> update classes list, built in O(F + sum of |u|) from
+/// the Classification alone, which must outlive it. Not thread-safe: it
+/// owns scratch.
 class UpdateCloser {
  public:
-  UpdateCloser(const Classification& cls, const ClassificationIndex& index);
+  explicit UpdateCloser(const Classification& cls);
 
   /// Places \p bits on backend \p b, closes the row and returns the update
   /// weight newly pinned on \p b.
   double PlaceAndClose(size_t b, ConstBitSpan bits, Allocation* alloc);
 
+  /// Places every orphan fragment of \p alloc (see above). When \p touched
+  /// is non-null, appends each target backend it does not yet list.
+  void PlaceOrphans(Allocation* alloc, std::vector<size_t>* touched);
+
  private:
+  ConstBitSpan UpdateBits(size_t u) const {
+    return ConstBitSpan(update_bits_.data() + u * words_, words_,
+                        cls_.catalog.size());
+  }
   /// Sets the bits of \p bits that backend \p b's row lacks in fresh_;
   /// returns true iff there are any.
   bool MarkFresh(const Allocation& alloc, size_t b, ConstBitSpan bits);
+  /// Pins the classes on fresh_'s bits, which backend \p b's row has just
+  /// received, to a fixpoint; returns the weight pinned. Leaves fresh_
+  /// all zero, as it is between calls.
+  double CloseFresh(size_t b, Allocation* alloc);
 
   const Classification& cls_;
-  const ClassificationIndex& index_;
+  size_t words_;                        // Words per fragment bitset.
+  std::vector<uint64_t> update_bits_;   // U rows of words_.
+  std::vector<size_t> updates_off_;     // F + 1 offsets into updates_of_.
+  std::vector<size_t> updates_of_;      // Update classes per fragment, asc.
   std::vector<uint64_t> fresh_;  // bits the last round newly set
   std::vector<size_t> due_;      // update classes to pin this round
 };

@@ -100,7 +100,7 @@ Result<Allocation> GreedyAllocate(const Classification& cls,
 
   std::vector<double> difference(n);
   alloc_internal::BundleScores scores(n);
-  alloc_internal::UpdateCloser closer(cls, index);
+  alloc_internal::UpdateCloser closer(cls);
 
   // Line 6: main loop.
   while (!queue.empty()) {
@@ -220,7 +220,7 @@ Result<Allocation> GreedyAllocate(const Classification& cls,
 #endif
 
     if (p.is_update) {
-      // Lines 20-23. (CloseUpdatesOnBackend has already pinned the class.)
+      // Lines 20-23. (PlaceAndClose has already pinned the class.)
       if (current_load[target] > scaled_load[target]) {
         scaled_load[target] = current_load[target];
         // Eq. 15: re-derive the other backends' scaled loads from the new
@@ -260,7 +260,7 @@ Result<Allocation> GreedyAllocate(const Classification& cls,
     }
   }
 
-  alloc_internal::PlaceOrphanFragments(cls, &alloc);
+  closer.PlaceOrphans(&alloc, nullptr);
   return alloc;
 }
 

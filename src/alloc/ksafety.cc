@@ -107,7 +107,7 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
   std::vector<double> difference(n);
   std::vector<uint8_t> already_holds(n, 0);
   alloc_internal::BundleScores scores(n);
-  alloc_internal::UpdateCloser closer(cls, index);
+  alloc_internal::UpdateCloser closer(cls);
 
   while (!queue.empty()) {
     if (++iters > max_iters) {
@@ -225,7 +225,7 @@ Result<Allocation> KSafeGreedyAllocator::Allocate(
 
   // Eq. 46 for everything not covered by class replication (unreferenced
   // fragments): top up to k+1 copies on the least-loaded backends.
-  alloc_internal::PlaceOrphanFragments(cls, &alloc);
+  closer.PlaceOrphans(&alloc, nullptr);
   DenseBitset single(cls.catalog.size());
   for (FragmentId f = 0; f < alloc.num_fragments(); ++f) {
     while (alloc.ReplicaCount(f) < static_cast<size_t>(k) + 1) {

@@ -43,14 +43,15 @@ Member MakeSeedMember(const Classification& cls,
                       const ClassificationIndex& index,
                       const std::vector<BackendSpec>& backends,
                       const Allocation& seed, SearchProgress* progress) {
-  // Bind fragment sizes (O(1) cost accounting), garbage-collect the seed
-  // and count its shares once: the counts travel with every copy.
+  // Bind fragment sizes (O(1) cost accounting), count the seed's shares
+  // once and garbage-collect it from those counts (collection edits no
+  // share, so they stay exact): the counts travel with every copy.
   Member member;
   member.alloc = seed;
   if (!member.alloc.sizes_bound()) member.alloc.BindSizes(cls.catalog);
   SearchKernel kernel(cls, index, backends, progress);
-  kernel.GarbageCollect(&member.alloc);
   kernel.CountShares(member.alloc, &member.counts);
+  kernel.CollectAll(&member.alloc, member.counts);
   member.stamps.assign(backends.size(), NewStamp());
   return member;
 }
@@ -151,8 +152,7 @@ void Evolver::Mutate(const Member& parent, Member* child) {
       rng_.NextBernoulli(0.5) ? have : have * rng_.NextDouble(0.25, 1.0);
   kernel_.AddShare(a, &child->counts, b1, r, -share);
   kernel_.AddShare(a, &child->counts, b2, r, share);
-  a->PlaceBits(b2, index_.read_bits(r));
-  kernel_.CloseUpdates(a, b2);
+  kernel_.PlaceAndClose(a, b2, index_.read_bits(r));
   // The parent is garbage-collected (population invariant), so only the
   // two modified rows can hold junk; the counts say what they keep.
   const size_t touched[2] = {b1, b2};
@@ -265,8 +265,7 @@ bool Evolver::ImproveUpdateReplicas(Member* m) {
           const double w = trial->read_assign(b1, r);
           EditTrial(b1, r, -w);
           EditTrial(b2, r, w);
-          trial->PlaceBits(b2, index_.read_bits(r));
-          kernel_.CloseUpdates(trial, b2);
+          kernel_.PlaceAndClose(trial, b2, index_.read_bits(r));
           moved = true;
         }
         if (!moved) continue;  // trial_ is untouched.

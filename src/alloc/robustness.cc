@@ -6,6 +6,7 @@
 
 #include "alloc/allocator.h"
 #include "model/metrics.h"
+#include "model/validation.h"
 #include "solver/simplex.h"
 
 namespace qcap {
@@ -193,7 +194,12 @@ Result<Allocation> AddRobustnessHeadroom(
     const Classification& cls, const Allocation& alloc,
     const std::vector<BackendSpec>& backends,
     const RobustnessOptions& options) {
+  // Each added replica is closed by the delta closer, which needs the rows
+  // closed beforehand; a valid allocation's rows are.
+  QCAP_RETURN_NOT_OK(ValidateAllocation(cls, alloc, backends));
   Allocation out = alloc;
+  alloc_internal::UpdateCloser closer(cls);
+  DenseBitset bits(cls.catalog.size());
   size_t added = 0;
   for (size_t r = 0; r < cls.reads.size(); ++r) {
     while (added < kMaxAddedReplicas) {
@@ -217,8 +223,9 @@ Result<Allocation> AddRobustnessHeadroom(
         }
       }
       if (target == out.num_backends()) break;  // Already everywhere.
-      out.PlaceSet(target, cls.reads[r].fragments);
-      alloc_internal::CloseUpdatesOnBackend(cls, target, &out);
+      bits.ClearAll();
+      for (FragmentId f : cls.reads[r].fragments) bits.Set(f);
+      closer.PlaceAndClose(target, bits, &out);
       ++added;
     }
   }

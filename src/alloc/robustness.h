@@ -63,7 +63,9 @@ struct RobustnessOptions {
 /// replicas have been added — the paper's Section 5 recipe for buying
 /// robustness with storage.
 /// \returns the padded allocation; its scale never regresses because the
-/// added replicas carry no load.
+/// added replicas carry no load. InvalidArgument when \p alloc fails
+/// ValidateAllocation: each replica's update closure builds on the rows
+/// being closed, which a valid allocation's are.
 Result<Allocation> AddRobustnessHeadroom(const Classification& cls,
                                          const Allocation& alloc,
                                          const std::vector<BackendSpec>& backends,

@@ -4,10 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <span>
 
-#include "alloc/allocator.h"
 #include "common/simd.h"
 #include "common/stats.h"
 
@@ -83,17 +81,12 @@ SearchKernel::SearchKernel(const Classification& cls,
                            const ClassificationIndex& index,
                            const std::vector<BackendSpec>& backends,
                            SearchProgress* progress)
-    : cls_(cls), index_(index), backends_(backends), progress_(progress) {
-  needed_.Reset(cls.catalog.size());
-  keep_updates_.Reset(cls.updates.size());
-  row_scratch_.Reset(cls.catalog.size());
+    : cls_(cls),
+      index_(index),
+      backends_(backends),
+      progress_(progress),
+      closer_(cls) {
   positive_scratch_.resize(cls.reads.size());
-  // Per-read collection strategy: scatter the sparse closure ids unless the
-  // row is dense enough that one word-parallel OR of the whole row moves
-  // fewer bytes (~8 ids per word is where the two even out; 4 is
-  // conservative in the scatter path's favor being branch-free).
-  frag_sparse_limit_ = 4 * ((cls.catalog.size() + 63) / 64);
-  upd_sparse_limit_ = 4 * ((cls.updates.size() + 63) / 64);
   base_norm_.resize(backends.size());
   base_bytes_.resize(backends.size());
   frag_words_ = (cls.catalog.size() + 63) / 64;
@@ -130,43 +123,6 @@ SolutionCost SearchKernel::Evaluate(const Allocation& a) const {
   return cost;
 }
 
-void SearchKernel::CollectBackend(Allocation* a, size_t b) {
-  // needed = ∪ closure_fragments(r) over reads with positive share; the
-  // update pins are the union of the corresponding precomputed closures.
-  // Reachability distributes over unions, so this equals the per-backend
-  // O(U²) fixpoint the pre-index GarbageCollect ran.
-  needed_.ClearAll();
-  keep_updates_.ClearAll();
-  // SIMD scan of the backend's contiguous assignment row for positive
-  // shares (ascending, same strict > as the scalar loop), then the closure
-  // unions over just those reads. Sparse closures (the common case at
-  // scale: dozens of bits in a multi-thousand-bit row) scatter their id
-  // lists; dense ones stream the precomputed row word-parallel. Both forms
-  // union the same set, so the resulting bits are identical either way.
-  const std::span<const double> assign_row = a->ReadAssignRow(b);
-  const size_t positives = simd::CollectAbove(
-      assign_row.data(), assign_row.size(), kPositiveShare,
-      positive_scratch_.data());
-  for (size_t i = 0; i < positives; ++i) {
-    const size_t r = positive_scratch_[i];
-    PrefetchAhead(index_, positive_scratch_.data(), i, positives);
-    const std::span<const uint32_t> frag_ids =
-        index_.read_closure_fragment_ids(r);
-    if (frag_ids.size() <= frag_sparse_limit_) {
-      for (uint32_t f : frag_ids) needed_.Set(f);
-    } else {
-      needed_.UnionWith(index_.read_closure_fragments(r));
-    }
-    const std::span<const uint32_t> upd_ids = index_.read_closure_update_ids(r);
-    if (upd_ids.size() <= upd_sparse_limit_) {
-      for (uint32_t u : upd_ids) keep_updates_.Set(u);
-    } else {
-      keep_updates_.UnionWith(index_.read_closure_updates(r));
-    }
-  }
-  ApplyCollected(a, b, needed_, keep_updates_);
-}
-
 void SearchKernel::ApplyCollected(Allocation* a, size_t b, ConstBitSpan needed,
                                   ConstBitSpan pinned) {
   a->RetainFragments(b, needed);
@@ -188,37 +144,28 @@ void SearchKernel::ApplyCollected(Allocation* a, size_t b, ConstBitSpan needed,
 }
 
 void SearchKernel::GarbageCollect(Allocation* a) {
-  for (size_t b = 0; b < a->num_backends(); ++b) CollectBackend(a, b);
-  PlaceOrphans(a, nullptr);
-}
-
-void SearchKernel::GarbageCollectBackends(Allocation* a, const size_t* bs,
-                                          size_t count,
-                                          std::vector<size_t>* touched) {
-  CollectBackends(a, nullptr, bs, count, touched);
+  CountShares(*a, &gc_counts_);
+  CollectAll(a, gc_counts_);
 }
 
 void SearchKernel::CollectCounted(Allocation* a, const ShareCounts& counts,
                                   const size_t* bs, size_t count,
                                   std::vector<size_t>* touched) {
-  CollectBackends(a, &counts, bs, count, touched);
-}
-
-void SearchKernel::CollectBackends(Allocation* a, const ShareCounts* counts,
-                                   const size_t* bs, size_t count,
-                                   std::vector<size_t>* touched) {
   touched->clear();
   for (size_t i = 0; i < count; ++i) {
     const size_t b = bs[i];
-    if (counts != nullptr) {
-      ApplyCollected(a, b, NeededBits(*counts, b), PinnedBits(*counts, b));
-    } else {
-      CollectBackend(a, b);
-    }
+    ApplyCollected(a, b, NeededBits(counts, b), PinnedBits(counts, b));
     // qcap-lint: allow(hot-path-growth) -- touched holds <= num_backends entries; capacity is reached on the first call and reused
     if (!ContainsBackend(*touched, b)) touched->push_back(b);
   }
-  PlaceOrphans(a, touched);
+  closer_.PlaceOrphans(a, touched);
+}
+
+void SearchKernel::CollectAll(Allocation* a, const ShareCounts& counts) {
+  for (size_t b = 0; b < a->num_backends(); ++b) {
+    ApplyCollected(a, b, NeededBits(counts, b), PinnedBits(counts, b));
+  }
+  closer_.PlaceOrphans(a, nullptr);
 }
 
 void SearchKernel::AddShare(Allocation* a, ShareCounts* counts, size_t b,
@@ -315,46 +262,6 @@ void SearchKernel::CountRead(ShareCounts* counts, size_t b, size_t r,
   uint32_t* refs = counts->counts.data();
   CountIds(refs + FragRefsAt(b), NeededBits(counts, b), frag_ids, up);
   CountIds(refs + UpdRefsAt(b), PinnedBits(counts, b), upd_ids, up);
-}
-
-void SearchKernel::PlaceOrphans(Allocation* a, std::vector<size_t>* touched) {
-  // Orphan scan: first zero in the contiguous replica-count column (SIMD
-  // word-skip; same ascending order as the scalar f-loop). In the common
-  // case — no orphans — this is one streaming pass instead of F branchy
-  // loads.
-  const std::span<const uint32_t> replicas = a->ReplicaCounts();
-  const size_t F = a->num_fragments();
-  const bool bound = a->sizes_bound();
-  for (size_t f = simd::FindZeroU32(replicas.data(), 0, F); f < F;
-       f = simd::FindZeroU32(replicas.data(), f + 1, F)) {
-    size_t target = 0;
-    if (bound) {
-      // First-minimum over the byte column: a min reduction plus a
-      // first-equal scan, identical to the scalar first-strict-less pick.
-      target = simd::Argmin(a->BackendBytesColumn().data(), a->num_backends());
-    } else {
-      double target_bytes = std::numeric_limits<double>::infinity();
-      for (size_t b = 0; b < a->num_backends(); ++b) {
-        const double bytes = a->BackendBytes(b, cls_.catalog);
-        if (bytes < target_bytes) {
-          target_bytes = bytes;
-          target = b;
-        }
-      }
-    }
-    a->Place(target, static_cast<FragmentId>(f));
-    if (index_.fragment_updated(static_cast<FragmentId>(f))) {
-      CloseUpdates(a, target);
-    }
-    if (touched != nullptr && !ContainsBackend(*touched, target)) {
-      // qcap-lint: allow(hot-path-growth) -- bounded by num_backends; reuses steady-state capacity
-      touched->push_back(target);
-    }
-  }
-}
-
-double SearchKernel::CloseUpdates(Allocation* a, size_t b) {
-  return CloseUpdatesOnBackend(cls_, index_, b, a, &row_scratch_);
 }
 
 void SearchKernel::BeginDelta(const Allocation& base, SolutionCost base_cost) {

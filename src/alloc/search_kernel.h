@@ -5,9 +5,6 @@
 // repair candidate allocations without rescanning the whole allocation:
 //  - Evaluate reads the Allocation's running aggregates: O(B) instead of
 //    O(B·(R+U)) load sums + O(B·F) byte sums,
-//  - GarbageCollect edits each backend's row in place using the index's
-//    per-read update closures: O(B·(R·F/64 + U)) instead of rebuilding all
-//    B rows per backend (O(B²·(F+R+U))) with an O(U²) fixpoint each,
 //  - BeginDelta/EvaluateDelta score a trial that differs from a base
 //    allocation on a few backends in O(|touched|),
 //  - a counted allocation carries its own ShareCounts: per-backend
@@ -15,8 +12,16 @@
 //    and update class, plus per-read counts of the shares a mutation may
 //    draw. Every share edit goes through AddShare/AddTrialShare, which walk
 //    the edited read's closure ids only when its share crosses a threshold,
-//    so CollectCounted skips the closure unions, NthShare skips the O(B·R)
-//    candidate scan, and a rejected trial undoes its logged crossings,
+//    so CollectCounted edits each collected row in place from the counts
+//    (no closure unions), NthShare skips the O(B·R) candidate scan, and a
+//    rejected trial undoes its logged crossings,
+//  - GarbageCollect is CountShares into kernel scratch followed by a
+//    counted collection of every backend: O(B·R + closures of the positive
+//    reads) instead of rebuilding all B rows per backend with an O(U²)
+//    fixpoint each,
+//  - PlaceAndClose and the orphan placement behind every collection are
+//    the UpdateCloser's (alloc/allocator.h), which only visits the update
+//    classes on the bits a placement added,
 //  - CopyCountRows copies only chosen backends' count slices (plus the
 //    per-read draw counts), so a search that knows which rows two counted
 //    allocations differ on copies only those,
@@ -32,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "alloc/allocator.h"
 #include "model/allocation.h"
 #include "model/backend.h"
 #include "workload/query_class.h"
@@ -91,15 +97,9 @@ class SearchKernel {
 
   /// Garbage-collects every backend: drops fragments not needed by the
   /// backend's positive read assignments (or the update closure they force),
-  /// re-pins update classes, then restores data completeness.
+  /// re-pins update classes, then restores data completeness. Counts \p a's
+  /// shares into kernel scratch, then runs CollectAll.
   void GarbageCollect(Allocation* a);
-
-  /// Garbage-collects only backends [begin, end) of \p bs. \p touched is
-  /// cleared and receives every backend whose row or load was modified or
-  /// inspected for the trial's cost delta: the given backends plus any
-  /// orphan-placement targets.
-  void GarbageCollectBackends(Allocation* a, const size_t* bs, size_t count,
-                              std::vector<size_t>* touched);
 
   /// Caches \p base's per-backend costs so subsequent EvaluateDelta calls
   /// can score trials against it in O(|touched|). \p base must stay
@@ -112,9 +112,12 @@ class SearchKernel {
   SolutionCost EvaluateDelta(const Allocation& trial,
                              const std::vector<size_t>& touched) const;
 
-  /// Index-accelerated update-closure fixpoint (identical semantics and
-  /// accumulation order as alloc_internal::CloseUpdatesOnBackend).
-  double CloseUpdates(Allocation* a, size_t b);
+  /// Places \p bits on backend \p b and closes its update pins
+  /// (UpdateCloser::PlaceAndClose); the row must be closed, as every
+  /// collected row is. Returns the update weight newly pinned.
+  double PlaceAndClose(Allocation* a, size_t b, ConstBitSpan bits) {
+    return closer_.PlaceAndClose(b, bits, a);
+  }
 
   // --- Counted allocations ---
   //
@@ -139,13 +142,17 @@ class SearchKernel {
   /// AcceptTrial or RejectTrial.
   void AddTrialShare(Allocation* a, ShareCounts* counts, size_t b, size_t r,
                      double delta);
-  /// GarbageCollectBackends from \p counts (which must be \p a's): every
-  /// backend of \p bs keeps the fragments and update pins its counts mark,
-  /// the same sets the closure union yields, so the result is
-  /// bit-identical to it.
+  /// Collects backends \p bs of \p a from \p counts (which must be \p a's):
+  /// every backend keeps exactly the fragments and update pins its counts
+  /// mark, the sets the closure union of its positive reads yields. Then
+  /// places orphans. \p touched is cleared and receives every backend whose
+  /// row or load was modified or inspected for the trial's cost delta: the
+  /// given backends plus any orphan-placement targets.
   void CollectCounted(Allocation* a, const ShareCounts& counts,
                       const size_t* bs, size_t count,
                       std::vector<size_t>* touched);
+  /// CollectCounted of every backend, with no touched list.
+  void CollectAll(Allocation* a, const ShareCounts& counts);
   /// The \p k-th (read class, backend) pair with a share > 1e-12 on \p a,
   /// in r-major, b-ascending order; \p k < counts.draw_total. O(R + B).
   void NthShare(const Allocation& a, const ShareCounts& counts, size_t k,
@@ -181,10 +188,6 @@ class SearchKernel {
     int8_t draw;  // Threshold 1e-12: the draw counts.
   };
 
-  void CollectBackend(Allocation* a, size_t b);
-  void CollectBackends(Allocation* a, const ShareCounts* counts,
-                       const size_t* bs, size_t count,
-                       std::vector<size_t>* touched);
   /// Makes backend \p b hold exactly \p needed (row) and pin exactly
   /// \p pinned (update classes, ascending).
   void ApplyCollected(Allocation* a, size_t b, ConstBitSpan needed,
@@ -227,21 +230,17 @@ class SearchKernel {
     return ConstBitSpan(counts.bits.data() + PinnedAt(b), upd_words_,
                         cls_.updates.size());
   }
-  /// Restores data completeness like alloc_internal::PlaceOrphanFragments
-  /// (same target choice), recording modified backends in \p touched when
-  /// non-null.
-  void PlaceOrphans(Allocation* a, std::vector<size_t>* touched);
 
   const Classification& cls_;
   const ClassificationIndex& index_;
   const std::vector<BackendSpec>& backends_;
   SearchProgress* progress_;
 
+  UpdateCloser closer_;
+
   // Scratch (sized on first use, then reused — no steady-state allocation).
-  DenseBitset needed_;
-  DenseBitset keep_updates_;
-  DenseBitset row_scratch_;
   std::vector<uint32_t> positive_scratch_;  // CollectAbove output, |reads|.
+  ShareCounts gc_counts_;                   // GarbageCollect's counts.
 
   size_t frag_words_ = 0;
   size_t upd_words_ = 0;
@@ -249,12 +248,6 @@ class SearchKernel {
   // 2R by ReserveTrialLog, which holds any memetic trial: each moves a
   // read's share off one backend and onto another at most once.
   std::vector<Crossing> crossings_;
-
-  // CollectBackend unions a read's closure by scattering its sparse id list
-  // when the list is short, and by streaming the dense row otherwise; these
-  // are the crossover sizes (ids) per row kind.
-  size_t frag_sparse_limit_ = 0;
-  size_t upd_sparse_limit_ = 0;
 
   // Contiguous copy of backends_[b].relative_load so the scale reduction
   // streams one double array instead of striding through BackendSpec.

@@ -74,11 +74,11 @@ Result<Allocation> PlacementForClassification(const Allocation& placement,
     return Status::InvalidArgument(
         "placement fragment count does not match classification");
   }
+  alloc_internal::UpdateCloser closer(cls);
   for (size_t b = 0; b < placement.num_backends(); ++b) {
-    out.PlaceSet(b, placement.BackendFragments(b));
+    closer.PlaceAndClose(b, placement.RowBits(b), &out);
   }
-  alloc_internal::CloseUpdatesEverywhere(cls, &out);
-  alloc_internal::PlaceOrphanFragments(cls, &out);
+  closer.PlaceOrphans(&out, nullptr);
   // Spread each read class evenly across its capable backends.
   for (size_t r = 0; r < cls.reads.size(); ++r) {
     std::vector<size_t> capable;

@@ -150,7 +150,11 @@ ClassificationIndex::ClassificationIndex(const Classification& cls)
     *data_out = data;
   };
   build_frag_csr(cls.reads, &frag_reads_off_, &frag_reads_);
-  build_frag_csr(cls.updates, &frag_updates_off_, &frag_updates_);
+  // The update-class side serves only the overlap gathering and the
+  // components below.
+  size_t* frag_updates_off = nullptr;
+  size_t* frag_updates = nullptr;
+  build_frag_csr(cls.updates, &frag_updates_off, &frag_updates);
 
   // updates(C) lists, weights, and bundles, gathered through the inverted
   // index (cost ∝ overlaps that exist, not |C|·|CU|). The candidate set per
@@ -166,9 +170,9 @@ ClassificationIndex::ClassificationIndex(const Classification& cls)
   auto gather_overlaps = [&](size_t stamp_key, const FragmentSet& frags) {
     scratch.clear();
     for (FragmentId f : frags) {
-      for (size_t i = frag_updates_off_[f]; i < frag_updates_off_[f + 1];
+      for (size_t i = frag_updates_off[f]; i < frag_updates_off[f + 1];
            ++i) {
-        const size_t u = frag_updates_[i];
+        const size_t u = frag_updates[i];
         if (stamp[u] != stamp_key) {
           stamp[u] = stamp_key;
           scratch.push_back(u);
@@ -250,12 +254,12 @@ ClassificationIndex::ClassificationIndex(const Classification& cls)
   std::vector<size_t> parent(U);
   std::iota(parent.begin(), parent.end(), size_t{0});
   for (size_t f = 0; f < F; ++f) {
-    const size_t begin = frag_updates_off_[f];
-    const size_t end = frag_updates_off_[f + 1];
+    const size_t begin = frag_updates_off[f];
+    const size_t end = frag_updates_off[f + 1];
     if (end - begin < 2) continue;
-    const size_t root = FindRoot(&parent, frag_updates_[begin]);
+    const size_t root = FindRoot(&parent, frag_updates[begin]);
     for (size_t i = begin + 1; i < end; ++i) {
-      parent[FindRoot(&parent, frag_updates_[i])] = root;
+      parent[FindRoot(&parent, frag_updates[i])] = root;
     }
   }
   // Dense component ids.
@@ -322,9 +326,9 @@ ClassificationIndex::ClassificationIndex(const Classification& cls)
     }
   }
   // Sparse id mirrors of the closure rows. On large instances a closure
-  // holds a few dozen bits out of thousands, so GarbageCollect's unions
-  // move far fewer bytes scattering these ids than re-streaming the dense
-  // rows; the dense rows stay for consumers that want word-parallel tests.
+  // holds a few dozen bits out of thousands, so the share counts move far
+  // fewer bytes walking these ids than streaming the dense rows; the dense
+  // rows stay for consumers that want word-parallel tests.
   closure_frag_ids_off_ = arena_.AllocateZeroed<size_t>(R + 1);
   closure_upd_ids_off_ = arena_.AllocateZeroed<size_t>(R + 1);
   for (size_t r = 0; r < R; ++r) {

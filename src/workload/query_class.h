@@ -72,7 +72,7 @@ struct Classification {
 ///    the union of their fragments) a backend is forced to keep when it
 ///    serves that read, collapsing GarbageCollect's O(U²) fixpoint into a
 ///    precomputed union,
-///  - a fragment → classes inverted index.
+///  - a fragment → read classes inverted index.
 ///
 /// Layout: struct-of-arrays. All per-class bitsets of one kind live in a
 /// single contiguous arena-backed pool (row r at offset r * words), and the
@@ -154,9 +154,9 @@ class ClassificationIndex {
 
   /// Sparse mirrors of the closure rows: the set fragment / update-class
   /// ids of read \p r's closure, ascending. Large instances typically have
-  /// a few dozen set bits in a multi-thousand-bit row, so collectors
-  /// scatter these ids instead of streaming the dense row when the row is
-  /// sparse (same set, so the resulting bits are identical either way).
+  /// a few dozen set bits in a multi-thousand-bit row, so the share counts
+  /// (SearchKernel::CountShares and every share edit) walk these ids
+  /// instead of the dense rows.
   std::span<const uint32_t> read_closure_fragment_ids(size_t r) const {
     return std::span<const uint32_t>(
         closure_frag_ids_ + closure_frag_ids_off_[r],
@@ -195,16 +195,9 @@ class ClassificationIndex {
                                          read_comp_off_[r]);
   }
 
-  /// Inverted index: classes referencing fragment \p f (ascending).
+  /// Inverted index: read classes referencing fragment \p f (ascending).
   std::span<const size_t> reads_of_fragment(FragmentId f) const {
     return CsrRow(frag_reads_off_, frag_reads_, f);
-  }
-  std::span<const size_t> updates_of_fragment(FragmentId f) const {
-    return CsrRow(frag_updates_off_, frag_updates_, f);
-  }
-  /// True iff some update class references fragment \p f.
-  bool fragment_updated(FragmentId f) const {
-    return frag_updates_off_[f] != frag_updates_off_[f + 1];
   }
 
  private:
@@ -251,8 +244,6 @@ class ClassificationIndex {
   size_t* upd_over_reads_ = nullptr;
   size_t* frag_reads_off_ = nullptr;
   size_t* frag_reads_ = nullptr;
-  size_t* frag_updates_off_ = nullptr;
-  size_t* frag_updates_ = nullptr;
   size_t* read_comp_off_ = nullptr;    // num_reads + 1
   uint32_t* read_comp_ = nullptr;      // distinct comp ids per read
   size_t* closure_frag_ids_off_ = nullptr;  // num_reads + 1

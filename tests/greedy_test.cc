@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "alloc_reference.h"
 #include "common/random.h"
 
 #include "model/metrics.h"
@@ -251,33 +252,6 @@ TEST(GreedyTest, GoldenDigests) {
   }
 }
 
-/// CloseUpdatesOnBackend's indexed rescan: each pass tests every unpinned
-/// update class, ascending, against a snapshot of the row and pins the
-/// ones that overlap it. A pass that adds no fragment and pins no positive
-/// weight ends the loop (a zero-weight class never reads as pinned).
-double RescanClose(const Classification& cls, const ClassificationIndex& index,
-                   size_t b, Allocation* alloc) {
-  double added = 0.0;
-  DenseBitset row;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    alloc->SnapshotRow(b, &row);
-    for (size_t u = 0; u < cls.updates.size(); ++u) {
-      if (alloc->update_assign(b, u) > 0.0) continue;
-      if (!Intersects(index.update_bits(u), row)) continue;
-      const double w = cls.updates[u].weight;
-      if (w > 0.0 || !alloc->HoldsAllBits(b, index.update_bits(u))) {
-        changed = true;
-      }
-      alloc->PlaceBits(b, index.update_bits(u));
-      alloc->set_update_assign(b, u, w);
-      added += w;
-    }
-  }
-  return added;
-}
-
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
 /// Rows, pins, replica counts and stored bytes, compared bit for bit.
@@ -318,7 +292,7 @@ TEST(UpdateCloserTest, MatchesRescanOnRandomPlacements) {
       const size_t n = 6, frags = cls.catalog.size();
       Allocation delta(n, cls.catalog, cls.reads.size(), cls.updates.size());
       Allocation rescan = delta;
-      alloc_internal::UpdateCloser closer(cls, index);
+      alloc_internal::UpdateCloser closer(cls);
       Rng rng(seed);
       DenseBitset bits(frags);
       for (int step = 0; step < 400; ++step) {
@@ -336,12 +310,51 @@ TEST(UpdateCloserTest, MatchesRescanOnRandomPlacements) {
         }
         const double got = closer.PlaceAndClose(b, bits, &delta);
         rescan.PlaceBits(b, bits);
-        const double want = RescanClose(cls, index, b, &rescan);
+        const double want = testutil::RescanClose(cls, b, &rescan);
         ASSERT_EQ(Bits(got), Bits(want))
             << "seed " << seed << ", zero weights " << zero_weights
             << ", step " << step;
       }
       ExpectSameRows(delta, rescan, cls.catalog);
+    }
+  }
+}
+
+/// The orphan placer against the reference on closed rows: random read
+/// classes placed and closed by the rescan leave most fragments stored
+/// nowhere, some of them updated; with and without bound sizes (the byte
+/// column's SIMD argmin against the scalar first-minimum scan).
+TEST(UpdateCloserTest, PlaceOrphansMatchesReference) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    for (const bool bound : {false, true}) {
+      const Classification cls =
+          testutil::WithUnreadData(testutil::WithZeroWeightUpdates(
+              testutil::GoldenInstance({160, 8, 1.1, seed, 0})));
+      const ClassificationIndex index(cls);
+      const size_t n = 5;
+      Allocation want(n, cls.catalog.size(), cls.reads.size(),
+                      cls.updates.size());
+      if (bound) want.BindSizes(cls.catalog);
+      Rng rng(seed);
+      for (int i = 0; i < 40; ++i) {
+        const size_t b = rng.NextBounded(n);
+        want.PlaceBits(b, index.read_bits(rng.NextBounded(cls.reads.size())));
+        testutil::RescanClose(cls, b, &want);
+      }
+      size_t orphans = 0;
+      for (FragmentId f = 0; f < want.num_fragments(); ++f) {
+        orphans += want.ReplicaCount(f) == 0 ? 1 : 0;
+      }
+      ASSERT_GT(orphans, 0u);
+      Allocation got = want;
+      std::vector<size_t> got_touched = {n - 1}, want_touched = {n - 1};
+      alloc_internal::UpdateCloser(cls).PlaceOrphans(&got, &got_touched);
+      testutil::ReferencePlaceOrphans(cls, &want, &want_touched);
+      EXPECT_EQ(got_touched, want_touched);
+      ExpectSameRows(got, want, cls.catalog);
+      EXPECT_EQ(testutil::AggregateDigest(got),
+                testutil::AggregateDigest(want))
+          << "seed " << seed << ", bound " << bound;
     }
   }
 }

@@ -163,10 +163,8 @@ TEST(ClassificationIndexTest, MatchesNaiveHelpers) {
 TEST(ClassificationIndexTest, InvertedIndexAndOverlappingReads) {
   const Classification cls = AppendixAClassification();
   const ClassificationIndex index(cls);
-  // Fragment A=0 is referenced by Q1, Q4 and updated by U1.
+  // Fragment A=0 is referenced by Q1 and Q4.
   EXPECT_EQ(ToVec(index.reads_of_fragment(0)), (std::vector<size_t>{0, 3}));
-  EXPECT_EQ(ToVec(index.updates_of_fragment(0)), (std::vector<size_t>{0}));
-  EXPECT_TRUE(index.fragment_updated(0));
   // U1={A} overlaps Q1 and Q4; every update here has an overlapping read.
   EXPECT_EQ(ToVec(index.reads_overlapping_update(0)), (std::vector<size_t>{0, 3}));
   for (size_t u = 0; u < cls.updates.size(); ++u) {
@@ -199,7 +197,6 @@ TEST(ClassificationIndexTest, ClosureMatchesFixpoint) {
   // Q2={D} touches no update: closure is just its own fragments.
   EXPECT_EQ(index.read_closure_fragments(1).ToFragmentSet(), (FragmentSet{3}));
   EXPECT_TRUE(index.read_closure_updates(1).None());
-  EXPECT_FALSE(index.fragment_updated(3));
 }
 
 /// The set bits of a span as sorted 32-bit ids (the CSR mirrors' type).
@@ -232,9 +229,9 @@ std::vector<Classification> IndexFixtures() {
 }
 
 TEST(ClassificationIndexTest, ClosureIdListsMirrorDenseRows) {
-  // The sparse CSR mirrors exist so CollectBackend can scatter short
-  // closures; they must name exactly the set bits of the dense rows,
-  // ascending, or the adaptive scatter/dense choice changes the result.
+  // The share counts walk the sparse CSR mirrors instead of the dense
+  // rows; they must name exactly the set bits of the dense rows, ascending,
+  // or the counted collection keeps another set than the closure union.
   for (const Classification& cls : IndexFixtures()) {
     // qcap-lint: allow(index-in-loop) -- one index per test fixture, by design
     const ClassificationIndex index(cls);

@@ -126,17 +126,22 @@ TEST(RandomAllocatorTest, GoldenAggregates) {
     if (c.zero_weights) {
       cls = testutil::WithUnreadData(
           testutil::WithZeroWeightUpdates(std::move(cls)));
-      const ClassificationIndex index(cls);
       size_t unreferenced = 0, unread_updates = 0;
       for (FragmentId f = 0; f < cls.catalog.size(); ++f) {
-        bool updated = false;
-        for (const QueryClass& u : cls.updates) {
-          updated = updated || Contains(u.fragments, f);
+        bool referenced = false;
+        for (const auto* classes : {&cls.reads, &cls.updates}) {
+          for (const QueryClass& q : *classes) {
+            referenced = referenced || Contains(q.fragments, f);
+          }
         }
-        if (index.reads_of_fragment(f).empty() && !updated) ++unreferenced;
+        if (!referenced) ++unreferenced;
       }
-      for (size_t u = 0; u < cls.updates.size(); ++u) {
-        if (index.reads_overlapping_update(u).empty()) ++unread_updates;
+      for (const QueryClass& u : cls.updates) {
+        bool read = false;
+        for (const QueryClass& r : cls.reads) {
+          read = read || Intersects(r.fragments, u.fragments);
+        }
+        if (!read) ++unread_updates;
       }
       EXPECT_GT(unreferenced, 0u);
       EXPECT_GT(unread_updates, 0u);

@@ -149,6 +149,31 @@ TEST(RobustnessTest, HeadroomGoldenAggregates) {
   }
 }
 
+TEST(RobustnessTest, HeadroomRejectsARowHoldingUpdatedDataWithoutThePin) {
+  // Each added replica's update closure builds on closed rows, so input
+  // that breaks Eq. 10 is refused rather than padded. Backend 0 holds A,
+  // which U1 updates, but U1 is not pinned there.
+  const Classification cls = testutil::AppendixAClassification();
+  const auto backends = HomogeneousBackends(2);
+  Allocation a(2, cls.catalog.size(), cls.reads.size(), cls.updates.size());
+  for (size_t b = 0; b < 2; ++b) {
+    a.PlaceSet(b, {0, 1, 2});
+    for (size_t u = 0; u < cls.updates.size(); ++u) {
+      a.set_update_assign(b, u, cls.updates[u].weight);
+    }
+  }
+  for (size_t r = 0; r < cls.reads.size(); ++r) {
+    a.set_read_assign(0, r, cls.reads[r].weight);
+  }
+  ASSERT_TRUE(ValidateAllocation(cls, a, backends).ok());
+  ASSERT_TRUE(AddRobustnessHeadroom(cls, a, backends).ok());
+  a.set_update_assign(0, 0, 0.0);
+  const auto padded = AddRobustnessHeadroom(cls, a, backends);
+  ASSERT_FALSE(padded.ok());
+  EXPECT_TRUE(padded.status().IsInvalidArgument())
+      << padded.status().ToString();
+}
+
 class RobustnessPropertySweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RobustnessPropertySweep, ToleranceIsHonest) {

@@ -2,7 +2,8 @@
 // Every test drives two identical allocations through the same share edits:
 // a counted mirror, edited with AddTrialShare/AddShare and collected from
 // its ShareCounts (CollectCounted), and a reference edited with
-// add_read_assign and collected from scratch (GarbageCollectBackends).
+// add_read_assign and collected from scratch by the closure union
+// (testutil::UnionCollect in alloc_reference.h).
 // After every collect the two must agree bit for bit: placement rows,
 // update pins, replica counts and the running byte/load aggregates. Trials
 // are then accepted or rejected the way the memetic search settles them,
@@ -23,8 +24,10 @@
 
 #include "alloc/greedy.h"
 #include "alloc/memetic_island.h"
+#include "alloc_reference.h"
 #include "common/random.h"
 #include "common/stats.h"
+#include "model/validation.h"
 #include "test_util.h"
 
 namespace qcap {
@@ -130,12 +133,11 @@ class SearchKernelTest : public ::testing::Test {
     index_ = std::make_unique<ClassificationIndex>(cls_);
     counted_kernel_ = std::make_unique<SearchKernel>(cls_, *index_, backends_);
     counted_kernel_->ReserveTrialLog();
-    union_kernel_ = std::make_unique<SearchKernel>(cls_, *index_, backends_);
     auto seed = GreedyAllocator().Allocate(cls_, backends_);
     ASSERT_TRUE(seed.ok()) << seed.status().ToString();
     base_ = seed.value();
     base_.BindSizes(cls_.catalog);
-    union_kernel_->GarbageCollect(&base_);
+    testutil::UnionGarbageCollect(cls_, *index_, &base_);
     counted_kernel_->CountShares(base_, &base_counts_);
     ASSERT_TRUE(CountsMatch(cls_, *index_, base_, base_counts_));
     Restart();
@@ -161,10 +163,9 @@ class SearchKernelTest : public ::testing::Test {
   /// Gives read \p r's data to backend \p b on both copies, as a move that
   /// sends load there does before collecting.
   void Receive(size_t b, size_t r) {
-    mirror_.PlaceBits(b, index_->read_bits(r));
-    counted_kernel_->CloseUpdates(&mirror_, b);
+    counted_kernel_->PlaceAndClose(&mirror_, b, index_->read_bits(r));
     reference_.PlaceBits(b, index_->read_bits(r));
-    union_kernel_->CloseUpdates(&reference_, b);
+    testutil::RescanClose(cls_, b, &reference_);
   }
 
   /// Collects \p bs on both copies and checks they agree.
@@ -172,8 +173,8 @@ class SearchKernelTest : public ::testing::Test {
     counted_kernel_->CollectCounted(&mirror_, mirror_counts_, bs.data(),
                                     bs.size(), &touched_);
     std::vector<size_t> reference_touched;
-    union_kernel_->GarbageCollectBackends(&reference_, bs.data(), bs.size(),
-                                          &reference_touched);
+    testutil::UnionCollect(cls_, *index_, &reference_, bs.data(), bs.size(),
+                           &reference_touched);
     ASSERT_EQ(touched_, reference_touched);
     ASSERT_TRUE(Identical(mirror_, reference_));
     ASSERT_TRUE(CountsMatch(cls_, *index_, mirror_, mirror_counts_));
@@ -311,7 +312,6 @@ class SearchKernelTest : public ::testing::Test {
   std::vector<BackendSpec> backends_;
   std::unique_ptr<ClassificationIndex> index_;
   std::unique_ptr<SearchKernel> counted_kernel_;
-  std::unique_ptr<SearchKernel> union_kernel_;
   Allocation base_;       // The member the trials start from.
   ShareCounts base_counts_;
   Allocation mirror_;     // Counted: collected from mirror_counts_.
@@ -467,22 +467,18 @@ TEST_F(SearchKernelTest, MembersKeepExactCountsThroughMutationsAndTrials) {
         const double share =
             rng.NextBernoulli(0.5) ? have : have * rng.NextDouble(0.25, 1.0);
         Allocation reference = child.alloc;
-        for (Allocation* a : {&child.alloc, &reference}) {
-          if (a == &child.alloc) {
-            counted_kernel_->AddShare(a, &child.counts, b1, r, -share);
-            counted_kernel_->AddShare(a, &child.counts, b2, r, share);
-          } else {
-            a->add_read_assign(b1, r, -share);
-            a->add_read_assign(b2, r, share);
-          }
-          a->PlaceBits(b2, index_->read_bits(r));
-          union_kernel_->CloseUpdates(a, b2);
-        }
+        counted_kernel_->AddShare(&child.alloc, &child.counts, b1, r, -share);
+        counted_kernel_->AddShare(&child.alloc, &child.counts, b2, r, share);
+        counted_kernel_->PlaceAndClose(&child.alloc, b2, index_->read_bits(r));
+        reference.add_read_assign(b1, r, -share);
+        reference.add_read_assign(b2, r, share);
+        reference.PlaceBits(b2, index_->read_bits(r));
+        testutil::RescanClose(cls_, b2, &reference);
         const size_t bs[2] = {b1, b2};
         counted_kernel_->CollectCounted(&child.alloc, child.counts, bs, 2,
                                         &touched_);
-        union_kernel_->GarbageCollectBackends(&reference, bs, 2,
-                                              &union_touched);
+        testutil::UnionCollect(cls_, *index_, &reference, bs, 2,
+                               &union_touched);
         ASSERT_EQ(touched_, union_touched);
         ASSERT_TRUE(Identical(child.alloc, reference));
       } else {
@@ -513,6 +509,50 @@ TEST_F(SearchKernelTest, MembersKeepExactCountsThroughMutationsAndTrials) {
         ASSERT_TRUE(CountsMatch(cls_, *index_, m.alloc, m.counts))
             << "seed " << seed << " step " << step;
       }
+    }
+  }
+}
+
+/// GarbageCollect (the share counts, then a counted collection of every
+/// backend and the orphans) against the closure union, from allocations
+/// that are not collected: greedy results with shares moved between
+/// backends, junk fragments and stale pins, over instances with
+/// zero-weight update classes, unreferenced fragments and update classes
+/// no read overlaps.
+TEST(SearchKernelGarbageCollectTest, MatchesTheUnion) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    for (const bool unread : {false, true}) {
+      Classification cls = testutil::GoldenInstance({120, 6, 1.1, seed, 0});
+      if (unread) {
+        cls = testutil::WithUnreadData(
+            testutil::WithZeroWeightUpdates(std::move(cls)));
+      }
+      const auto backends = HomogeneousBackends(6);
+      const ClassificationIndex index(cls);
+      auto greedy = GreedyAllocator().Allocate(cls, backends);
+      ASSERT_TRUE(greedy.ok()) << greedy.status().ToString();
+      Allocation want = greedy.value();
+      Rng rng(seed);
+      for (int i = 0; i < 60; ++i) {
+        const size_t r = rng.NextBounded(cls.reads.size());
+        const size_t b1 = rng.NextBounded(6), b2 = rng.NextBounded(6);
+        const double share = want.read_assign(b1, r) * rng.NextDouble(0, 1);
+        want.add_read_assign(b1, r, -share);
+        want.add_read_assign(b2, r, share);
+        want.Place(rng.NextBounded(6),
+                   static_cast<FragmentId>(rng.NextBounded(cls.catalog.size())));
+        want.set_update_assign(rng.NextBounded(6),
+                               rng.NextBounded(cls.updates.size()), 0.5);
+      }
+      Allocation got = want;
+      SearchKernel kernel(cls, index, backends);
+      kernel.GarbageCollect(&got);
+      testutil::UnionGarbageCollect(cls, index, &want);
+      ASSERT_TRUE(Identical(got, want)) << "seed " << seed;
+      EXPECT_TRUE(ValidateAllocation(cls, got, backends).ok());
+      // A second collection changes nothing.
+      kernel.GarbageCollect(&got);
+      EXPECT_TRUE(Identical(got, want)) << "seed " << seed;
     }
   }
 }
@@ -564,13 +604,12 @@ TEST(SearchKernelNegativeZeroTest, CollectKeepsSignedZeroPinsExact) {
   kernel.AddShare(&a, &counts, 2, 0, 0.7);
   reference.add_read_assign(0, 0, -0.7);
   reference.add_read_assign(2, 0, 0.7);
-  for (Allocation* x : {&a, &reference}) {
-    x->PlaceBits(2, index.read_bits(0));
-    kernel.CloseUpdates(x, 2);
-  }
+  kernel.PlaceAndClose(&a, 2, index.read_bits(0));
+  reference.PlaceBits(2, index.read_bits(0));
+  testutil::RescanClose(cls, 2, &reference);
   const size_t bs[2] = {0, 2};
   kernel.CollectCounted(&a, counts, bs, 2, &touched);
-  kernel.GarbageCollectBackends(&reference, bs, 2, &reference_touched);
+  testutil::UnionCollect(cls, index, &reference, bs, 2, &reference_touched);
   EXPECT_EQ(touched, reference_touched);
   EXPECT_TRUE(Identical(a, reference));
   EXPECT_TRUE(CountsMatch(cls, index, a, counts));
@@ -610,12 +649,12 @@ TEST(SearchKernelWideCountsTest, CountsAbove16BitsStayExact) {
       reference.add_read_assign(0, r, delta);
       reference.add_read_assign(1, r, -delta);
       const size_t to = delta < 0 ? 1 : 0;
-      for (Allocation* x : {&a, &reference}) {
-        x->PlaceBits(to, index.read_bits(r));
-        kernel.CloseUpdates(x, to);
-      }
+      kernel.PlaceAndClose(&a, to, index.read_bits(r));
+      reference.PlaceBits(to, index.read_bits(r));
+      testutil::RescanClose(cls, to, &reference);
       kernel.CollectCounted(&a, counts, bs, 2, &touched);
-      kernel.GarbageCollectBackends(&reference, bs, 2, &reference_touched);
+      testutil::UnionCollect(cls, index, &reference, bs, 2,
+                             &reference_touched);
       ASSERT_EQ(touched, reference_touched);
       ASSERT_TRUE(Identical(a, reference));
       ASSERT_TRUE(CountsMatch(cls, index, a, counts));
