@@ -169,10 +169,13 @@ void CachePenaltyAblation() {
   for (bool cache_effects : {true, false}) {
     engine::CostModelParams params = TpchCostParams();
     if (!cache_effects) params.memory_bytes = 1e15;  // Everything cached.
-    Pipeline pf = ValueOrDie(
-        BuildPipeline(catalog, journal, Granularity::kTable, &full, 8), "full");
-    Pipeline pc = ValueOrDie(
-        BuildPipeline(catalog, journal, Granularity::kColumn, &greedy, 8),
+    Layout pf = ValueOrDie(
+        BuildLayout(catalog, journal, {Granularity::kTable}, full,
+                    HomogeneousBackends(8)),
+        "full");
+    Layout pc = ValueOrDie(
+        BuildLayout(catalog, journal, {Granularity::kColumn}, greedy,
+                    HomogeneousBackends(8)),
         "column");
     ThroughputStats tf = ValueOrDie(SimulateSeeds(pf, 1500, 3, params), "f");
     ThroughputStats tc = ValueOrDie(SimulateSeeds(pc, 1500, 3, params), "c");

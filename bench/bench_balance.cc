@@ -31,12 +31,14 @@ void Run() {
               {"backends", "tpch(sim)", "tpcapp(sim)", "tpch(model)",
                "tpcapp(model)"});
   for (size_t n = 1; n <= 10; ++n) {
-    Pipeline ph = ValueOrDie(BuildPipeline(tpch_catalog, tpch_journal,
-                                           Granularity::kColumn, &greedy, n),
-                             "tpch");
-    Pipeline pa = ValueOrDie(BuildPipeline(app_catalog, app_journal,
-                                           Granularity::kColumn, &memetic, n),
-                             "tpcapp");
+    Layout ph = ValueOrDie(BuildLayout(tpch_catalog, tpch_journal,
+                                       {Granularity::kColumn}, greedy,
+                                       HomogeneousBackends(n)),
+                           "tpch");
+    Layout pa = ValueOrDie(BuildLayout(app_catalog, app_journal,
+                                       {Granularity::kColumn}, memetic,
+                                       HomogeneousBackends(n)),
+                           "tpcapp");
     // Average simulated busy-time deviation over 10 seeded runs.
     double dev_h = 0.0, dev_a = 0.0;
     constexpr size_t kRuns = 10;
@@ -50,8 +52,8 @@ void Run() {
       dev_a += sa.BusyBalanceDeviation(loads);
     }
     PrintRow({std::to_string(n), Fmt(dev_h / kRuns), Fmt(dev_a / kRuns),
-              Fmt(BalanceDeviation(ph.alloc, ph.backends)),
-              Fmt(BalanceDeviation(pa.alloc, pa.backends))});
+              Fmt(BalanceDeviation(ph.allocation, ph.backends)),
+              Fmt(BalanceDeviation(pa.allocation, pa.backends))});
   }
   std::printf(
       "\npaper shape: deviation increases with the number of backends and "

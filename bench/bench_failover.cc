@@ -37,12 +37,12 @@ constexpr size_t kReplications = 3;
 
 /// The backend whose death hurts the 0-safe allocation most: the exclusive
 /// server of some read class (killing it makes that class unservable).
-size_t PickVictim(const Pipeline& p) {
-  for (const QueryClass& c : p.cls.reads) {
+size_t PickVictim(const Layout& p) {
+  for (const QueryClass& c : p.classification.reads) {
     size_t capable = 0;
     size_t last = 0;
     for (size_t b = 0; b < p.backends.size(); ++b) {
-      if (p.alloc.HoldsAll(b, c.fragments)) {
+      if (p.allocation.HoldsAll(b, c.fragments)) {
         ++capable;
         last = b;
       }
@@ -109,11 +109,13 @@ void Run() {
 
   GreedyAllocator greedy;
   KSafeGreedyAllocator ksafe({1, 1e-12, 0});
-  Pipeline unsafe = ValueOrDie(
-      BuildPipeline(catalog, journal, Granularity::kTable, &greedy, kNodes),
+  Layout unsafe = ValueOrDie(
+      BuildLayout(catalog, journal, {Granularity::kTable}, greedy,
+                  HomogeneousBackends(kNodes)),
       "greedy pipeline");
-  Pipeline safe = ValueOrDie(
-      BuildPipeline(catalog, journal, Granularity::kTable, &ksafe, kNodes),
+  Layout safe = ValueOrDie(
+      BuildLayout(catalog, journal, {Granularity::kTable}, ksafe,
+                  HomogeneousBackends(kNodes)),
       "ksafe pipeline");
 
   const size_t victim = PickVictim(unsafe);
@@ -124,9 +126,10 @@ void Run() {
                "retried", "redisp", "p99 ms", "recov s"},
               13);
 
-  const auto simulate = [&](const Pipeline& p, const SimulationConfig& config) {
+  const auto simulate = [&](const Layout& p, const SimulationConfig& config) {
     auto sim = ValueOrDie(
-        ClusterSimulator::Create(p.cls, p.alloc, p.backends, config),
+        ClusterSimulator::Create(p.classification, p.allocation, p.backends,
+                                 config),
         "simulator");
     SweepOptions sweep;
     sweep.repeat = kReplications;
@@ -150,7 +153,7 @@ void Run() {
   // through the AdaptiveController with a heal-only policy. One control
   // interval is one 5-s timeline bin (sim time is real time), so Algorithm 3
   // sees the crash at the next bin edge and the repair migrates live.
-  const AdaptiveReport healed = SelfHeal(safe.cls, &ksafe, victim);
+  const AdaptiveReport healed = SelfHeal(safe.classification, &ksafe, victim);
   const TransitionRecord* repair = nullptr;
   for (const TransitionRecord& t : healed.transitions) {
     if (t.completed && t.action == AdaptiveAction::kSelfHeal) repair = &t;
@@ -211,7 +214,7 @@ void Run() {
     std::exit(1);
   }
   if (SerializeReport(healed) !=
-      SerializeReport(SelfHeal(safe.cls, &ksafe, victim))) {
+      SerializeReport(SelfHeal(safe.classification, &ksafe, victim))) {
     std::fprintf(stderr, "FATAL: self-healing run is not deterministic\n");
     std::exit(1);
   }

@@ -28,17 +28,18 @@ void Run() {
       "time-series workload: table vs horizontal granularity",
       {"backends", "tbl speedup", "hor speedup", "tbl repl", "hor repl"});
   for (size_t n : {1, 2, 4, 6, 8, 10}) {
-    Pipeline pt = ValueOrDie(
-        BuildPipeline(catalog, journal, Granularity::kTable, &greedy, n),
+    Layout pt = ValueOrDie(
+        BuildLayout(catalog, journal, {Granularity::kTable}, greedy,
+                    HomogeneousBackends(n)),
         "table");
-    Pipeline ph = ValueOrDie(
-        BuildPipeline(catalog, journal, Granularity::kHorizontal, &greedy, n,
-                      workloads::kTimeSeriesPartitions),
+    Layout ph = ValueOrDie(
+        BuildLayout(catalog, journal,
+                    {Granularity::kHorizontal, workloads::kTimeSeriesPartitions},
+                    greedy, HomogeneousBackends(n)),
         "horizontal");
-    PrintRow({std::to_string(n), Fmt(Speedup(pt.alloc, pt.backends)),
-              Fmt(Speedup(ph.alloc, ph.backends)),
-              Fmt(DegreeOfReplication(pt.alloc, pt.cls.catalog)),
-              Fmt(DegreeOfReplication(ph.alloc, ph.cls.catalog))});
+    PrintRow({std::to_string(n), Fmt(pt.model_speedup),
+              Fmt(ph.model_speedup), Fmt(pt.degree_of_replication),
+              Fmt(ph.degree_of_replication)});
   }
 
   // Eq. 17 bounds for both granularities.
@@ -56,11 +57,14 @@ void Run() {
   }
 
   // Simulated throughput at 8 backends.
-  Pipeline pt = ValueOrDie(
-      BuildPipeline(catalog, journal, Granularity::kTable, &greedy, 8), "t8");
-  Pipeline ph = ValueOrDie(
-      BuildPipeline(catalog, journal, Granularity::kHorizontal, &greedy, 8,
-                    workloads::kTimeSeriesPartitions),
+  Layout pt = ValueOrDie(
+      BuildLayout(catalog, journal, {Granularity::kTable}, greedy,
+                  HomogeneousBackends(8)),
+      "t8");
+  Layout ph = ValueOrDie(
+      BuildLayout(catalog, journal,
+                  {Granularity::kHorizontal, workloads::kTimeSeriesPartitions},
+                  greedy, HomogeneousBackends(8)),
       "h8");
   ThroughputStats tt = ValueOrDie(SimulateSeeds(pt, 20000, 3, params), "st");
   ThroughputStats th = ValueOrDie(SimulateSeeds(ph, 20000, 3, params), "sh");

@@ -24,21 +24,21 @@ void Report(const char* workload, const engine::Catalog& catalog,
     KSafetyOptions opts;
     opts.k = k;
     KSafeGreedyAllocator allocator(opts);
-    Pipeline p = ValueOrDie(
-        BuildPipeline(catalog, journal, granularity, &allocator, 10),
+    Layout p = ValueOrDie(
+        BuildLayout(catalog, journal, {granularity}, allocator,
+                    HomogeneousBackends(10)),
         "pipeline");
     ValidationOptions vopts;
     vopts.k_safety = k;
-    CheckOk(ValidateAllocation(p.cls, p.alloc, p.backends, vopts),
+    CheckOk(ValidateAllocation(p.classification, p.allocation, p.backends,
+                               vopts),
             "k-safety validation");
     size_t min_replicas = 10;
-    for (FragmentId f = 0; f < p.cls.catalog.size(); ++f) {
-      min_replicas = std::min(min_replicas, p.alloc.ReplicaCount(f));
+    for (FragmentId f = 0; f < p.classification.catalog.size(); ++f) {
+      min_replicas = std::min(min_replicas, p.allocation.ReplicaCount(f));
     }
-    PrintRow({std::to_string(k),
-              Fmt(DegreeOfReplication(p.alloc, p.cls.catalog), 2),
-              Fmt(Speedup(p.alloc, p.backends), 2),
-              std::to_string(min_replicas)},
+    PrintRow({std::to_string(k), Fmt(p.degree_of_replication, 2),
+              Fmt(p.model_speedup, 2), std::to_string(min_replicas)},
              16);
   }
 }

@@ -28,11 +28,14 @@ std::vector<double> AverageHistogram(const engine::Catalog& catalog,
     opts.population_size = 9;
     opts.seed = 500 + run;
     MemeticAllocator memetic(opts);
-    Pipeline p = ValueOrDie(
-        BuildPipeline(catalog, journal, granularity, &memetic, 10), "pipeline");
+    Layout p = ValueOrDie(
+        BuildLayout(catalog, journal, {granularity}, memetic,
+                    HomogeneousBackends(10)),
+        "pipeline");
     const std::vector<size_t> hist =
-        per_table ? TableReplicationHistogram(p.alloc, p.cls.catalog)
-                  : ReplicationHistogram(p.alloc);
+        per_table
+            ? TableReplicationHistogram(p.allocation, p.classification.catalog)
+            : ReplicationHistogram(p.allocation);
     for (size_t k = 0; k < hist.size() && k < avg.size(); ++k) {
       avg[k] += static_cast<double>(hist[k]);
     }

@@ -62,20 +62,22 @@ void TpchDrift() {
   const engine::Catalog catalog = workloads::TpchCatalog(1.0);
   const QueryJournal journal = workloads::TpchJournal(10000);
   GreedyAllocator greedy;
-  Pipeline p = ValueOrDie(
-      BuildPipeline(catalog, journal, Granularity::kColumn, &greedy, 8),
+  Layout p = ValueOrDie(
+      BuildLayout(catalog, journal, {Granularity::kColumn}, greedy,
+                  HomogeneousBackends(8)),
       "pipeline");
   PrintHeader(
       "TPC-H column-based on 8 backends: model speedup after +20% drift",
       {"class", "weight", "rigid", "shifted"}, 15);
-  const double base = Speedup(p.alloc, p.backends);
-  for (size_t r = 0; r < std::min<size_t>(8, p.cls.reads.size()); ++r) {
-    const double w = p.cls.reads[r].weight * 1.2;
+  const double base = p.model_speedup;
+  const Classification& cls = p.classification;
+  for (size_t r = 0; r < std::min<size_t>(8, cls.reads.size()); ++r) {
+    const double w = cls.reads[r].weight * 1.2;
     const double rigid = ValueOrDie(
-        PerturbedSpeedup(p.cls, p.alloc, p.backends, r, w, false), "rigid");
+        PerturbedSpeedup(cls, p.allocation, p.backends, r, w, false), "rigid");
     const double shifted = ValueOrDie(
-        PerturbedSpeedup(p.cls, p.alloc, p.backends, r, w, true), "shifted");
-    PrintRow({p.cls.reads[r].label, FormatPercent(p.cls.reads[r].weight, 1),
+        PerturbedSpeedup(cls, p.allocation, p.backends, r, w, true), "shifted");
+    PrintRow({cls.reads[r].label, FormatPercent(cls.reads[r].weight, 1),
               Fmt(rigid), Fmt(shifted)},
              15);
   }
@@ -89,8 +91,9 @@ void TpchLatencyTails() {
   const engine::Catalog catalog = workloads::TpchCatalog(1.0);
   const QueryJournal journal = workloads::TpchJournal(10000);
   GreedyAllocator greedy;
-  Pipeline p = ValueOrDie(
-      BuildPipeline(catalog, journal, Granularity::kColumn, &greedy, 8),
+  Layout p = ValueOrDie(
+      BuildLayout(catalog, journal, {Granularity::kColumn}, greedy,
+                  HomogeneousBackends(8)),
       "pipeline");
   // Each load level is a parallel replication sweep (seeds 7..10); the
   // table reports per-replication means, which are thread-count invariant.
@@ -104,7 +107,8 @@ void TpchLatencyTails() {
   config.seed = 7;
   config.servers_per_backend = 4;
   auto sim = ValueOrDie(
-      ClusterSimulator::Create(p.cls, p.alloc, p.backends, config),
+      ClusterSimulator::Create(p.classification, p.allocation, p.backends,
+                               config),
       "simulator");
   for (double rate : {4.0, 8.0, 16.0}) {
     SweepOptions sweep;

@@ -32,8 +32,9 @@ void Run() {
       MemeticOptions opts = mopts;
       opts.seed = 100 + run;
       MemeticAllocator memetic(opts);
-      Pipeline p = ValueOrDie(
-          BuildPipeline(catalog, journal, Granularity::kColumn, &memetic, n),
+      Layout p = ValueOrDie(
+          BuildLayout(catalog, journal, {Granularity::kColumn}, memetic,
+                      HomogeneousBackends(n)),
           "pipeline");
       SimStats stats = ValueOrDie(Simulate(p, 20000, run + 1, params), "sim");
       sum += stats.throughput;

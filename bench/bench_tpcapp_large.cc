@@ -4,7 +4,9 @@
 // Paper shape: the expensive updates reduce every strategy's speedup; full
 // replication *slows down* at 10 nodes, while the partial allocations keep
 // scaling.
+#include <chrono>
 #include <cstdio>
+#include <utility>
 
 #include "alloc/full_replication.h"
 #include "alloc/memetic.h"
@@ -45,23 +47,21 @@ void Run() {
       {"column", Granularity::kColumn, &memetic},
   };
   std::vector<std::vector<double>> relative(3);
-  struct PhaseRow {
-    std::string label;
-    PhaseTimings phases;
-  };
-  std::vector<PhaseRow> phase_rows;
+  std::vector<std::pair<std::string, double>> prepare_ms;
   for (size_t v = 0; v < 3; ++v) {
     double baseline = 0.0;
     std::vector<std::string> row = {variants[v].name};
     for (size_t n : {1, 5, 10}) {
-      PhaseTimings phases;
-      Pipeline p = ValueOrDie(
-          BuildPipelineTimed(catalog, journal, variants[v].granularity,
-                             variants[v].allocator, n, &phases),
+      const auto start = std::chrono::steady_clock::now();
+      Layout p = ValueOrDie(
+          BuildLayout(catalog, journal, {variants[v].granularity},
+                      *variants[v].allocator, HomogeneousBackends(n)),
           "pipeline");
-      phase_rows.push_back(
-          {std::string(variants[v].name) + "/n=" + std::to_string(n),
-           phases});
+      prepare_ms.emplace_back(
+          std::string(variants[v].name) + "/n=" + std::to_string(n),
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - start)
+              .count());
       ThroughputStats stats = ValueOrDie(
           SimulateSeeds(p, 20000, 3, params, kFanoutOverhead), "simulate");
       if (n == 1) baseline = stats.mean;
@@ -70,21 +70,11 @@ void Run() {
     }
     PrintRow(row, 12);
   }
-  // Per-phase wall timings: scaling regressions in the preparation pipeline
-  // are attributable to a stage (classification, index build, allocation
-  // search, a standalone full-GC sweep, validation) instead of one lump.
-  PrintHeader("preparation phases (milliseconds)",
-              {"instance", "classify", "index", "search", "gc-sweep",
-               "validate"},
-              12);
-  for (const PhaseRow& pr : phase_rows) {
-    PrintRow({pr.label, Fmt(pr.phases.classify_s * 1e3, 3),
-              Fmt(pr.phases.index_build_s * 1e3, 3),
-              Fmt(pr.phases.search_s * 1e3, 3),
-              Fmt(pr.phases.gc_sweep_s * 1e3, 3),
-              Fmt(pr.phases.validate_s * 1e3, 3)},
-             12);
-  }
+  // Wall time of each instance's BuildLayout (classify, allocate,
+  // validate), so growth with n shows. The per-stage split is measured by
+  // qcap_bench's alloc.*, model.validate and physical.plan spans.
+  PrintHeader("preparation (milliseconds)", {"instance", "prepare ms"}, 12);
+  for (const auto& [label, ms] : prepare_ms) PrintRow({label, Fmt(ms, 3)}, 12);
   std::printf(
       "\npaper shape: reduced speedups everywhere; full replication "
       "%s from n=5 to n=10 (%.2f -> %.2f here) while table/column "

@@ -46,15 +46,15 @@ void Run() {
     };
     std::vector<std::string> row = {std::to_string(n)};
     for (size_t v = 0; v < 3; ++v) {
-      Pipeline p = ValueOrDie(
-          BuildPipeline(catalog, journal, variants[v].granularity,
-                        variants[v].allocator, n),
+      Layout p = ValueOrDie(
+          BuildLayout(catalog, journal, {variants[v].granularity},
+                      *variants[v].allocator, HomogeneousBackends(n)),
           "pipeline");
       ThroughputStats stats =
           ValueOrDie(SimulateSeeds(p, kRequests, kSeeds, params), "simulate");
       if (n == 1 && v == 0) single_node = stats.mean;
       speedups[v].push_back(stats.mean / single_node);
-      model_speedups[v].push_back(Speedup(p.alloc, p.backends));
+      model_speedups[v].push_back(p.model_speedup);
       row.push_back(Fmt(stats.mean, 0));
     }
     PrintRow(row);

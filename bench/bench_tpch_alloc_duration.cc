@@ -33,17 +33,22 @@ void Run() {
   PrintHeader("Figure 4(d): allocation duration (minutes)",
               {"backends", "full-repl", "column", "col-bytes-moved"}, 18);
   for (size_t n = 1; n <= 7; ++n) {
-    Pipeline pf = ValueOrDie(
-        BuildPipeline(catalog, journal, Granularity::kNone, &full, n), "full");
-    Pipeline pc = ValueOrDie(
-        BuildPipeline(catalog, journal, Granularity::kColumn, &greedy, n),
+    Layout pf = ValueOrDie(
+        BuildLayout(catalog, journal, {Granularity::kNone}, full,
+                    HomogeneousBackends(n)),
+        "full");
+    Layout pc = ValueOrDie(
+        BuildLayout(catalog, journal, {Granularity::kColumn}, greedy,
+                    HomogeneousBackends(n)),
         "column");
     // Full replication ships whole database images (no fragmentation
     // stage); column-based prepares fragments but ships much less.
     TransitionPlan full_plan = ValueOrDie(
-        physical.InitialLoad(pf.alloc, pf.cls.catalog, false), "full plan");
+        physical.InitialLoad(pf.allocation, pf.classification.catalog, false),
+        "full plan");
     TransitionPlan col_plan = ValueOrDie(
-        physical.InitialLoad(pc.alloc, pc.cls.catalog, true), "col plan");
+        physical.InitialLoad(pc.allocation, pc.classification.catalog, true),
+        "col plan");
     PrintRow({std::to_string(n), Fmt(full_plan.duration_seconds / 60.0),
               Fmt(col_plan.duration_seconds / 60.0),
               FormatBytes(col_plan.total_bytes)},

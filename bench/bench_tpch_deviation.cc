@@ -22,8 +22,9 @@ void Run() {
               {"backends", "avg q/s", "min q/s", "max q/s", "spread"});
   double worst_spread = 0.0;
   for (size_t n = 1; n <= 10; ++n) {
-    Pipeline p = ValueOrDie(
-        BuildPipeline(catalog, journal, Granularity::kColumn, &greedy, n),
+    Layout p = ValueOrDie(
+        BuildLayout(catalog, journal, {Granularity::kColumn}, greedy,
+                    HomogeneousBackends(n)),
         "pipeline");
     ThroughputStats stats =
         ValueOrDie(SimulateSeeds(p, 2000, 10, params), "simulate");

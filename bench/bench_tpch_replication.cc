@@ -47,37 +47,37 @@ void Run() {
               {"backends", "full-repl", "table", "column", "optimal(table)"},
               24);
   for (size_t n = 1; n <= 10; ++n) {
-    Pipeline pf = ValueOrDie(
-        BuildPipeline(catalog, journal, Granularity::kTable, &full, n), "full");
-    Pipeline pt = ValueOrDie(
-        BuildPipeline(catalog, journal, Granularity::kTable, &greedy, n),
+    Layout pf = ValueOrDie(
+        BuildLayout(catalog, journal, {Granularity::kTable}, full,
+                    HomogeneousBackends(n)),
+        "full");
+    Layout pt = ValueOrDie(
+        BuildLayout(catalog, journal, {Granularity::kTable}, greedy,
+                    HomogeneousBackends(n)),
         "table");
-    Pipeline pc = ValueOrDie(
-        BuildPipeline(catalog, journal, Granularity::kColumn, &greedy, n),
+    Layout pc = ValueOrDie(
+        BuildLayout(catalog, journal, {Granularity::kColumn}, greedy,
+                    HomogeneousBackends(n)),
         "column");
     std::string optimal_cell = "-";
     if (n <= 3) {
       OptimalOptions opts;
       opts.milp.max_nodes = 40000;
       OptimalAllocator optimal(opts);
-      auto po =
-          BuildPipeline(catalog, reduced, Granularity::kTable, &optimal, n);
-      auto pg =
-          BuildPipeline(catalog, reduced, Granularity::kTable, &greedy, n);
+      auto po = BuildLayout(catalog, reduced, {Granularity::kTable}, optimal,
+                            HomogeneousBackends(n));
+      auto pg = BuildLayout(catalog, reduced, {Granularity::kTable}, greedy,
+                            HomogeneousBackends(n));
       if (po.ok() && pg.ok()) {
-        optimal_cell =
-            Fmt(DegreeOfReplication(po->alloc, po->cls.catalog), 3) +
-            " (greedy " +
-            Fmt(DegreeOfReplication(pg->alloc, pg->cls.catalog), 3) + ")";
+        optimal_cell = Fmt(po->degree_of_replication, 3) + " (greedy " +
+                       Fmt(pg->degree_of_replication, 3) + ")";
       } else {
         optimal_cell = "limit";
       }
     }
-    PrintRow({std::to_string(n),
-              Fmt(DegreeOfReplication(pf.alloc, pf.cls.catalog), 2),
-              Fmt(DegreeOfReplication(pt.alloc, pt.cls.catalog), 2),
-              Fmt(DegreeOfReplication(pc.alloc, pc.cls.catalog), 2),
-              optimal_cell},
+    PrintRow({std::to_string(n), Fmt(pf.degree_of_replication, 2),
+              Fmt(pt.degree_of_replication, 2),
+              Fmt(pc.degree_of_replication, 2), optimal_cell},
              24);
   }
   std::printf(

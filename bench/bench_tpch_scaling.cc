@@ -41,9 +41,9 @@ void Run() {
       std::vector<std::string> row = {variant.name,
                                       "SF" + std::to_string(int(sf))};
       for (size_t n : {1, 5, 10}) {
-        Pipeline p = ValueOrDie(
-            BuildPipeline(catalog, journal, variant.granularity,
-                          variant.allocator, n),
+        Layout p = ValueOrDie(
+            BuildLayout(catalog, journal, {variant.granularity},
+                        *variant.allocator, HomogeneousBackends(n)),
             "pipeline");
         ThroughputStats stats =
             ValueOrDie(SimulateSeeds(p, 1500, kSeeds, params), "simulate");

@@ -45,9 +45,9 @@ void Run() {
     for (size_t v = 0; v < 4; ++v) {
       double mean = 0.0;
       if (variants[v].allocator != nullptr) {
-        Pipeline p = ValueOrDie(
-            BuildPipeline(catalog, journal, variants[v].granularity,
-                          variants[v].allocator, n),
+        Layout p = ValueOrDie(
+            BuildLayout(catalog, journal, {variants[v].granularity},
+                        *variants[v].allocator, HomogeneousBackends(n)),
             "pipeline");
         ThroughputStats stats = ValueOrDie(
             SimulateSeeds(p, kRequests, kSeeds, params), "simulate");
@@ -58,9 +58,9 @@ void Run() {
         constexpr size_t kPlacements = 5;
         for (size_t run = 0; run < kPlacements; ++run) {
           RandomAllocator random(1000 + 31 * n + run);
-          Pipeline p = ValueOrDie(
-              BuildPipeline(catalog, journal, variants[v].granularity,
-                            &random, n),
+          Layout p = ValueOrDie(
+              BuildLayout(catalog, journal, {variants[v].granularity}, random,
+                          HomogeneousBackends(n)),
               "pipeline");
           SimStats stats =
               ValueOrDie(Simulate(p, kRequests, run + 1, params), "simulate");

@@ -36,8 +36,9 @@ void Run() {
             "full replication", Granularity::kTable, &full},
         {"column-based partial replication", Granularity::kColumn,
          &memetic}}) {
-    Pipeline p = ValueOrDie(
-        BuildPipeline(catalog, journal, granularity, allocator, 10),
+    Layout p = ValueOrDie(
+        BuildLayout(catalog, journal, {granularity}, *allocator,
+                    HomogeneousBackends(10)),
         "pipeline");
     PrintHeader(std::string("TPC-App, 10 backends, ") + strategy,
                 {"protocol", "q/s", "avg resp (ms)", "max resp (ms)"}, 16);
@@ -46,7 +47,8 @@ void Run() {
       config.cost_params = TpcAppCostParams();
       config.seed = 11;
       config.propagation = proto.propagation;
-      auto sim = ClusterSimulator::Create(p.cls, p.alloc, p.backends, config);
+      auto sim = ClusterSimulator::Create(p.classification, p.allocation,
+                                          p.backends, config);
       CheckOk(sim.status(), "simulator");
       auto stats = sim->RunClosed(30000, 40);
       CheckOk(stats.status(), "run");

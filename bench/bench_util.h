@@ -1,16 +1,14 @@
-// Shared plumbing for the figure/table benches: classify -> allocate ->
-// validate -> simulate pipelines, seed-averaged statistics, and aligned
-// table printing. Each bench binary prints the series of one paper figure
-// or table (gnuplot-ready columns), followed by a paper-vs-measured note.
+// Shared plumbing for the figure/table benches: simulations of a built
+// Layout (alloc/layout.h), seed-averaged statistics, and aligned table
+// printing. Each bench binary prints the series of one paper figure or
+// table (gnuplot-ready columns), followed by a paper-vs-measured note.
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "alloc/allocator.h"
-#include "alloc/search_kernel.h"
+#include "alloc/layout.h"
 #include "cluster/simulator.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -21,81 +19,8 @@
 
 namespace qcap::bench {
 
-/// A fully prepared experiment instance.
-struct Pipeline {
-  Classification cls;
-  Allocation alloc;
-  std::vector<BackendSpec> backends;
-};
-
-/// Classifies \p journal and allocates with \p allocator onto \p nodes
-/// homogeneous backends; validates the result.
-inline Result<Pipeline> BuildPipeline(const engine::Catalog& catalog,
-                                      const QueryJournal& journal,
-                                      Granularity granularity,
-                                      Allocator* allocator, size_t nodes,
-                                      int horizontal_partitions = 4) {
-  Classifier classifier(
-      catalog, ClassifierOptions{granularity, horizontal_partitions, true});
-  QCAP_ASSIGN_OR_RETURN(Classification cls, classifier.Classify(journal));
-  std::vector<BackendSpec> backends = HomogeneousBackends(nodes);
-  QCAP_ASSIGN_OR_RETURN(Allocation alloc, allocator->Allocate(cls, backends));
-  QCAP_RETURN_NOT_OK(ValidateAllocation(cls, alloc, backends));
-  return Pipeline{std::move(cls), std::move(alloc), std::move(backends)};
-}
-
-/// Wall-clock seconds of each pipeline phase, so scaling regressions are
-/// attributable to a specific stage instead of one lump sum.
-struct PhaseTimings {
-  double classify_s = 0.0;     ///< Journal -> Classification.
-  double index_build_s = 0.0;  ///< ClassificationIndex construction.
-  double search_s = 0.0;       ///< allocator->Allocate (includes its GCs).
-  double gc_sweep_s = 0.0;     ///< One standalone full GarbageCollect sweep.
-  double validate_s = 0.0;     ///< ValidateAllocation.
-};
-
-/// BuildPipeline with per-phase wall timings. The index build and the GC
-/// sweep are measured on dedicated instances (the allocator builds and
-/// garbage-collects internally as part of search_s), so the columns answer
-/// "where would another 10x in instance size hurt".
-inline Result<Pipeline> BuildPipelineTimed(const engine::Catalog& catalog,
-                                           const QueryJournal& journal,
-                                           Granularity granularity,
-                                           Allocator* allocator, size_t nodes,
-                                           PhaseTimings* phases,
-                                           int horizontal_partitions = 4) {
-  using Clock = std::chrono::steady_clock;
-  const auto seconds_since = [](Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-  Classifier classifier(
-      catalog, ClassifierOptions{granularity, horizontal_partitions, true});
-  auto t0 = Clock::now();
-  QCAP_ASSIGN_OR_RETURN(Classification cls, classifier.Classify(journal));
-  phases->classify_s = seconds_since(t0);
-  std::vector<BackendSpec> backends = HomogeneousBackends(nodes);
-  t0 = Clock::now();
-  ClassificationIndex index(cls);
-  phases->index_build_s = seconds_since(t0);
-  t0 = Clock::now();
-  QCAP_ASSIGN_OR_RETURN(Allocation alloc, allocator->Allocate(cls, backends));
-  phases->search_s = seconds_since(t0);
-  {
-    Allocation sweep = alloc;
-    sweep.BindSizes(cls.catalog);
-    alloc_internal::SearchKernel kernel(cls, index, backends);
-    t0 = Clock::now();
-    kernel.GarbageCollect(&sweep);
-    phases->gc_sweep_s = seconds_since(t0);
-  }
-  t0 = Clock::now();
-  QCAP_RETURN_NOT_OK(ValidateAllocation(cls, alloc, backends));
-  phases->validate_s = seconds_since(t0);
-  return Pipeline{std::move(cls), std::move(alloc), std::move(backends)};
-}
-
 /// Runs a closed-loop simulation of \p p.
-inline Result<SimStats> Simulate(const Pipeline& p, uint64_t requests,
+inline Result<SimStats> Simulate(const Layout& p, uint64_t requests,
                                  uint64_t seed,
                                  const engine::CostModelParams& params,
                                  double rowa_fanout_overhead = 0.0) {
@@ -106,7 +31,8 @@ inline Result<SimStats> Simulate(const Pipeline& p, uint64_t requests,
   config.rowa_fanout_overhead = rowa_fanout_overhead;
   QCAP_ASSIGN_OR_RETURN(
       ClusterSimulator sim,
-      ClusterSimulator::Create(p.cls, p.alloc, p.backends, config));
+      ClusterSimulator::Create(p.classification, p.allocation, p.backends,
+                               config));
   return sim.RunClosed(requests, 4 * p.backends.size());
 }
 
@@ -122,7 +48,7 @@ struct ThroughputStats {
 /// submission order and the aggregation below walks them in that order, so
 /// the numbers are bit-identical to the old serial seed loop.
 inline Result<ThroughputStats> SimulateSeeds(
-    const Pipeline& p, uint64_t requests, size_t seeds,
+    const Layout& p, uint64_t requests, size_t seeds,
     const engine::CostModelParams& params,
     double rowa_fanout_overhead = 0.0, ThreadPool* pool = nullptr) {
   SimulationConfig config;
@@ -132,7 +58,8 @@ inline Result<ThroughputStats> SimulateSeeds(
   config.rowa_fanout_overhead = rowa_fanout_overhead;
   QCAP_ASSIGN_OR_RETURN(
       ClusterSimulator sim,
-      ClusterSimulator::Create(p.cls, p.alloc, p.backends, config));
+      ClusterSimulator::Create(p.classification, p.allocation, p.backends,
+                               config));
   SweepOptions sweep;
   sweep.repeat = seeds;
   sweep.threads = ThreadPool::DefaultThreads();

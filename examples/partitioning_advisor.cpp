@@ -40,13 +40,15 @@ int Advise(const char* title, const engine::Catalog& catalog,
   for (const auto& candidate : choice->evaluated) {
     std::printf("%-12s %14.2f %14.2f%s\n",
                 GranularityName(candidate.granularity),
-                candidate.model_speedup, candidate.degree_of_replication,
+                candidate.layout.model_speedup,
+                candidate.layout.degree_of_replication,
                 candidate.granularity == choice->best.granularity
                     ? "   <- chosen"
                     : "");
   }
-  std::printf("\n%s",
-              RenderClassificationReport(choice->best.classification).c_str());
+  std::printf(
+      "\n%s",
+      RenderClassificationReport(choice->best.layout.classification).c_str());
   return 0;
 }
 

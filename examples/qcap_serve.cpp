@@ -23,11 +23,11 @@
 #include <thread>
 
 #include "alloc/greedy.h"
+#include "alloc/layout.h"
 #include "common/strings.h"
 #include "model/validation.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "workload/classifier.h"
 #include "workloads/tpcapp.h"
 
 using namespace qcap;
@@ -114,26 +114,18 @@ int main(int argc, char** argv) {
 
   // Classify the TPC-App journal and allocate onto homogeneous backends.
   const engine::Catalog catalog = workloads::TpcAppCatalog(300.0);
-  const QueryJournal journal = workloads::TpcAppJournal(200000);
-  Classifier classifier(catalog, ClassifierOptions{Granularity::kTable, 4, true});
-  auto cls = classifier.Classify(journal);
-  if (!cls.ok()) {
-    std::fprintf(stderr, "classify: %s\n", cls.status().ToString().c_str());
-    return 1;
-  }
-  const std::vector<BackendSpec> backends = HomogeneousBackends(backends_n);
   GreedyAllocator greedy;
-  auto alloc = greedy.Allocate(*cls, backends);
-  if (!alloc.ok()) {
-    std::fprintf(stderr, "allocate: %s\n", alloc.status().ToString().c_str());
+  auto layout = BuildLayout(catalog, workloads::TpcAppJournal(200000),
+                            {Granularity::kTable}, greedy,
+                            HomogeneousBackends(backends_n));
+  if (!layout.ok()) {
+    std::fprintf(stderr, "layout: %s\n", layout.status().ToString().c_str());
     return 1;
   }
-  if (Status st = ValidateAllocation(*cls, *alloc, backends); !st.ok()) {
-    std::fprintf(stderr, "validate: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  const Classification& cls = layout->classification;
 
-  auto server = net::QueryRoutingServer::Create(*cls, *alloc, options);
+  auto server =
+      net::QueryRoutingServer::Create(cls, layout->allocation, options);
   if (!server.ok()) {
     std::fprintf(stderr, "create: %s\n", server.status().ToString().c_str());
     return 1;
@@ -152,9 +144,9 @@ int main(int argc, char** argv) {
         const std::vector<BackendSpec> target = HomogeneousBackends(*n);
         GreedyAllocator allocator;
         QCAP_ASSIGN_OR_RETURN(Allocation next,
-                              allocator.Allocate(*cls, target));
-        QCAP_RETURN_NOT_OK(ValidateAllocation(*cls, next, target));
-        return net::RoutingTable{*cls, std::move(next)};
+                              allocator.Allocate(cls, target));
+        QCAP_RETURN_NOT_OK(ValidateAllocation(cls, next, target));
+        return net::RoutingTable{cls, std::move(next)};
       });
   if (Status st = (*server)->Start(); !st.ok()) {
     std::fprintf(stderr, "start: %s\n", st.ToString().c_str());
@@ -164,13 +156,13 @@ int main(int argc, char** argv) {
   // Print the routing table so clients know what to SUBMIT.
   std::printf("qcap_serve listening on 127.0.0.1:%u (%zu backends)\n",
               (*server)->port(), backends_n);
-  for (size_t r = 0; r < cls->reads.size(); ++r) {
-    std::printf("  R%zu  %-24s weight %.3f\n", r, cls->reads[r].label.c_str(),
-                cls->reads[r].weight);
+  for (size_t r = 0; r < cls.reads.size(); ++r) {
+    std::printf("  R%zu  %-24s weight %.3f\n", r, cls.reads[r].label.c_str(),
+                cls.reads[r].weight);
   }
-  for (size_t u = 0; u < cls->updates.size(); ++u) {
-    std::printf("  U%zu  %-24s weight %.3f\n", u, cls->updates[u].label.c_str(),
-                cls->updates[u].weight);
+  for (size_t u = 0; u < cls.updates.size(); ++u) {
+    std::printf("  U%zu  %-24s weight %.3f\n", u, cls.updates[u].label.c_str(),
+                cls.updates[u].weight);
   }
 
   if (selfcheck) {

@@ -5,7 +5,8 @@
 //     --granularity G      table | column | hybrid | horizontal (default table)
 //     --partitions P       horizontal partition count (default 4)
 //     --allocator A        greedy | memetic | full | ksafe1 (default memetic)
-//     --threads T          memetic search threads; 0 = all cores (default 1)
+//     --threads T          memetic search threads, at most one per island;
+//                          0 = all cores (default 1)
 //     --islands N          memetic island count (default 4)
 //     --migration M        generations between island migrations (default 15)
 //     --json               emit JSON instead of the text report
@@ -175,36 +176,27 @@ int main(int argc, char** argv) {
     return Fail("unknown allocator '" + allocator_name + "'");
   }
 
-  Classifier classifier(catalog.value(), copts);
-  auto cls = classifier.Classify(journal.value());
-  if (!cls.ok()) return Fail(cls.status().ToString());
-
-  const auto backends = HomogeneousBackends(backends_n);
-  auto alloc = allocator->Allocate(cls.value(), backends);
-  if (!alloc.ok()) return Fail(alloc.status().ToString());
-  if (Status valid = ValidateAllocation(cls.value(), alloc.value(), backends);
-      !valid.ok()) {
-    return Fail("allocator produced an invalid allocation: " +
-                valid.ToString());
-  }
+  auto layout = BuildLayout(catalog.value(), journal.value(), copts,
+                            *allocator, HomogeneousBackends(backends_n));
+  if (!layout.ok()) return Fail(layout.status().ToString());
+  const Classification& cls = layout->classification;
+  const Allocation& alloc = layout->allocation;
+  const std::vector<BackendSpec>& backends = layout->backends;
 
   if (emit_json) {
     std::printf("{\"classification\":%s,\"allocation\":%s}\n",
-                ClassificationToJson(cls.value()).c_str(),
-                AllocationToJson(cls.value(), alloc.value(), backends).c_str());
+                ClassificationToJson(cls).c_str(),
+                AllocationToJson(cls, alloc, backends).c_str());
   } else {
-    std::printf("%s\n%s",
-                RenderClassificationReport(cls.value()).c_str(),
-                RenderAllocationReport(cls.value(), alloc.value(), backends)
-                    .c_str());
+    std::printf("%s\n%s", RenderClassificationReport(cls).c_str(),
+                RenderAllocationReport(cls, alloc, backends).c_str());
   }
 
   if (simulate) {
     SimulationConfig config;
     config.fault_plan = fault_plan;
     // Strict fault-plan validation happens inside the simulator run.
-    auto sim =
-        ClusterSimulator::Create(cls.value(), alloc.value(), backends, config);
+    auto sim = ClusterSimulator::Create(cls, alloc, backends, config);
     if (!sim.ok()) return Fail(sim.status().ToString());
     if (sim_repeat > 1) {
       SweepOptions sweep;

@@ -6,9 +6,10 @@
 #include <cstdio>
 
 #include "alloc/greedy.h"
-#include "cluster/controller.h"
+#include "alloc/layout.h"
+#include "cluster/simulator.h"
 #include "common/strings.h"
-#include "model/metrics.h"
+#include "physical/physical_allocator.h"
 
 using namespace qcap;
 
@@ -33,42 +34,48 @@ int main() {
   add_table("orders", 5000000);
   add_table("products", 200000);
 
-  // 2. Feed the controller a query history (normally recorded live). Costs
-  //    are per-execution seconds from your measurements or the optimizer.
-  Controller controller(catalog);
-  controller.RecordQuery(Query::Read("account lookups", {"accounts"}, 0.002),
-                         3000);
-  controller.RecordQuery(
-      Query::Read("order report", {"orders", "products"}, 0.050), 500);
-  controller.RecordQuery(Query::Read("catalog browse", {"products"}, 0.004),
-                         2500);
-  controller.RecordQuery(Query::Update("order ingest", {"orders"}, 0.001),
-                         5000);
+  // 2. Record a query history (normally recorded live). Costs are
+  //    per-execution seconds from your measurements or the optimizer.
+  QueryJournal journal;
+  journal.Record(Query::Read("account lookups", {"accounts"}, 0.002), 3000);
+  journal.Record(Query::Read("order report", {"orders", "products"}, 0.050),
+                 500);
+  journal.Record(Query::Read("catalog browse", {"products"}, 0.004), 2500);
+  journal.Record(Query::Update("order ingest", {"orders"}, 0.001), 5000);
 
-  // 3. Allocation mode: classify at table granularity and allocate onto 4
-  //    equal backends with the greedy first-fit heuristic (Algorithm 1).
+  // 3. Allocation mode: classify at table granularity, allocate onto 4
+  //    equal backends with the greedy first-fit heuristic (Algorithm 1),
+  //    validate, and price the initial load of the layout.
   GreedyAllocator greedy;
-  auto report = controller.Reallocate(&greedy, HomogeneousBackends(4),
-                                      {Granularity::kTable, 4, true});
-  if (!report.ok()) {
+  auto layout = BuildLayout(catalog, journal, {Granularity::kTable}, greedy,
+                            HomogeneousBackends(4));
+  if (!layout.ok()) {
     std::fprintf(stderr, "allocation failed: %s\n",
-                 report.status().ToString().c_str());
+                 layout.status().ToString().c_str());
+    return 1;
+  }
+  auto load = PhysicalAllocator().InitialLoad(
+      layout->allocation, layout->classification.catalog, true);
+  if (!load.ok()) {
+    std::fprintf(stderr, "%s\n", load.status().ToString().c_str());
     return 1;
   }
   std::printf("%s",
-              report->allocation.ToString(report->classification).c_str());
+              layout->allocation.ToString(layout->classification).c_str());
   std::printf("model speedup: %.2f of 4 (scale %.3f)\n",
-              report->model_speedup, report->model_scale);
+              layout->model_speedup, layout->model_scale);
   std::printf("degree of replication: %.2f (full replication would be 4)\n",
-              report->degree_of_replication);
+              layout->degree_of_replication);
   std::printf("initial load: %s in %.1f s\n",
-              FormatBytes(report->transition.total_bytes).c_str(),
-              report->transition.duration_seconds);
+              FormatBytes(load->total_bytes).c_str(), load->duration_seconds);
 
   // 4. Query processing mode: drive the simulated cluster and measure.
-  SimulationConfig sim;
-  sim.seed = 42;
-  auto stats = controller.ProcessClosed(20000, 16, sim);
+  SimulationConfig config;
+  config.seed = 42;
+  auto sim = ClusterSimulator::Create(layout->classification,
+                                      layout->allocation, layout->backends,
+                                      config);
+  auto stats = sim.ok() ? sim->RunClosed(20000, 16) : sim.status();
   if (!stats.ok()) {
     std::fprintf(stderr, "simulation failed: %s\n",
                  stats.status().ToString().c_str());

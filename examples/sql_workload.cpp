@@ -6,9 +6,9 @@
 #include <cstdio>
 
 #include "alloc/greedy.h"
-#include "cluster/controller.h"
+#include "alloc/layout.h"
 #include "common/strings.h"
-#include "model/metrics.h"
+#include "physical/physical_allocator.h"
 #include "workload/journal_io.h"
 #include "workload/sql_parser.h"
 #include "workloads/tpch.h"
@@ -60,7 +60,7 @@ int main() {
               journal.NumDistinct(),
               static_cast<unsigned long long>(journal.TotalExecutions()));
 
-  // Persist and reload (the controller's query-history store).
+  // Persist and reload (the query-history store).
   const std::string path = "/tmp/qcap_sql_workload.journal";
   if (Status st = SaveJournal(journal, path); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -76,24 +76,28 @@ int main() {
               static_cast<unsigned long long>(reloaded->TotalExecutions()));
 
   // Allocate from the reloaded history at column granularity.
-  Controller controller(catalog);
-  controller.SetHistory(std::move(reloaded).value());
   GreedyAllocator greedy;
-  auto report = controller.Reallocate(&greedy, HomogeneousBackends(4),
-                                      {Granularity::kColumn});
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+  auto layout = BuildLayout(catalog, reloaded.value(), {Granularity::kColumn},
+                            greedy, HomogeneousBackends(4));
+  if (!layout.ok()) {
+    std::fprintf(stderr, "%s\n", layout.status().ToString().c_str());
+    return 1;
+  }
+  auto load = PhysicalAllocator().InitialLoad(
+      layout->allocation, layout->classification.catalog, true);
+  if (!load.ok()) {
+    std::fprintf(stderr, "%s\n", load.status().ToString().c_str());
     return 1;
   }
   std::printf("\nclasses: %zu reads, %zu updates\n",
-              report->classification.reads.size(),
-              report->classification.updates.size());
+              layout->classification.reads.size(),
+              layout->classification.updates.size());
   std::printf("%s",
-              report->allocation.ToString(report->classification).c_str());
+              layout->allocation.ToString(layout->classification).c_str());
   std::printf(
       "model speedup %.2f of 4, degree of replication %.2f, initial load "
       "%s\n",
-      report->model_speedup, report->degree_of_replication,
-      FormatBytes(report->transition.total_bytes).c_str());
+      layout->model_speedup, layout->degree_of_replication,
+      FormatBytes(load->total_bytes).c_str());
   return 0;
 }

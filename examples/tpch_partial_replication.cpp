@@ -7,10 +7,8 @@
 
 #include "alloc/full_replication.h"
 #include "alloc/greedy.h"
+#include "alloc/layout.h"
 #include "cluster/simulator.h"
-#include "model/metrics.h"
-#include "model/validation.h"
-#include "workload/classifier.h"
 #include "workloads/tpch.h"
 
 using namespace qcap;
@@ -25,25 +23,20 @@ struct Outcome {
 
 Result<Outcome> Evaluate(const engine::Catalog& catalog,
                          const QueryJournal& journal, Granularity granularity,
-                         Allocator* allocator, size_t nodes) {
-  Classifier classifier(catalog, {granularity, 4, true});
-  QCAP_ASSIGN_OR_RETURN(Classification cls, classifier.Classify(journal));
-  const auto backends = HomogeneousBackends(nodes);
-  QCAP_ASSIGN_OR_RETURN(Allocation alloc, allocator->Allocate(cls, backends));
-  QCAP_RETURN_NOT_OK(ValidateAllocation(cls, alloc, backends));
-
+                         Allocator& allocator, size_t nodes) {
+  QCAP_ASSIGN_OR_RETURN(Layout layout,
+                        BuildLayout(catalog, journal, {granularity}, allocator,
+                                    HomogeneousBackends(nodes)));
   SimulationConfig config;
   config.cost_params.memory_bytes = 0.6 * 1024 * 1024 * 1024;
   config.seed = 7;
-  QCAP_ASSIGN_OR_RETURN(ClusterSimulator sim, ClusterSimulator::Create(
-                                                  cls, alloc, backends, config));
+  QCAP_ASSIGN_OR_RETURN(
+      ClusterSimulator sim,
+      ClusterSimulator::Create(layout.classification, layout.allocation,
+                               layout.backends, config));
   QCAP_ASSIGN_OR_RETURN(SimStats stats, sim.RunClosed(1500, 4 * nodes));
-
-  Outcome out;
-  out.replication = DegreeOfReplication(alloc, cls.catalog);
-  out.speedup_model = Speedup(alloc, backends);
-  out.throughput = stats.throughput;
-  return out;
+  return Outcome{layout.degree_of_replication, layout.model_speedup,
+                 stats.throughput};
 }
 
 }  // namespace
@@ -72,7 +65,7 @@ int main() {
   };
   for (const Row& row : rows) {
     auto outcome =
-        Evaluate(catalog, journal, row.granularity, row.allocator, kNodes);
+        Evaluate(catalog, journal, row.granularity, *row.allocator, kNodes);
     if (!outcome.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", row.name,
                    outcome.status().ToString().c_str());

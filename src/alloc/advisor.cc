@@ -2,10 +2,7 @@
 
 #include <optional>
 
-#include "common/logging.h"
 #include "common/thread_pool.h"
-#include "model/metrics.h"
-#include "model/validation.h"
 
 namespace qcap {
 
@@ -34,45 +31,22 @@ Result<AdvisorChoice> PartitioningAdvisor::Advise(
     return Status::InvalidArgument("no candidate granularities");
   }
 
-  // Each candidate is classified, allocated, and validated independently;
-  // results land in the candidate's own slot, so evaluating them on the
-  // pool changes nothing about the outcome.
+  // Each candidate's layout is built independently and lands in the
+  // candidate's own slot, so evaluating them on the pool changes nothing
+  // about the outcome.
   const size_t n = options_.candidates.size();
   std::vector<std::optional<AdvisorCandidate>> slots(n);
   std::vector<Status> errors(n, Status::OK());
   ParallelFor(options_.pool, n, [&](size_t i) {
-    const Granularity granularity = options_.candidates[i];
     ClassifierOptions copts;
-    copts.granularity = granularity;
+    copts.granularity = options_.candidates[i];
     copts.horizontal_partitions = options_.horizontal_partitions;
-    Classifier classifier(catalog_, copts);
-
-    auto cls = classifier.Classify(journal);
-    if (!cls.ok()) {
-      errors[i] = cls.status();
-      QCAP_LOG(Debug) << "advisor: classification failed: "
-                      << errors[i].ToString();
+    auto layout = BuildLayout(catalog_, journal, copts, *allocator_, backends);
+    if (!layout.ok()) {
+      errors[i] = layout.status();
       return;
     }
-    auto alloc = allocator_->Allocate(cls.value(), backends);
-    if (!alloc.ok()) {
-      errors[i] = alloc.status();
-      return;
-    }
-    if (Status valid = ValidateAllocation(cls.value(), alloc.value(), backends);
-        !valid.ok()) {
-      errors[i] = valid;
-      return;
-    }
-
-    AdvisorCandidate candidate;
-    candidate.granularity = granularity;
-    candidate.model_speedup = Speedup(alloc.value(), backends);
-    candidate.degree_of_replication =
-        DegreeOfReplication(alloc.value(), cls->catalog);
-    candidate.classification = std::move(cls).value();
-    candidate.allocation = std::move(alloc).value();
-    slots[i] = std::move(candidate);
+    slots[i] = AdvisorCandidate{copts.granularity, std::move(layout).value()};
   });
 
   AdvisorChoice choice;
@@ -94,16 +68,16 @@ Result<AdvisorChoice> PartitioningAdvisor::Advise(
   // near-ties.
   double best_speedup = 0.0;
   for (const auto& candidate : choice.evaluated) {
-    best_speedup = std::max(best_speedup, candidate.model_speedup);
+    best_speedup = std::max(best_speedup, candidate.layout.model_speedup);
   }
   const AdvisorCandidate* winner = nullptr;
   for (const auto& candidate : choice.evaluated) {
-    if (candidate.model_speedup <
+    if (candidate.layout.model_speedup <
         best_speedup * (1.0 - kSpeedupTolerance)) {
       continue;
     }
-    if (winner == nullptr ||
-        candidate.degree_of_replication < winner->degree_of_replication) {
+    if (winner == nullptr || candidate.layout.degree_of_replication <
+                                 winner->layout.degree_of_replication) {
       winner = &candidate;
     }
   }

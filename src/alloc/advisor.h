@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "alloc/allocator.h"
+#include "alloc/layout.h"
 #include "alloc/memetic.h"
 #include "engine/catalog.h"
 #include "workload/classifier.h"
@@ -44,10 +45,7 @@ struct AdvisorOptions {
 /// One evaluated candidate.
 struct AdvisorCandidate {
   Granularity granularity = Granularity::kTable;
-  Classification classification;
-  Allocation allocation;
-  double model_speedup = 0.0;
-  double degree_of_replication = 0.0;
+  Layout layout;
 };
 
 /// Advisor outcome: the chosen candidate plus everything evaluated.

@@ -464,8 +464,11 @@ Result<Allocation> Search(const MemeticOptions& options,
   ThreadPool* pool = options.pool;
   std::unique_ptr<ThreadPool> owned;
   if (pool == nullptr) {
-    const size_t threads = options.threads == 0 ? ThreadPool::DefaultThreads()
-                                                : options.threads;
+    // Islands are the unit of parallelism: more workers than islands idle.
+    const size_t threads = std::min(options.threads == 0
+                                        ? ThreadPool::DefaultThreads()
+                                        : options.threads,
+                                    options.num_islands);
     if (threads > 1) {
       owned = std::make_unique<ThreadPool>(threads);
       pool = owned.get();

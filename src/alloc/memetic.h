@@ -46,8 +46,8 @@ struct MemeticOptions {
   /// island's best member to its ring successor. 0 disables migration.
   size_t migration_interval = 15;
   /// Worker threads for the search. Islands are the unit of parallelism:
-  /// they evolve concurrently, each one serially, so more threads than
-  /// num_islands buy nothing. 1 = fully serial,
+  /// they evolve concurrently, each one serially, so the private pool gets
+  /// at most num_islands workers. 1 = fully serial,
   /// 0 = ThreadPool::DefaultThreads(). Ignored when \ref pool is set.
   /// The allocation returned does not depend on this value.
   size_t threads = 1;

@@ -1,7 +1,7 @@
 // qcap_serve: the networked query-routing front door (docs/SERVING.md).
 //
 // A `QueryRoutingServer` turns an installed (Classification, Allocation)
-// pair — typically `Controller::current()` — into a long-running TCP
+// pair — typically a `Layout` from `BuildLayout` — into a long-running TCP
 // service speaking the length-prefixed line protocol: SUBMIT a query
 // class, get back the backend(s) the QCAP scheduler routes it to, plus
 // STATS / METRICS / HEALTH observability and FAULT injection.

@@ -10,8 +10,9 @@
 //   Classifier       – queries -> weighted classes  (workload/classifier.h)
 //   Allocator        – classes -> partial replication (alloc/*.h)
 //   ValidateAllocation / metrics                    (model/*.h)
+//   BuildLayout      – classify + allocate + validate (alloc/layout.h)
 //   PhysicalAllocator – materialize with minimal movement (physical/*.h)
-//   ClusterSimulator / Controller – run it          (cluster/*.h)
+//   ClusterSimulator – run it                       (cluster/*.h)
 //   AdaptiveController – scale, heal, re-allocate live (autonomic/*.h)
 #pragma once
 
@@ -50,6 +51,7 @@
 #include "alloc/full_replication.h"
 #include "alloc/greedy.h"
 #include "alloc/ksafety.h"
+#include "alloc/layout.h"
 #include "alloc/memetic.h"
 #include "alloc/optimal.h"
 #include "alloc/random_allocator.h"
@@ -62,7 +64,6 @@
 #include "exec/cost_model.h"
 
 #include "cluster/backend_node.h"
-#include "cluster/controller.h"
 #include "cluster/fault_plan.h"
 #include "cluster/scheduler.h"
 #include "cluster/simulator.h"

@@ -115,8 +115,6 @@ ClassificationIndex::ClassificationIndex(const Classification& cls)
   update_bits_ = arena_.AllocateZeroed<uint64_t>(U * frag_words_);
   read_bundle_bits_ = arena_.AllocateZeroed<uint64_t>(R * frag_words_);
   update_bundle_bits_ = arena_.AllocateZeroed<uint64_t>(U * frag_words_);
-  read_closure_frag_ = arena_.AllocateZeroed<uint64_t>(R * frag_words_);
-  read_closure_upd_ = arena_.AllocateZeroed<uint64_t>(R * upd_words_);
   read_over_weight_ = arena_.AllocateZeroed<double>(R);
   upd_over_weight_ = arena_.AllocateZeroed<double>(U);
   read_bundle_bytes_ = arena_.AllocateZeroed<double>(R);
@@ -249,8 +247,8 @@ ClassificationIndex::ClassificationIndex(const Classification& cls)
   // update-overlap graph: union the updates listed under each fragment,
   // materialize one update-id bitset and one fragment bitset per component,
   // and each read's closure is the OR of the components its updates(C) seeds
-  // touch. Unions are order-independent, so the rows are bit-identical to
-  // the former per-read breadth-first search.
+  // touch. Unions are order-independent, so the closures are bit-identical
+  // to the former per-read breadth-first search.
   std::vector<size_t> parent(U);
   std::iota(parent.begin(), parent.end(), size_t{0});
   for (size_t f = 0; f < F; ++f) {
@@ -276,26 +274,39 @@ ClassificationIndex::ClassificationIndex(const Classification& cls)
   num_components_ = num_comps;
   comp_upd_ = arena_.AllocateZeroed<uint64_t>(num_comps * upd_words_);
   comp_frag_ = arena_.AllocateZeroed<uint64_t>(num_comps * frag_words_);
+  // Set-bit counts of each component's rows.
+  size_t* comp_frag_count = arena_.AllocateArray<size_t>(num_comps);
+  size_t* comp_upd_count = arena_.AllocateZeroed<size_t>(num_comps);
   for (size_t u = 0; u < U; ++u) {
     const size_t c = comp_of[u];
     comp_upd_[c * upd_words_ + (u >> 6)] |= uint64_t{1} << (u & 63);
     simd::OrInto(comp_frag_ + c * frag_words_,
                  update_bits_ + u * frag_words_, frag_words_);
+    ++comp_upd_count[c];
+  }
+  for (size_t c = 0; c < num_comps; ++c) {
+    comp_frag_count[c] = simd::PopcountWords(comp_frag_ + c * frag_words_,
+                                             frag_words_);
   }
   // CSR of the distinct components each read touches (stamp-deduplicated,
   // first-touch order of the ascending updates(C) list). The closures below
   // and the hot collectors both walk this list, so a component shared by
   // several of a read's seed updates is OR'd exactly once.
   read_comp_off_ = arena_.AllocateZeroed<size_t>(R + 1);
+  size_t frag_id_bound = 0;
+  size_t upd_id_count = 0;
   {
     std::vector<size_t> seen(num_comps, kNoStamp);
     for (size_t r = 0; r < R; ++r) {
+      frag_id_bound += cls.reads[r].fragments.size();
       for (size_t i = read_over_upd_off_[r]; i < read_over_upd_off_[r + 1];
            ++i) {
         const size_t c = comp_of[read_over_upd_[i]];
         if (seen[c] != r) {
           seen[c] = r;
           ++read_comp_off_[r + 1];
+          frag_id_bound += comp_frag_count[c];
+          upd_id_count += comp_upd_count[c];
         }
       }
     }
@@ -314,41 +325,38 @@ ClassificationIndex::ClassificationIndex(const Classification& cls)
       }
     }
   }
+  // Closure id lists, ascending. Each closure is built in one reused pair
+  // of scratch rows and emitted as ids, so the index holds no R-row dense
+  // closure pool. The components partition the update classes and, since a
+  // fragment's update classes share one component, their fragment sets
+  // too: a closure holds exactly the sum of its components' update counts
+  // and at most its own fragments plus its components' fragment counts, so
+  // both id arrays are carved before the first closure is built.
+  closure_frag_ids_off_ = arena_.AllocateArray<size_t>(R + 1);
+  closure_upd_ids_off_ = arena_.AllocateArray<size_t>(R + 1);
+  closure_frag_ids_ = arena_.AllocateArray<uint32_t>(frag_id_bound);
+  closure_upd_ids_ = arena_.AllocateArray<uint32_t>(upd_id_count);
+  uint64_t* frag_row = arena_.AllocateArray<uint64_t>(frag_words_);
+  uint64_t* upd_row = arena_.AllocateArray<uint64_t>(upd_words_);
+  size_t fcur = 0;
+  size_t ucur = 0;
+  closure_frag_ids_off_[0] = 0;
+  closure_upd_ids_off_[0] = 0;
   for (size_t r = 0; r < R; ++r) {
-    uint64_t* closure_upd = read_closure_upd_ + r * upd_words_;
-    uint64_t* closure_frag = read_closure_frag_ + r * frag_words_;
-    std::memcpy(closure_frag, read_bits_ + r * frag_words_,
+    std::memcpy(frag_row, read_bits_ + r * frag_words_,
                 frag_words_ * sizeof(uint64_t));
+    std::fill(upd_row, upd_row + upd_words_, uint64_t{0});
     for (size_t i = read_comp_off_[r]; i < read_comp_off_[r + 1]; ++i) {
       const size_t c = read_comp_[i];
-      simd::OrInto(closure_upd, comp_upd_ + c * upd_words_, upd_words_);
-      simd::OrInto(closure_frag, comp_frag_ + c * frag_words_, frag_words_);
+      simd::OrInto(upd_row, comp_upd_ + c * upd_words_, upd_words_);
+      simd::OrInto(frag_row, comp_frag_ + c * frag_words_, frag_words_);
     }
-  }
-  // Sparse id mirrors of the closure rows. On large instances a closure
-  // holds a few dozen bits out of thousands, so the share counts move far
-  // fewer bytes walking these ids than streaming the dense rows; the dense
-  // rows stay for consumers that want word-parallel tests.
-  closure_frag_ids_off_ = arena_.AllocateZeroed<size_t>(R + 1);
-  closure_upd_ids_off_ = arena_.AllocateZeroed<size_t>(R + 1);
-  for (size_t r = 0; r < R; ++r) {
-    closure_frag_ids_off_[r + 1] =
-        closure_frag_ids_off_[r] +
-        simd::PopcountWords(read_closure_frag_ + r * frag_words_,
-                            frag_words_);
-    closure_upd_ids_off_[r + 1] =
-        closure_upd_ids_off_[r] +
-        simd::PopcountWords(read_closure_upd_ + r * upd_words_, upd_words_);
-  }
-  closure_frag_ids_ = arena_.AllocateArray<uint32_t>(closure_frag_ids_off_[R]);
-  closure_upd_ids_ = arena_.AllocateArray<uint32_t>(closure_upd_ids_off_[R]);
-  for (size_t r = 0; r < R; ++r) {
-    size_t fcur = closure_frag_ids_off_[r];
-    read_closure_fragments(r).ForEachSetBit(
+    ConstBitSpan(frag_row, frag_words_, F).ForEachSetBit(
         [&](size_t f) { closure_frag_ids_[fcur++] = static_cast<uint32_t>(f); });
-    size_t ucur = closure_upd_ids_off_[r];
-    read_closure_updates(r).ForEachSetBit(
+    ConstBitSpan(upd_row, upd_words_, U).ForEachSetBit(
         [&](size_t u) { closure_upd_ids_[ucur++] = static_cast<uint32_t>(u); });
+    closure_frag_ids_off_[r + 1] = fcur;
+    closure_upd_ids_off_[r + 1] = ucur;
   }
 }
 

@@ -70,8 +70,8 @@ struct Classification {
 ///    sort keys and difference sets),
 ///  - the transitive update closure per read class: the update classes (and
 ///    the union of their fragments) a backend is forced to keep when it
-///    serves that read, collapsing GarbageCollect's O(U²) fixpoint into a
-///    precomputed union,
+///    serves that read, as ascending id lists, collapsing GarbageCollect's
+///    O(U²) fixpoint into precomputed lists,
 ///  - a fragment → read classes inverted index.
 ///
 /// Layout: struct-of-arrays. All per-class bitsets of one kind live in a
@@ -140,23 +140,13 @@ class ClassificationIndex {
   double read_bundle_bytes(size_t r) const { return read_bundle_bytes_[r]; }
   double update_bundle_bytes(size_t u) const { return upd_bundle_bytes_[u]; }
 
-  /// Transitive update closure of read class \p r: every update class
-  /// reachable from r's fragments by chaining overlaps (bit u set), and the
+  /// Transitive update closure of read class \p r, as ascending ids: every
+  /// update class reachable from r's fragments by chaining overlaps, and the
   /// union of r's fragments with all their fragment sets. A backend serving
   /// r must keep exactly these fragments and update pins for r's sake.
-  ConstBitSpan read_closure_updates(size_t r) const {
-    return ConstBitSpan(read_closure_upd_ + r * upd_words_, upd_words_,
-                        num_updates_);
-  }
-  ConstBitSpan read_closure_fragments(size_t r) const {
-    return FragRow(read_closure_frag_, r);
-  }
-
-  /// Sparse mirrors of the closure rows: the set fragment / update-class
-  /// ids of read \p r's closure, ascending. Large instances typically have
-  /// a few dozen set bits in a multi-thousand-bit row, so the share counts
-  /// (SearchKernel::CountShares and every share edit) walk these ids
-  /// instead of the dense rows.
+  /// Large instances typically have a few dozen ids per closure out of
+  /// thousands of fragments, so the share counts
+  /// (SearchKernel::CountShares and every share edit) walk these lists.
   std::span<const uint32_t> read_closure_fragment_ids(size_t r) const {
     return std::span<const uint32_t>(
         closure_frag_ids_ + closure_frag_ids_off_[r],
@@ -179,7 +169,7 @@ class ClassificationIndex {
   /// Each component carries the bitset of its update classes and the union
   /// of their fragments; a read's closure is its own bits plus the OR of
   /// the components its updates(C) seeds touch (unions distribute over
-  /// reachability, so the precomputed rows are exactly these ORs).
+  /// reachability, so the closure id lists are exactly these ORs).
   size_t num_components() const { return num_components_; }
   ConstBitSpan component_updates(size_t c) const {
     return ConstBitSpan(comp_upd_ + c * upd_words_, upd_words_, num_updates_);
@@ -223,8 +213,6 @@ class ClassificationIndex {
   uint64_t* update_bits_ = nullptr;       // num_updates x frag_words
   uint64_t* read_bundle_bits_ = nullptr;  // num_reads x frag_words
   uint64_t* update_bundle_bits_ = nullptr;  // num_updates x frag_words
-  uint64_t* read_closure_frag_ = nullptr;   // num_reads x frag_words
-  uint64_t* read_closure_upd_ = nullptr;    // num_reads x upd_words
   uint64_t* comp_upd_ = nullptr;            // num_components x upd_words
   uint64_t* comp_frag_ = nullptr;           // num_components x frag_words
   size_t num_components_ = 0;

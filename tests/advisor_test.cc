@@ -24,16 +24,16 @@ TEST(AdvisorTest, TpchPrefersColumnarGranularity) {
               choice->best.granularity == Granularity::kHybrid);
   // Every candidate hits the read-only speedup.
   for (const auto& candidate : choice->evaluated) {
-    EXPECT_NEAR(candidate.model_speedup, 8.0, 1e-6);
+    EXPECT_NEAR(candidate.layout.model_speedup, 8.0, 1e-6);
   }
   // The winner stores less than table granularity.
   double table_replication = 0.0;
   for (const auto& candidate : choice->evaluated) {
     if (candidate.granularity == Granularity::kTable) {
-      table_replication = candidate.degree_of_replication;
+      table_replication = candidate.layout.degree_of_replication;
     }
   }
-  EXPECT_LT(choice->best.degree_of_replication, table_replication);
+  EXPECT_LT(choice->best.layout.degree_of_replication, table_replication);
 }
 
 TEST(AdvisorTest, TimeSeriesPrefersHorizontal) {
@@ -48,7 +48,7 @@ TEST(AdvisorTest, TimeSeriesPrefersHorizontal) {
                                HomogeneousBackends(8));
   ASSERT_TRUE(choice.ok()) << choice.status().ToString();
   EXPECT_EQ(choice->best.granularity, Granularity::kHorizontal);
-  EXPECT_GT(choice->best.model_speedup, 6.0);
+  EXPECT_GT(choice->best.layout.model_speedup, 6.0);
 }
 
 TEST(AdvisorTest, SingleCandidateWorks) {
@@ -76,7 +76,7 @@ TEST(AdvisorTest, NullAllocatorFallsBackToOwnedMemetic) {
   auto choice =
       advisor.Advise(workloads::TpchJournal(1900), HomogeneousBackends(4));
   ASSERT_TRUE(choice.ok()) << choice.status().ToString();
-  EXPECT_NEAR(choice->best.model_speedup, 4.0, 1e-6);
+  EXPECT_NEAR(choice->best.layout.model_speedup, 4.0, 1e-6);
 }
 
 TEST(AdvisorTest, PoolDoesNotChangeTheChoice) {
@@ -96,9 +96,10 @@ TEST(AdvisorTest, PoolDoesNotChangeTheChoice) {
   ASSERT_TRUE(parallel.ok());
 
   EXPECT_EQ(parallel->best.granularity, serial->best.granularity);
-  EXPECT_DOUBLE_EQ(parallel->best.model_speedup, serial->best.model_speedup);
-  EXPECT_DOUBLE_EQ(parallel->best.degree_of_replication,
-                   serial->best.degree_of_replication);
+  EXPECT_DOUBLE_EQ(parallel->best.layout.model_speedup,
+                   serial->best.layout.model_speedup);
+  EXPECT_DOUBLE_EQ(parallel->best.layout.degree_of_replication,
+                   serial->best.layout.degree_of_replication);
   ASSERT_EQ(parallel->evaluated.size(), serial->evaluated.size());
   for (size_t i = 0; i < serial->evaluated.size(); ++i) {
     EXPECT_EQ(parallel->evaluated[i].granularity,
@@ -129,11 +130,11 @@ TEST(AdvisorTest, EvaluatedCandidatesCarryConsistentMetrics) {
                                HomogeneousBackends(5));
   ASSERT_TRUE(choice.ok());
   for (const auto& candidate : choice->evaluated) {
-    EXPECT_GT(candidate.model_speedup, 0.0);
-    EXPECT_GE(candidate.degree_of_replication, 1.0 - 1e-9);
-    EXPECT_EQ(candidate.allocation.num_backends(), 5u);
-    EXPECT_EQ(candidate.allocation.num_fragments(),
-              candidate.classification.catalog.size());
+    EXPECT_GT(candidate.layout.model_speedup, 0.0);
+    EXPECT_GE(candidate.layout.degree_of_replication, 1.0 - 1e-9);
+    EXPECT_EQ(candidate.layout.allocation.num_backends(), 5u);
+    EXPECT_EQ(candidate.layout.allocation.num_fragments(),
+              candidate.layout.classification.catalog.size());
   }
 }
 

@@ -76,8 +76,9 @@ inline void ReferencePlaceOrphans(const Classification& cls, Allocation* alloc,
 }
 
 /// Collection by closure union: each backend of \p bs keeps the union of
-/// the closure rows of its reads with a share above 1e-15 and pins exactly
-/// the update classes of their closures (writing only the pins whose stored
+/// the closures of its reads with a share above 1e-15 (each read's own bits
+/// and the rows of its overlap components) and pins exactly the update
+/// classes of their closures (writing only the pins whose stored
 /// value changes bit for bit), then orphans are placed. \p touched is
 /// cleared and receives the collected backends, then the orphan targets.
 inline void UnionCollect(const Classification& cls,
@@ -93,8 +94,11 @@ inline void UnionCollect(const Classification& cls,
     pinned.ClearAll();
     for (size_t r = 0; r < cls.reads.size(); ++r) {
       if (!(a->read_assign(b, r) > 1e-15)) continue;
-      needed.UnionWith(index.read_closure_fragments(r));
-      pinned.UnionWith(index.read_closure_updates(r));
+      needed.UnionWith(index.read_bits(r));
+      for (uint32_t c : index.read_components(r)) {
+        needed.UnionWith(index.component_fragments(c));
+        pinned.UnionWith(index.component_updates(c));
+      }
     }
     a->RetainFragments(b, needed);
     a->PlaceBits(b, needed);

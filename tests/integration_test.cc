@@ -4,37 +4,18 @@
 
 #include "alloc/full_replication.h"
 #include "alloc/greedy.h"
+#include "alloc/layout.h"
 #include "alloc/memetic.h"
 #include "alloc/random_allocator.h"
 #include "cluster/simulator.h"
 #include "model/metrics.h"
-#include "model/validation.h"
-#include "workload/classifier.h"
 #include "workloads/tpcapp.h"
 #include "workloads/tpch.h"
 
 namespace qcap {
 namespace {
 
-struct Pipeline {
-  Classification cls;
-  Allocation alloc;
-  std::vector<BackendSpec> backends;
-};
-
-Result<Pipeline> RunPipeline(const engine::Catalog& catalog,
-                             const QueryJournal& journal,
-                             Granularity granularity, Allocator* allocator,
-                             size_t nodes) {
-  Classifier classifier(catalog, {granularity, 4, true});
-  QCAP_ASSIGN_OR_RETURN(Classification cls, classifier.Classify(journal));
-  std::vector<BackendSpec> backends = HomogeneousBackends(nodes);
-  QCAP_ASSIGN_OR_RETURN(Allocation alloc, allocator->Allocate(cls, backends));
-  QCAP_RETURN_NOT_OK(ValidateAllocation(cls, alloc, backends));
-  return Pipeline{std::move(cls), std::move(alloc), std::move(backends)};
-}
-
-Result<double> SimulatedThroughput(const Pipeline& p, uint64_t requests,
+Result<double> SimulatedThroughput(const Layout& p, uint64_t requests,
                                    uint64_t seed,
                                    double memory_bytes = 2.0e9) {
   SimulationConfig config;
@@ -43,7 +24,8 @@ Result<double> SimulatedThroughput(const Pipeline& p, uint64_t requests,
   config.servers_per_backend = 2;
   QCAP_ASSIGN_OR_RETURN(
       ClusterSimulator sim,
-      ClusterSimulator::Create(p.cls, p.alloc, p.backends, config));
+      ClusterSimulator::Create(p.classification, p.allocation, p.backends,
+                               config));
   QCAP_ASSIGN_OR_RETURN(SimStats stats,
                         sim.RunClosed(requests, 4 * p.backends.size()));
   return stats.throughput;
@@ -58,7 +40,8 @@ TEST(IntegrationTest, TpchAllStrategiesValidOn1To10Backends) {
   for (Allocator* a :
        std::initializer_list<Allocator*>{&full, &greedy, &random}) {
     for (size_t n : {1, 4, 10}) {
-      auto p = RunPipeline(catalog, journal, Granularity::kColumn, a, n);
+      auto p = BuildLayout(catalog, journal, {Granularity::kColumn}, *a,
+                           HomogeneousBackends(n));
       ASSERT_TRUE(p.ok()) << a->name() << " n=" << n << ": "
                           << p.status().ToString();
     }
@@ -71,27 +54,28 @@ TEST(IntegrationTest, TpchPartialReplicationSavesStorage) {
   const engine::Catalog catalog = workloads::TpchCatalog(1.0);
   const QueryJournal journal = workloads::TpchJournal(10000);
   GreedyAllocator greedy;
-  auto p = RunPipeline(catalog, journal, Granularity::kColumn, &greedy, 10);
+  auto p = BuildLayout(catalog, journal, {Granularity::kColumn}, greedy,
+                       HomogeneousBackends(10));
   ASSERT_TRUE(p.ok()) << p.status().ToString();
-  const double r = DegreeOfReplication(p->alloc, p->cls.catalog);
+  const double r = p->degree_of_replication;
   EXPECT_LT(r, 10.0 * 0.45);  // At least 55% below full replication.
   EXPECT_GE(r, 1.0);
   // Throughput-optimal: model speedup 10 on the read-only workload.
-  EXPECT_NEAR(Speedup(p->alloc, p->backends), 10.0, 1e-6);
+  EXPECT_NEAR(p->model_speedup, 10.0, 1e-6);
 }
 
 TEST(IntegrationTest, TpchTableBasedStoresMoreThanColumnBased) {
   const engine::Catalog catalog = workloads::TpchCatalog(1.0);
   const QueryJournal journal = workloads::TpchJournal(10000);
   GreedyAllocator greedy;
-  auto table = RunPipeline(catalog, journal, Granularity::kTable, &greedy, 10);
-  auto column =
-      RunPipeline(catalog, journal, Granularity::kColumn, &greedy, 10);
+  auto table = BuildLayout(catalog, journal, {Granularity::kTable}, greedy,
+                           HomogeneousBackends(10));
+  auto column = BuildLayout(catalog, journal, {Granularity::kColumn}, greedy,
+                            HomogeneousBackends(10));
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE(column.ok());
-  const double r_table = DegreeOfReplication(table->alloc, table->cls.catalog);
-  const double r_column =
-      DegreeOfReplication(column->alloc, column->cls.catalog);
+  const double r_table = table->degree_of_replication;
+  const double r_column = column->degree_of_replication;
   EXPECT_LT(r_column, r_table);
   // Table-based still uses > 80% of full replication's storage at TPC-H
   // (fact tables referenced everywhere).
@@ -103,10 +87,10 @@ TEST(IntegrationTest, TpchColumnBeatsFullReplicationInSimulation) {
   const QueryJournal journal = workloads::TpchJournal(5000);
   GreedyAllocator greedy;
   FullReplicationAllocator full;
-  auto column =
-      RunPipeline(catalog, journal, Granularity::kColumn, &greedy, 8);
-  auto fullrep =
-      RunPipeline(catalog, journal, Granularity::kTable, &full, 8);
+  auto column = BuildLayout(catalog, journal, {Granularity::kColumn}, greedy,
+                            HomogeneousBackends(8));
+  auto fullrep = BuildLayout(catalog, journal, {Granularity::kTable}, full,
+                             HomogeneousBackends(8));
   ASSERT_TRUE(column.ok());
   ASSERT_TRUE(fullrep.ok());
   auto t_column = SimulatedThroughput(column.value(), 3000, 1);
@@ -122,8 +106,10 @@ TEST(IntegrationTest, TpchRandomAllocationUnderperformsGreedy) {
   const QueryJournal journal = workloads::TpchJournal(5000);
   GreedyAllocator greedy;
   RandomAllocator random(1234);
-  auto g = RunPipeline(catalog, journal, Granularity::kColumn, &greedy, 8);
-  auto r = RunPipeline(catalog, journal, Granularity::kColumn, &random, 8);
+  auto g = BuildLayout(catalog, journal, {Granularity::kColumn}, greedy,
+                       HomogeneousBackends(8));
+  auto r = BuildLayout(catalog, journal, {Granularity::kColumn}, random,
+                       HomogeneousBackends(8));
   ASSERT_TRUE(g.ok());
   ASSERT_TRUE(r.ok());
   auto tg = SimulatedThroughput(g.value(), 3000, 1);
@@ -144,13 +130,16 @@ TEST(IntegrationTest, TpcAppPartialReplicationBeatsFullReplication) {
   mopts.population_size = 9;
   MemeticAllocator memetic(mopts);
   FullReplicationAllocator full;
-  auto g = RunPipeline(catalog, journal, Granularity::kTable, &memetic, 10);
-  auto f = RunPipeline(catalog, journal, Granularity::kTable, &full, 10);
+  auto g = BuildLayout(catalog, journal, {Granularity::kTable}, memetic,
+                       HomogeneousBackends(10));
+  auto f = BuildLayout(catalog, journal, {Granularity::kTable}, full,
+                       HomogeneousBackends(10));
   ASSERT_TRUE(g.ok()) << g.status().ToString();
   ASSERT_TRUE(f.ok());
   // Model speedups: the partial allocation escapes the 25% serial bound.
-  const double partial_speedup = Speedup(g->alloc, g->backends);
-  const double full_amdahl = AmdahlFullReplicationSpeedup(g->cls, 10);
+  const double partial_speedup = g->model_speedup;
+  const double full_amdahl =
+      AmdahlFullReplicationSpeedup(g->classification, 10);
   EXPECT_GT(partial_speedup, 1.5 * full_amdahl);
 
   auto tg = SimulatedThroughput(g.value(), 20000, 1);
@@ -169,18 +158,20 @@ TEST(IntegrationTest, TpcAppSpeedupNearTheoreticalBound) {
   mopts.iterations = 30;
   mopts.population_size = 9;
   MemeticAllocator memetic(mopts);
-  auto g = RunPipeline(catalog, journal, Granularity::kTable, &greedy, 10);
-  auto m = RunPipeline(catalog, journal, Granularity::kTable, &memetic, 10);
+  auto g = BuildLayout(catalog, journal, {Granularity::kTable}, greedy,
+                       HomogeneousBackends(10));
+  auto m = BuildLayout(catalog, journal, {Granularity::kTable}, memetic,
+                       HomogeneousBackends(10));
   ASSERT_TRUE(g.ok());
   ASSERT_TRUE(m.ok());
-  const double bound = TheoreticalMaxSpeedup(m->cls);
-  const double memetic_speedup = Speedup(m->alloc, m->backends);
+  const double bound = TheoreticalMaxSpeedup(m->classification);
+  const double memetic_speedup = m->model_speedup;
   EXPECT_LE(memetic_speedup, bound + 1e-6);
   EXPECT_GT(memetic_speedup, 0.70 * bound);  // "close to the theoretical max".
   // The greedy seed alone is weaker but must still beat the full
   // replication Amdahl ceiling.
-  EXPECT_GT(Speedup(g->alloc, g->backends),
-            AmdahlFullReplicationSpeedup(g->cls, 10));
+  EXPECT_GT(g->model_speedup,
+            AmdahlFullReplicationSpeedup(g->classification, 10));
 }
 
 }  // namespace

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "alloc/greedy.h"
 #include "common/stats.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "model/metrics.h"
 #include "model/validation.h"
@@ -191,6 +196,63 @@ TEST(MemeticTest, SearchProgressIsPopulated) {
   // ever evaluated is the returned allocation's scale.
   EXPECT_NEAR(progress.best_scale(), Scale(result.value(), backends), 1e-6);
   EXPECT_NE(progress.ToString().find("generations="), std::string::npos);
+}
+
+/// Threads of this process, from /proc/self/status (0 if unreadable).
+size_t ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return ParseUint(Trim(line.substr(8))).value_or(0);
+    }
+  }
+  return 0;
+}
+
+TEST(MemeticTest, PrivatePoolHasNoMoreWorkersThanIslands) {
+  // Islands are the unit of parallelism, so asking for 8 threads on 2
+  // islands must start 2 workers, not 8. A watcher counts the process's
+  // threads while the search runs: a sample taken after the first
+  // generation and before the last one falls inside the pool's lifetime.
+  const engine::Catalog catalog = workloads::TpcAppCatalog(300.0);
+  Classifier classifier(catalog, {Granularity::kColumn, 4, true});
+  auto cls = classifier.Classify(workloads::TpcAppJournal(50000));
+  ASSERT_TRUE(cls.ok()) << cls.status().ToString();
+  SearchProgress progress;
+  MemeticOptions opts;
+  opts.num_islands = 2;
+  opts.threads = 8;
+  opts.iterations = 1000;
+  opts.progress = &progress;
+  const uint64_t last = opts.iterations * opts.num_islands;
+
+  const size_t before = ProcessThreads();
+  ASSERT_GT(before, 0u);
+  std::atomic<bool> done{false};
+  size_t peak = 0;
+  bool sampled = false;
+  std::thread watcher([&] {
+    while (!done.load()) {
+      if (progress.generations.load() == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      const size_t threads = ProcessThreads();
+      if (progress.generations.load() < last) {
+        peak = std::max(peak, threads);
+        sampled = true;
+      }
+    }
+  });
+  auto result =
+      MemeticAllocator(opts).Allocate(cls.value(), HomogeneousBackends(10));
+  done.store(true);
+  watcher.join();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(sampled) << "the search ended before the watcher sampled it";
+  // The threads from before, the watcher, and one worker per island.
+  EXPECT_LE(peak, before + 1 + opts.num_islands);
 }
 
 TEST(MemeticTest, GarbageCollectLeavesOnlyNeededFragments) {

@@ -196,7 +196,9 @@ TEST_P(IncrementalAggregateSweep, AggregatesMatchFromScratchRecompute) {
       case 5:
         if (R > 0) {
           bits.ClearAll();
-          bits.UnionWith(index.read_closure_fragments(rng.NextBounded(R)));
+          for (uint32_t f : index.read_closure_fragment_ids(rng.NextBounded(R))) {
+            bits.Set(f);
+          }
           alloc.RetainFragments(b, bits);
         }
         break;
